@@ -59,7 +59,6 @@ from .reductions import (
 from .scalars import GF, QQ, PrimeField, RationalField
 
 __all__ = [
-    "BACKEND",
     "BoundParams",
     "BoundTooLargeError",
     "ChainUnstableError",

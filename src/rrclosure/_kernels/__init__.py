@@ -27,7 +27,6 @@ mono_mul = _impl.mono_mul
 mono_divides = _impl.mono_divides
 mono_div = _impl.mono_div
 mono_lcm = _impl.mono_lcm
-mono_gcd = _impl.mono_gcd
 find_divisor_index = _impl.find_divisor_index
 minimalize = _impl.minimalize
 monomial_product = _impl.monomial_product

@@ -50,17 +50,6 @@ def mono_lcm(tuple a, tuple b):
     return tuple(out)
 
 
-def mono_gcd(tuple a, tuple b):
-    cdef Py_ssize_t i, n = len(a)
-    cdef list out = [0] * n
-    cdef long long x, y
-    for i in range(n):
-        x = a[i]
-        y = b[i]
-        out[i] = x if x < y else y
-    return tuple(out)
-
-
 cdef long long* _pack(list mons, Py_ssize_t d) except NULL:
     cdef Py_ssize_t n = len(mons)
     cdef long long* buf = <long long*> malloc(n * d * sizeof(long long)) if n * d else <long long*> malloc(sizeof(long long))

@@ -30,10 +30,6 @@ def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def mono_gcd(a, b):
-    return tuple(x if x < y else y for x, y in zip(a, b))
-
-
 def find_divisor_index(lms, m):
     """Index of the first monomial in lms dividing m, or -1."""
     for i, lm in enumerate(lms):

@@ -1,9 +1,10 @@
 """Result cache: content-addressed JSON documents, atomic writes.
 
 Keys hash the canonical problem identity (field, variables, sorted reduced
-basis) together with the operation and its parameters, so permuting the
-generator list hits the same entry while a different seed or mode does not.
-Corrupt entries are ignored and recomputed.
+basis) together with the operation, its parameters, the tool version and the
+report schema version, so permuting the generator list hits the same entry
+while a different seed, mode or release does not.  Corrupt entries are
+ignored and recomputed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import hashlib
 import json
 import os
 import tempfile
+
+from ._version import __version__
+from .reports import SCHEMA_VERSION
 
 ENV_CACHE_DIR = "RRCLOSURE_CACHE_DIR"
 
@@ -28,6 +32,8 @@ def cache_key(field_name: str, variables, basis_strings, operation: str, params:
             "reduced_basis": sorted(basis_strings),
             "operation": operation,
             "params": params,
+            "tool_version": __version__,
+            "schema_version": SCHEMA_VERSION,
         },
         sort_keys=True,
     )

@@ -18,7 +18,6 @@ from .errors import (
     BoundTooLargeError,
     ChainUnstableError,
     GenericityFailureError,
-    NotMPrimaryError,
     NotSuperficialError,
 )
 from .hilbert import (
@@ -125,11 +124,13 @@ def closure(
     ``k_override`` skips the postulation bookkeeping and uses the given chain
     index directly (the stabilization check still runs in heuristic mode).
     """
-    witness = I.m_primary_witness()
-    if witness is not None:
-        raise NotMPrimaryError(f"input ideal is not m-primary: {witness}", witness=witness)
+    I.require_m_primary()
 
-    timings: dict = {}
+    timings: dict = {}  # phase -> seconds, summed over retry rounds
+
+    def add_time(phase: str, t0: float):
+        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
+
     win = window
     last_failures: list[str] = []
     last_error = None
@@ -139,7 +140,7 @@ def closure(
 
         t0 = time.perf_counter()
         series = poincare_series(I, mode=mode, window=win, max_samples=max_samples)
-        timings["poincare"] = time.perf_counter() - t0
+        add_time("poincare", t0)
         e0 = series.multiplicity
         _series_checks(series, "series", failures, passed)
 
@@ -161,7 +162,7 @@ def closure(
             win = base * 2
             continue
         finally:
-            timings["reduction"] = time.perf_counter() - t0
+            add_time("reduction", t0)
         passed.append("reduction-colength-equals-e0")
 
         if k_override is None:
@@ -170,7 +171,7 @@ def closure(
                 poincare_series_quotient(I, x, mode=mode, window=win, max_samples=max_samples)
                 for x in cert.elements
             )
-            timings["quotient-poincare"] = time.perf_counter() - t0
+            add_time("quotient-poincare", t0)
             for i, q in enumerate(quotients):
                 _series_checks(q, f"quotient-{i}", failures, passed)
             pn_joint = max(series.postulation, *(q.postulation for q in quotients))
@@ -182,12 +183,12 @@ def closure(
 
         t0 = time.perf_counter()
         result = chain_term(I, cert.elements, k)
-        timings["chain-colon"] = time.perf_counter() - t0
+        add_time("chain-colon", t0)
 
         if mode == HEURISTIC:
             t0 = time.perf_counter()
             stable = result.equals(chain_term(I, cert.elements, k + 1))
-            timings["stabilization-check"] = time.perf_counter() - t0
+            add_time("stabilization-check", t0)
             if stable:
                 passed.append("chain-stabilization")
             else:
@@ -249,9 +250,7 @@ def closure_via_colon_powers(
     accepted but flagged uncertified; without an override the certified k
     must stay under ``max_threshold`` (BOUND_TOO_LARGE otherwise).
     """
-    witness = I.m_primary_witness()
-    if witness is not None:
-        raise NotMPrimaryError(f"input ideal is not m-primary: {witness}", witness=witness)
+    I.require_m_primary()
     if e0 is None:
         e0 = poincare_series(I).multiplicity
     bounds = BoundParams.for_ideal(e0, I.ring.dim)

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import (
-    BoundTooLargeError,
-    ElementNotInIdealError,
-    NotMPrimaryError,
-    ZeroPolynomialError,
-)
+from .errors import BoundTooLargeError, ElementNotInIdealError, ZeroPolynomialError
 from .ideals import Ideal
 from .polynomials import Polynomial
 
@@ -57,10 +52,6 @@ class SeriesData:
     @property
     def postulation(self) -> int:
         return len(self.numerator) - 1 - self.denominator_power
-
-    def coefficient_list(self) -> tuple[int, ...]:
-        """Hilbert coefficients e_0..e_D read off the numerator."""
-        return hilbert_coefficients(self)
 
     def polynomial_value(self, n: int) -> int:
         """Hilbert-Samuel polynomial evaluated at n."""
@@ -109,15 +100,18 @@ def hilbert_coefficients(data: SeriesData) -> tuple[int, ...]:
     return tuple(sum(comb(i, j) * a[i] for i in range(len(a))) for j in range(data.denominator_power + 1))
 
 
-def _require_m_primary(I: Ideal):
-    witness = I.m_primary_witness()
-    if witness is not None:
-        raise NotMPrimaryError(f"input ideal is not m-primary: {witness}", witness=witness)
+def _require_quotient_element(I: Ideal, x: Polynomial):
+    """Guard of the quotient functions: I is m-primary and x a nonzero element of I."""
+    I.require_m_primary()
+    if x.is_zero():
+        raise ZeroPolynomialError("the quotient element must be nonzero")
+    if not I.contains(x):
+        raise ElementNotInIdealError(f"{x} does not lie in the ideal")
 
 
 def hilbert_samuel(I: Ideal, n: int) -> int:
     """h_I(n) = colength(I^{n+1}); powers are cached on the ideal."""
-    _require_m_primary(I)
+    I.require_m_primary()
     if n < 0:
         raise ValueError("the Hilbert-Samuel function is indexed by n >= 0")
     return I.power(n + 1).colength()
@@ -125,11 +119,7 @@ def hilbert_samuel(I: Ideal, n: int) -> int:
 
 def hilbert_samuel_quotient(I: Ideal, x: Polynomial, n: int) -> int:
     """Hilbert-Samuel function of the image of I in R/(x): colength(I^{n+1} + (x))."""
-    _require_m_primary(I)
-    if x.is_zero():
-        raise ZeroPolynomialError("the quotient element must be nonzero")
-    if not I.contains(x):
-        raise ElementNotInIdealError(f"{x} does not lie in the ideal")
+    _require_quotient_element(I, x)
     if n < 0:
         raise ValueError("the Hilbert-Samuel function is indexed by n >= 0")
     return (I.power(n + 1) + x).colength()
@@ -199,7 +189,7 @@ def poincare_series(
     max_samples: int = DEFAULT_MAX_SAMPLES,
 ) -> SeriesData:
     """Numerator of PS_I(X) = f(X)/(1-X)^d, with e0 and pn read off it."""
-    _require_m_primary(I)
+    I.require_m_primary()
     d = I.ring.dim
     return _series_from_lengths(
         lambda n: I.power(n + 1).colength(), d, d, mode, window, max_samples
@@ -214,11 +204,7 @@ def poincare_series_quotient(
     max_samples: int = DEFAULT_MAX_SAMPLES,
 ) -> SeriesData:
     """Poincare data of the image of I in R/(x) (denominator power d-1)."""
-    _require_m_primary(I)
-    if x.is_zero():
-        raise ZeroPolynomialError("the quotient element must be nonzero")
-    if not I.contains(x):
-        raise ElementNotInIdealError(f"{x} does not lie in the ideal")
+    _require_quotient_element(I, x)
     d = I.ring.dim
     return _series_from_lengths(
         lambda n: (I.power(n + 1) + x).colength(), d, d - 1, mode, window, max_samples

@@ -18,6 +18,7 @@ from math import gcd, lcm
 from . import _kernels
 from .errors import (
     ExponentOverflowError,
+    NotMPrimaryError,
     RingMismatchError,
     RRClosureError,
     ZeroPolynomialError,
@@ -47,6 +48,11 @@ def _to_int_terms(poly: Polynomial) -> dict:
     if g > 1:
         terms = {e: v // g for e, v in terms.items()}
     return terms
+
+
+def _engine_terms(poly: Polynomial, p: int | None) -> dict:
+    """Engine form of a polynomial: integer-primitive over QQ, residues mod p."""
+    return _to_int_terms(poly) if p is None else dict(poly.terms)
 
 
 def _normalize_qq(terms: dict, lm) -> dict:
@@ -94,8 +100,9 @@ class _Basis:
 def _nf_engine(fterms: dict, basis: _Basis, order, p: int | None, stop_early: bool = False):
     """Full normal form of an integer term dict against ``basis``.
 
-    Over the rationals the result equals the true remainder up to a positive
-    scalar (fraction-free pseudo-reduction); over F_p it is exact.  With
+    Returns ``(remainder, scale)``.  Over the rationals the reduction is
+    fraction-free, so the remainder is ``scale`` (a positive rational) times
+    the true remainder; over F_p it is exact and ``scale`` is 1.  With
     ``stop_early`` the return value is just the is-zero boolean.
     """
     mono_mul = _kernels.mono_mul
@@ -109,6 +116,7 @@ def _nf_engine(fterms: dict, basis: _Basis, order, p: int | None, stop_early: bo
     heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
     steps = 0
+    scale = 1
     while heap:
         _, e = heapq.heappop(heap)
         c = work.get(e)
@@ -131,6 +139,7 @@ def _nf_engine(fterms: dict, basis: _Basis, order, p: int | None, stop_early: bo
             lam = lcs[j] // g0
             mu = c // g0
             if lam != 1:
+                scale *= lam
                 for k2 in work:
                     work[k2] *= lam
                 for k2 in out:
@@ -158,13 +167,14 @@ def _nf_engine(fterms: dict, basis: _Basis, order, p: int | None, stop_early: bo
             for v in out.values():
                 g = gcd(g, v)
             if g > 1:
+                scale = Fraction(scale, g)
                 for k2 in work:
                     work[k2] //= g
                 for k2 in out:
                     out[k2] //= g
     if stop_early:
         return not out
-    return out
+    return out, scale
 
 
 def _spoly(basis: _Basis, i: int, j: int, p: int | None) -> dict:
@@ -246,7 +256,7 @@ def _engine_groebner(polys, ring: PolyRing) -> list[dict]:
                 raise RingMismatchError("generator from a different ring")
             if f.is_zero():
                 continue
-            terms = _to_int_terms(f) if p is None else dict(f.terms)
+            terms = _engine_terms(f, p)
         else:
             terms = dict(f)
             if not terms:
@@ -282,7 +292,7 @@ def _engine_groebner(polys, ring: PolyRing) -> list[dict]:
         s = _spoly(basis, i, j, p)
         if not s:
             continue
-        r = _nf_engine(s, basis, order, p)
+        r, _ = _nf_engine(s, basis, order, p)
         if not r:
             continue
         lm = max(r, key=key)
@@ -307,7 +317,7 @@ def _engine_groebner(polys, ring: PolyRing) -> list[dict]:
         for k in kept:
             if k != i:
                 others.append(basis.terms[k], basis.lms[k])
-        r = _nf_engine(dict(basis.terms[i]), others, order, p)
+        r, _ = _nf_engine(dict(basis.terms[i]), others, order, p)
         lm = basis.lms[i]
         r = _normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p)
         final.append((lm, r))
@@ -351,8 +361,7 @@ class ReducedBasis:
             basis = _Basis()
             p = self.ring.field.characteristic or None
             for poly in self.polys:
-                terms = _to_int_terms(poly) if p is None else dict(poly.terms)
-                basis.append(terms, poly.leading_monomial())
+                basis.append(_engine_terms(poly, p), poly.leading_monomial())
             self._engine = basis
         return self._engine
 
@@ -362,8 +371,8 @@ class ReducedBasis:
         if not self.polys:
             return False
         p = self.ring.field.characteristic or None
-        terms = _to_int_terms(f) if p is None else dict(f.terms)
-        return _nf_engine(terms, self._engine_basis(), self.ring.order, p, stop_early=True)
+        return _nf_engine(_engine_terms(f, p), self._engine_basis(), self.ring.order, p,
+                          stop_early=True)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Exact tail-reduced remainder of f modulo the basis."""
@@ -371,35 +380,14 @@ class ReducedBasis:
             raise RingMismatchError("polynomial from a different ring")
         if f.is_zero() or not self.polys:
             return f
-        field = self.ring.field
-        order = self.ring.order
-        lms = self.leading_monomials
-        tails = [[(e, c) for e, c in p.terms.items() if e != lms[i]] for i, p in enumerate(self.polys)]
-        work = dict(f.terms)
-        out = {}
-        heap = [(order.heap_key(e), e) for e in work]
-        heapq.heapify(heap)
-        while heap:
-            _, e = heapq.heappop(heap)
-            c = work.get(e)
-            if c is None:
-                continue
-            j = _kernels.find_divisor_index(lms, e)
-            if j < 0:
-                del work[e]
-                out[e] = c
-                continue
-            del work[e]
-            q = _kernels.mono_div(e, lms[j])
-            for e2, c2 in tails[j]:
-                en = _kernels.mono_mul(q, e2)
-                v = field.sub(work.get(en, field.zero), field.mul(c, c2))
-                if v == field.zero:
-                    work.pop(en, None)
-                else:
-                    if en not in work:
-                        heapq.heappush(heap, (order.heap_key(en), en))
-                    work[en] = v
+        p = self.ring.field.characteristic or None
+        terms = _engine_terms(f, p)
+        out, scale = _nf_engine(terms, self._engine_basis(), self.ring.order, p)
+        if p is None:
+            # f is a rational multiple of terms; undo it and the engine's scale
+            m = next(iter(terms))
+            factor = f.terms[m] / terms[m] / scale
+            out = {e: c * factor for e, c in out.items()}
         return Polynomial(self.ring, out)
 
     def __iter__(self):
@@ -548,7 +536,7 @@ class Ideal:
         "generators",
         "_basis",
         "_mono_exps",
-        "_m_primary",
+        "_witness",
         "_colength",
         "_powers",
     )
@@ -566,7 +554,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._basis = basis
         self._mono_exps = None
-        self._m_primary = None
+        self._witness = None  # (m_primary_witness(),) once computed
         self._colength = None
         self._powers = None
         if basis is not None and basis.is_monomial():
@@ -606,15 +594,6 @@ class Ideal:
             self._mono_exps = self._basis.leading_monomials
             return self._mono_exps
         return None
-
-    def is_monomial_ideal(self) -> bool:
-        """True iff the ideal has a monomial generating set (computes the
-        reduced basis when the generators are not already monomial)."""
-        if self.monomial_generators() is not None:
-            return True
-        if self.is_zero_ideal():
-            return True
-        return self.reduced_basis().is_monomial()
 
     def reduced_basis(self) -> ReducedBasis:
         if self._basis is None:
@@ -686,7 +665,8 @@ class Ideal:
         a, b = self.monomial_generators(), other.monomial_generators()
         if a is not None and b is not None:
             return Ideal.from_exponents(self.ring, _kernels.monomial_product(a, b))
-        gens = {g * h for g in self.generators for h in other.generators}
+        # dict keys drop duplicate products and keep a reproducible order
+        gens = dict.fromkeys(g * h for g in self.generators for h in other.generators)
         return Ideal(self.ring, gens)
 
     def __mul__(self, other):
@@ -817,9 +797,18 @@ class Ideal:
         Certified by: 1 not in I, finite colength D, and x_i^D in I for every
         variable (x_i is nilpotent mod I of index at most D).
         """
-        if self._m_primary is None:
-            self._m_primary = self.m_primary_witness() is None
-        return self._m_primary
+        return self._cached_witness() is None
+
+    def require_m_primary(self) -> None:
+        """Raise NotMPrimaryError, with the witness, unless the ideal is m-primary."""
+        witness = self._cached_witness()
+        if witness is not None:
+            raise NotMPrimaryError(f"input ideal is not m-primary: {witness}", witness=witness)
+
+    def _cached_witness(self):
+        if self._witness is None:
+            self._witness = (self.m_primary_witness(),)
+        return self._witness[0]
 
     def m_primary_witness(self):
         """None when m-primary; otherwise a human-readable reason."""

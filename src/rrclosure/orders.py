@@ -17,38 +17,22 @@ ELIMINATE_FIRST = "eliminate-first"
 
 
 class TermOrder:
-    """A total multiplicative order on monomials with 1 as minimum.
+    """A total multiplicative order on monomials with 1 as minimum."""
 
-    ``priority`` optionally permutes the variables before comparison; index
-    i of the tuple names the source position compared i-th.
-    """
+    __slots__ = ("kind",)
 
-    __slots__ = ("kind", "priority")
-
-    def __init__(self, kind: str = DEGREVLEX, priority: tuple[int, ...] | None = None):
+    def __init__(self, kind: str = DEGREVLEX):
         if kind not in (DEGREVLEX, ELIMINATE_FIRST):
             raise ValueError(f"unknown term order kind {kind!r}")
-        if priority is not None:
-            priority = tuple(priority)
-            if sorted(priority) != list(range(len(priority))):
-                raise ValueError("priority must be a permutation of variable indexes")
         self.kind = kind
-        self.priority = priority
 
-    def _arrange(self, exps):
-        if self.priority is None:
-            return exps
-        return tuple(exps[i] for i in self.priority)
-
-    def key(self, exps):
-        e = self._arrange(exps)
+    def key(self, e):
         if self.kind == DEGREVLEX:
             return (sum(e), tuple(-v for v in reversed(e)))
         rest = e[1:]
         return (e[0], sum(rest), tuple(-v for v in reversed(rest)))
 
-    def heap_key(self, exps):
-        e = self._arrange(exps)
+    def heap_key(self, e):
         if self.kind == DEGREVLEX:
             return (-sum(e), tuple(reversed(e)))
         rest = e[1:]
@@ -57,23 +41,14 @@ class TermOrder:
     def max(self, exps_iterable):
         return max(exps_iterable, key=self.key)
 
-    def sorted(self, exps_iterable, reverse: bool = False):
-        return sorted(exps_iterable, key=self.key, reverse=reverse)
-
     def __eq__(self, other):
-        return (
-            isinstance(other, TermOrder)
-            and other.kind == self.kind
-            and other.priority == self.priority
-        )
+        return isinstance(other, TermOrder) and other.kind == self.kind
 
     def __hash__(self):
-        return hash((self.kind, self.priority))
+        return hash(self.kind)
 
     def __repr__(self):
-        if self.priority is None:
-            return f"TermOrder({self.kind!r})"
-        return f"TermOrder({self.kind!r}, priority={self.priority!r})"
+        return f"TermOrder({self.kind!r})"
 
 
 def degrevlex() -> TermOrder:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import (
     ElementNotInIdealError,
     GenericityFailureError,
-    NotMPrimaryError,
     NotSuperficialError,
     RMaxExceededError,
 )
@@ -46,12 +45,6 @@ class ReductionCertificate:
         return Ideal(self.elements[0].ring, self.elements)
 
 
-def _require_m_primary(I: Ideal):
-    witness = I.m_primary_witness()
-    if witness is not None:
-        raise NotMPrimaryError(f"input ideal is not m-primary: {witness}", witness=witness)
-
-
 def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> ReductionCertificate:
     """Certify a user-supplied sequence via the length test.
 
@@ -61,7 +54,7 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
     candidates usually pick up extra zeros elsewhere, so the general path
     reads the local length off stabilized truncations J + m^N.
     """
-    _require_m_primary(I)
+    I.require_m_primary()
     elements = tuple(elements)
     if len(elements) != I.ring.dim:
         raise NotSuperficialError(
@@ -96,7 +89,7 @@ def find_superficial_sequence(
     Coefficients are drawn from {-B..B}\\{0} over the rationals (B doubles on
     every retry) or uniformly from F_p* over a prime field.
     """
-    _require_m_primary(I)
+    I.require_m_primary()
     gens = I.minimal_generators()
     d = I.ring.dim
     rng = random.Random(seed)
@@ -132,7 +125,7 @@ def reduction_number(I: Ideal, J: Ideal, r_max: int = 64) -> int:
     m-primary ideal I^{r+1}, so the two agree at the origin exactly when
     their local lengths do.
     """
-    _require_m_primary(I)
+    I.require_m_primary()
     if J.ring != I.ring:
         raise NotSuperficialError("reduction lives in a different ring")
     e0 = J.colength_at_origin()

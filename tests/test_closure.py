@@ -1,5 +1,9 @@
 """rr-closure: bounds, chain terms, the closure pipeline, colon powers."""
 
+import importlib
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from rrclosure import (
@@ -143,6 +147,25 @@ def test_closure_recovers_from_narrow_window():
     assert narrow.series.numerator == normal.series.numerator
     assert narrow.closure_ideal.equals(normal.closure_ideal)
     assert narrow.series.window_used > 1
+
+
+def test_phase_times_add_up_over_retry_rounds(monkeypatch):
+    # a clock that ticks once per reading times every phase run as 1; the
+    # narrow window fails the first round at the reduction certificate, so
+    # the Poincare and reduction phases run twice and the rest once
+    closure_module = importlib.import_module("rrclosure.closure")
+    clock = SimpleNamespace(perf_counter=itertools.count().__next__)
+    monkeypatch.setattr(closure_module, "time", clock)
+    I = Ideal.from_exponents(R, [(0, 4), (1, 3), (2, 3), (5, 2), (6, 0)])
+    rep = closure(I, seed=0, window=1)
+    assert rep.series.window_used == 2
+    assert rep.timings == {
+        "poincare": 2,
+        "reduction": 2,
+        "quotient-poincare": 1,
+        "chain-colon": 1,
+        "stabilization-check": 1,
+    }
 
 
 def test_colon_powers_examples():

@@ -1,6 +1,7 @@
 """ideal-engine: reduced bases, normal forms, Buchberger criterion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,26 @@ def test_normal_form_examples():
         assert normal_form(g, I.reduced_basis()).is_zero()
     # x^7y^2 lies outside I (but inside its closure)
     assert not normal_form(R.parse("x^7*y^2"), I.reduced_basis()).is_zero()
+
+
+def test_normal_form_undoes_the_fraction_free_scale():
+    # modulo x - y/3 the remainder of f(x, y) is f(y/3, y); the integer
+    # engine reaches it only up to a scale, which normal_form divides out
+    basis = groebner_basis([R.parse("3*x - y")])
+    assert normal_form(R.parse("x^2"), basis) == R.monomial((0, 2), Fraction(1, 9))
+    half_x_plus_one = R.monomial((1, 0), Fraction(1, 2)) + R.one
+    assert normal_form(half_x_plus_one, basis) == R.monomial((0, 1), Fraction(1, 6)) + R.one
+    # 80 reduction steps, so the engine also strips a common content on the way
+    basis = groebner_basis([R.parse("3*x - 2*y")])
+    f = R.parse("x + 2*y") ** 80
+    assert normal_form(f, basis) == R.monomial((0, 80), Fraction(8, 3) ** 80)
+
+
+def test_normal_form_over_prime_field():
+    S = PolyRing(GF(7), ("x", "y"))
+    basis = groebner_basis([S.parse("3*x - y")])  # monic: x - 5*y
+    assert normal_form(S.parse("x^2"), basis) == S.parse("4*y^2")  # 5^2 = 4 mod 7
+    assert normal_form(S.parse("x + y") ** 10, basis) == S.parse("y^10")  # 6^10 = 1 mod 7
 
 
 def test_basis_is_monic_and_sorted():

@@ -1,9 +1,13 @@
 """ideal-engine: the ideal calculus and its monomial fast paths."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import rrclosure
 from rrclosure import INFINITE, Ideal, PolyRing, QQ, ZeroPolynomialError
 from util_algebra import (
     brute_colength,
@@ -214,3 +218,22 @@ def test_colength_at_origin():
     L = ideal_of(S, "x^3 - x^2")
     assert L.colength() == 3
     assert L.colength_at_origin() == 2
+
+
+def test_product_generator_order_does_not_depend_on_hashing():
+    # the generator order feeds Buchberger's input order, so it must repeat
+    # from one process to the next whatever the hash seed
+    script = (
+        "from rrclosure import Ideal, PolyRing, QQ\n"
+        "R = PolyRing(QQ, ('x', 'y'))\n"
+        "I = Ideal(R, [R.parse(s) for s in ('x^2 + y^3', 'x*y', 'y^4 + x^3')])\n"
+        "print([str(g) for g in I.multiply(I).generators])\n"
+    )
+    src = os.path.dirname(os.path.dirname(rrclosure.__file__))
+    outputs = set()
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

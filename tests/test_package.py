@@ -1,0 +1,21 @@
+"""The package surface: what ``from rrclosure import *`` exports."""
+
+import os
+import subprocess
+import sys
+
+import rrclosure
+
+
+def test_star_import_binds_every_name_in_all():
+    script = (
+        "from rrclosure import *\n"
+        "import rrclosure\n"
+        "missing = [n for n in rrclosure.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+    )
+    src = os.path.dirname(os.path.dirname(rrclosure.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -76,7 +76,7 @@ def test_cache_roundtrip(tmp_path):
     assert cache.lookup(str(tmp_path), key) == doc
 
 
-def test_cache_key_semantics():
+def test_cache_key_semantics(monkeypatch):
     base = cache.cache_key("QQ", ("x", "y"), ["y", "x"], "closure", {"mode": "heuristic", "seed": 0})
     permuted = cache.cache_key("QQ", ("x", "y"), ["x", "y"], "closure", {"mode": "heuristic", "seed": 0})
     assert base == permuted  # basis strings are sorted into the key
@@ -84,6 +84,13 @@ def test_cache_key_semantics():
     assert other_seed != base
     other_op = cache.cache_key("QQ", ("x", "y"), ["x", "y"], "poincare", {"mode": "heuristic", "seed": 0})
     assert other_op != base
+    # results of another release or report schema are never served
+    for name, value in (("__version__", "0.0.0-other"), ("SCHEMA_VERSION", "0")):
+        with monkeypatch.context() as m:
+            m.setattr(cache, name, value)
+            other = cache.cache_key("QQ", ("x", "y"), ["x", "y"], "closure",
+                                    {"mode": "heuristic", "seed": 0})
+        assert other != base
 
 
 def test_cache_ignores_corrupt_entries(tmp_path):
