@@ -1,8 +1,11 @@
-"""Kernel backend selection.
+"""Monomial kernels: the Groebner engine's divisor scan, and the staircase
+kernels of a selected backend.
 
-The compiled extension is used when available; set ``RRCLOSURE_BACKEND=pure``
-to force the Python fallback or ``RRCLOSURE_BACKEND=cython`` to require the
-extension (ImportError if it was not built).
+For the staircase kernels the compiled extension is used when available; set
+``RRCLOSURE_BACKEND=pure`` to force the Python fallback or
+``RRCLOSURE_BACKEND=cython`` to require the extension (ImportError if it was
+not built).  The divisor scan works on packed-int monomials, where Python-int
+arithmetic is all the work, so one implementation serves either backend.
 """
 
 import os
@@ -24,10 +27,6 @@ else:
 BACKEND = _impl.BACKEND_NAME
 
 mono_mul = _impl.mono_mul
-mono_divides = _impl.mono_divides
-mono_div = _impl.mono_div
-mono_lcm = _impl.mono_lcm
-find_divisor_index = _impl.find_divisor_index
 minimalize = _impl.minimalize
 monomial_product = _impl.monomial_product
 monomial_sum = _impl.monomial_sum
@@ -35,3 +34,15 @@ monomial_colon_single = _impl.monomial_colon_single
 monomial_intersection = _impl.monomial_intersection
 monomial_contains = _impl.monomial_contains
 staircase_colength = _impl.staircase_colength
+
+
+def find_divisor_index(lms, m, guard):
+    """Index of the first packed monomial in lms dividing the packed m, or -1.
+
+    ``guard`` is the packing's guard mask (``orders.Packing``): ``a``
+    divides ``m`` exactly when ``m - a`` sets no guard bit.
+    """
+    for i, a in enumerate(lms):
+        if not (m - a) & guard:
+            return i
+    return -1

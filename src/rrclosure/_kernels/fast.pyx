@@ -64,8 +64,8 @@ cdef long long* _pack(list mons, Py_ssize_t d) except NULL:
     return buf
 
 
-def find_divisor_index(list lms, tuple m):
-    """Index of the first monomial in lms dividing m, or -1."""
+def _find_divisor_index(list lms, tuple m):
+    """Index of the first monomial in lms dividing m, or -1 (for monomial_contains)."""
     cdef Py_ssize_t n = len(lms)
     if n == 0:
         return -1
@@ -221,7 +221,7 @@ def monomial_intersection(gens_a, gens_b):
 def monomial_contains(gens, m):
     if not isinstance(gens, list):
         gens = list(gens)
-    return find_divisor_index(gens, tuple(m)) >= 0
+    return _find_divisor_index(gens, tuple(m)) >= 0
 
 
 def staircase_colength(gens, nvars):

@@ -30,8 +30,8 @@ def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def find_divisor_index(lms, m):
-    """Index of the first monomial in lms dividing m, or -1."""
+def _find_divisor_index(lms, m):
+    """Index of the first monomial in lms dividing m, or -1 (for monomial_contains)."""
     for i, lm in enumerate(lms):
         ok = True
         for x, y in zip(lm, m):
@@ -94,7 +94,7 @@ def monomial_intersection(gens_a, gens_b):
 
 def monomial_contains(gens, m):
     """Membership of the monomial m in the monomial ideal."""
-    return find_divisor_index(gens, m) >= 0
+    return _find_divisor_index(gens, m) >= 0
 
 
 def staircase_colength(gens, nvars):

@@ -5,8 +5,8 @@ Monomial ideals take combinatorial fast paths through the kernel layer and
 never touch Buchberger; everything else runs through a Buchberger engine
 with the normal selection strategy and the coprimality/chain criteria.
 Internally the engine works on integer-primitive coefficient dicts (over the
-rationals) or monic least-residue dicts (over a prime field); the public
-reduced bases are always monic.
+rationals) or monic least-residue dicts (over a prime field), keyed by
+packed-int monomials; the public reduced bases are always monic.
 """
 
 from __future__ import annotations
@@ -34,25 +34,32 @@ _CONTENT_STRIP_EVERY = 64
 # ---------------------------------------------------------------------------
 # engine representation
 # ---------------------------------------------------------------------------
+#
+# Inside the engine a monomial is one int (``orders.Packing``): int order is
+# the term order, a product is ``a + b``, a quotient ``a - b``, and ``a``
+# divides ``m`` exactly when ``(m - a) & guard == 0``.  Exponent tuples stay
+# at the Polynomial boundary.
 
 
-def _to_int_terms(poly: Polynomial) -> dict:
-    """Clear denominators and strip content: integer-primitive term dict."""
+def _packing(ring: PolyRing):
+    return ring.order.packing(ring.dim)
+
+
+def _overflow() -> ExponentOverflowError:
+    return ExponentOverflowError("a Groebner engine term exceeds the packed exponent width")
+
+
+def _engine_terms(poly: Polynomial, p: int | None, pack) -> dict:
+    """Engine form of a polynomial, keyed by packed monomials in the order of
+    ``poly.terms``: integer-primitive over QQ, residues mod p."""
+    if p is not None:
+        return {pack(e): c for e, c in poly.terms.items()}
     den = 1
     for c in poly.terms.values():
         den = lcm(den, c.denominator)
-    terms = {e: int(c * den) for e, c in poly.terms.items()}
-    g = 0
-    for v in terms.values():
-        g = gcd(g, v)
-    if g > 1:
-        terms = {e: v // g for e, v in terms.items()}
-    return terms
-
-
-def _engine_terms(poly: Polynomial, p: int | None) -> dict:
-    """Engine form of a polynomial: integer-primitive over QQ, residues mod p."""
-    return _to_int_terms(poly) if p is None else dict(poly.terms)
+    values = [int(c * den) for c in poly.terms.values()]
+    g = gcd(*values)
+    return {pack(e): v // g for e, v in zip(poly.terms, values)}
 
 
 def _normalize_qq(terms: dict, lm) -> dict:
@@ -93,47 +100,51 @@ class _Basis:
         self.monos.append(len(terms) == 1)
         self.terms.append(terms)
 
+    def select(self, idxs) -> "_Basis":
+        """The sub-basis of the elements at ``idxs``, in that order."""
+        sub = _Basis()
+        for name in _Basis.__slots__:
+            column = getattr(self, name)
+            setattr(sub, name, [column[i] for i in idxs])
+        return sub
+
     def __len__(self):
         return len(self.lms)
 
 
-def _nf_engine(fterms: dict, basis: _Basis, order, p: int | None, stop_early: bool = False):
-    """Full normal form of an integer term dict against ``basis``.
+def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None, stop_early: bool = False):
+    """Full normal form of a packed integer term dict against ``basis``.
 
     Returns ``(remainder, scale)``.  Over the rationals the reduction is
     fraction-free, so the remainder is ``scale`` (a positive rational) times
     the true remainder; over F_p it is exact and ``scale`` is 1.  With
     ``stop_early`` the return value is just the is-zero boolean.
     """
-    mono_mul = _kernels.mono_mul
-    mono_div = _kernels.mono_div
     find_div = _kernels.find_divisor_index
-    heap_key = order.heap_key
     lms, lcs, tails, monos = basis.lms, basis.lcs, basis.tails, basis.monos
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     work = dict(fterms)
     out = {}
-    heap = [(heap_key(e), e) for e in work]
+    heap = [-e for e in work]  # a min-heap of negated monomials pops the largest
     heapq.heapify(heap)
     steps = 0
     scale = 1
     while heap:
-        _, e = heapq.heappop(heap)
-        c = work.get(e)
+        e = -heappop(heap)
+        c = work.pop(e, None)
         if c is None:
             continue
-        j = find_div(lms, e)
+        j = find_div(lms, e, guard)
         if j < 0:
             if stop_early:
                 return False
-            del work[e]
             out[e] = c
             continue
-        del work[e]
         steps += 1
         if monos[j]:
             continue
-        q = mono_div(e, lms[j])
+        q = e - lms[j]
         if p is None:
             g0 = gcd(c, lcs[j])
             lam = lcs[j] // g0
@@ -147,13 +158,13 @@ def _nf_engine(fterms: dict, basis: _Basis, order, p: int | None, stop_early: bo
         else:
             mu = c  # reducers are monic mod p
         for e2, c2 in tails[j]:
-            en = mono_mul(q, e2)
+            en = q + e2
             v = work.get(en)
             if v is None:
-                v = -mu * c2 if p is None else -mu * c2 % p
-                if v:
-                    work[en] = v
-                    heapq.heappush(heap, (heap_key(en), en))
+                if en & guard:
+                    raise _overflow()
+                work[en] = -mu * c2 if p is None else -mu * c2 % p  # nonzero
+                heappush(heap, -en)
             else:
                 v = v - mu * c2 if p is None else (v - mu * c2) % p
                 if v:
@@ -177,12 +188,10 @@ def _nf_engine(fterms: dict, basis: _Basis, order, p: int | None, stop_early: bo
     return out, scale
 
 
-def _spoly(basis: _Basis, i: int, j: int, p: int | None) -> dict:
-    mono_mul = _kernels.mono_mul
-    mono_div = _kernels.mono_div
-    L = _kernels.mono_lcm(basis.lms[i], basis.lms[j])
-    qi = mono_div(L, basis.lms[i])
-    qj = mono_div(L, basis.lms[j])
+def _spoly(basis: _Basis, i: int, j: int, L: int, guard: int, p: int | None) -> dict:
+    """S-polynomial of basis elements i and j, whose leading monomials have lcm L."""
+    qi = L - basis.lms[i]
+    qj = L - basis.lms[j]
     if p is None:
         g0 = gcd(basis.lcs[i], basis.lcs[j])
         a = basis.lcs[j] // g0
@@ -190,147 +199,143 @@ def _spoly(basis: _Basis, i: int, j: int, p: int | None) -> dict:
     else:
         a = b = 1  # monic
     out = {}
-    for e, c in basis.terms[i].items():
-        out[mono_mul(qi, e)] = a * c if p is None else a * c % p
-    for e, c in basis.terms[j].items():
-        en = mono_mul(qj, e)
-        v = out.get(en, 0) - b * c
-        if p is not None:
-            v %= p
-        if v:
-            out[en] = v
-        else:
-            out.pop(en, None)
+    for q, terms, k in ((qi, basis.terms[i], a), (qj, basis.terms[j], -b)):
+        for e, c in terms.items():
+            en = q + e
+            v = out.get(en)
+            if v is None:
+                if en & guard:
+                    raise _overflow()
+                v = 0
+            v += k * c
+            if p is not None:
+                v %= p
+            if v:
+                out[en] = v
+            else:
+                out.pop(en, None)
     return out
 
 
-def _update_pairs(basis: _Basis, pairs: set, new_lm, new_is_mono, order):
+def _update_pairs(basis: _Basis, pairs: dict, new_lm: int, new_is_mono: bool, packing):
     """Gebauer-Moeller update: chain criterion on old pairs, coprimality and
-    lcm-minimality on the new ones; returns (pairs, freshly added list)."""
-    mono_lcm = _kernels.mono_lcm
-    mono_divides = _kernels.mono_divides
-    mono_mul = _kernels.mono_mul
+    lcm-minimality on the new ones.  ``pairs`` maps (i, j) to the lcm of the
+    two leading monomials; returns (pairs, freshly added [((i, j), lcm)])."""
+    guard = packing.guard
     lms, monos = basis.lms, basis.monos
     m = len(lms)
+    with_new = [packing.lcm(lm, new_lm) for lm in lms]
 
-    kept = set()
-    for i, j in pairs:
-        lij = mono_lcm(lms[i], lms[j])
-        if (
-            not mono_divides(new_lm, lij)
-            or mono_lcm(lms[i], new_lm) == lij
-            or mono_lcm(lms[j], new_lm) == lij
-        ):
-            kept.add((i, j))
+    kept = {
+        pair: L
+        for pair, L in pairs.items()
+        if (L - new_lm) & guard or with_new[pair[0]] == L or with_new[pair[1]] == L
+    }
 
     classes: dict = {}
-    for i in range(m):
-        classes.setdefault(mono_lcm(lms[i], new_lm), []).append(i)
+    for i, L in enumerate(with_new):
+        classes.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(classes, key=order.key):
-        if not any(mono_divides(L2, L) for L2 in minimal):
+    for L in sorted(classes):
+        if all((L - L2) & guard for L2 in minimal):
             minimal.append(L)
     added = []
     for L in minimal:
         idxs = classes[L]
-        if any(L == mono_mul(lms[i], new_lm) for i in idxs):
+        if any(L == lms[i] + new_lm for i in idxs):
             continue  # coprime leading monomials: S-polynomial reduces to zero
         if new_is_mono and any(monos[i] for i in idxs):
             continue  # S-polynomial of two monomials is identically zero
         pair = (min(idxs), m)
-        kept.add(pair)
-        added.append(pair)
+        kept[pair] = L
+        added.append((pair, L))
     return kept, added
 
 
-def _engine_groebner(polys, ring: PolyRing) -> list[dict]:
-    """Reduced basis as engine term dicts (primitive over QQ, monic mod p)."""
-    order = ring.order
+def _unit_basis() -> _Basis:
+    basis = _Basis()
+    basis.append({0: 1}, 0)  # packing is additive, so the monomial 1 packs to 0
+    return basis
+
+
+def _engine_groebner(polys, ring: PolyRing) -> _Basis:
+    """Reduced basis in engine form (primitive over QQ, monic mod p), sorted
+    ascending by leading monomial."""
+    packing = _packing(ring)
+    guard = packing.guard
     p = ring.field.characteristic or None
-    key = order.key
 
     inputs = []
     for f in polys:
-        if isinstance(f, Polynomial):
-            if f.ring != ring:
-                raise RingMismatchError("generator from a different ring")
-            if f.is_zero():
-                continue
-            terms = _engine_terms(f, p)
-        else:
-            terms = dict(f)
-            if not terms:
-                continue
-        lm = max(terms, key=key)
+        if f.ring != ring:
+            raise RingMismatchError("generator from a different ring")
+        if f.is_zero():
+            continue
+        terms = _engine_terms(f, p, packing.pack)
+        lm = max(terms)
         terms = _normalize_qq(terms, lm) if p is None else _normalize_fp(terms, lm, p)
         inputs.append((terms, lm))
-    if not inputs:
-        return []
-    inputs.sort(key=lambda t: key(t[1]))
-
     basis = _Basis()
-    pairs: set = set()
+    if not inputs:
+        return basis
+    inputs.sort(key=lambda t: t[1])
+
+    pairs: dict = {}
     heap: list = []
 
     def push(terms, lm):
         nonlocal pairs
-        pairs, added = _update_pairs(basis, pairs, lm, len(terms) == 1, order)
+        pairs, added = _update_pairs(basis, pairs, lm, len(terms) == 1, packing)
         basis.append(terms, lm)
-        for i, j in added:
-            L = _kernels.mono_lcm(basis.lms[i], basis.lms[j])
-            heapq.heappush(heap, (sum(L), key(L), i, j))
+        for (i, j), L in added:
+            heapq.heappush(heap, (packing.degree(L), L, i, j))
 
     for terms, lm in inputs:
         push(terms, lm)
 
-    zero_exps = (0,) * ring.dim
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, L, i, j = heapq.heappop(heap)
         if (i, j) not in pairs:
             continue
-        pairs.discard((i, j))
-        s = _spoly(basis, i, j, p)
+        del pairs[(i, j)]
+        s = _spoly(basis, i, j, L, guard, p)
         if not s:
             continue
-        r, _ = _nf_engine(s, basis, order, p)
+        r, _ = _nf_engine(s, basis, guard, p)
         if not r:
             continue
-        lm = max(r, key=key)
+        lm = max(r)
         r = _normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p)
-        if lm == zero_exps:
-            return [{zero_exps: 1}]
+        if lm == 0:
+            return _unit_basis()
         push(r, lm)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
-    idxs = sorted(range(len(basis)), key=lambda i: key(basis.lms[i]))
+    lms = basis.lms
     kept: list[int] = []
-    for i in idxs:
-        if not any(_kernels.mono_divides(basis.lms[k], basis.lms[i]) for k in kept):
+    for i in sorted(range(len(basis)), key=lms.__getitem__):
+        if all((lms[i] - lms[k]) & guard for k in kept):
             kept.append(i)
-    if len(kept) == 1 and basis.lms[kept[0]] == zero_exps:
-        return [{zero_exps: 1}]
+    if len(kept) == 1 and lms[kept[0]] == 0:
+        return _unit_basis()
 
     # interreduce tails against the other kept elements
-    final = []
+    final = _Basis()
     for i in kept:
-        others = _Basis()
-        for k in kept:
-            if k != i:
-                others.append(basis.terms[k], basis.lms[k])
-        r, _ = _nf_engine(dict(basis.terms[i]), others, order, p)
-        lm = basis.lms[i]
-        r = _normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p)
-        final.append((lm, r))
-    final.sort(key=lambda t: key(t[0]))
-    return [terms for _, terms in final]
+        others = basis.select([k for k in kept if k != i])
+        r, _ = _nf_engine(basis.terms[i], others, guard, p)
+        lm = lms[i]
+        final.append(_normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p), lm)
+    return final
 
 
-def _engine_to_monic_poly(terms: dict, ring: PolyRing) -> Polynomial:
+def _monic_poly(terms: dict, lm: int, ring: PolyRing, unpack) -> Polynomial:
+    """Monic polynomial of ``ring`` from an engine term dict; ``unpack`` turns a
+    packed monomial into an exponent tuple of ``ring``."""
     if ring.field.characteristic:
-        return Polynomial(ring, dict(terms))
-    lm = max(terms, key=ring.order.key)
+        return Polynomial(ring, {unpack(e): c for e, c in terms.items()})
     lc = terms[lm]
-    return Polynomial(ring, {e: Fraction(c, lc) for e, c in terms.items()})
+    return Polynomial(ring, {unpack(e): Fraction(c, lc) for e, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +361,21 @@ class ReducedBasis:
     def is_monomial(self) -> bool:
         return all(len(p.terms) == 1 for p in self.polys)
 
+    @classmethod
+    def _from_engine(cls, basis: _Basis, ring: PolyRing) -> "ReducedBasis":
+        unpack = _packing(ring).unpack
+        polys = [_monic_poly(t, lm, ring, unpack) for t, lm in zip(basis.terms, basis.lms)]
+        reduced = cls(polys, ring)
+        reduced._engine = basis
+        return reduced
+
     def _engine_basis(self) -> _Basis:
         if self._engine is None:
             basis = _Basis()
             p = self.ring.field.characteristic or None
+            pack = _packing(self.ring).pack
             for poly in self.polys:
-                basis.append(_engine_terms(poly, p), poly.leading_monomial())
+                basis.append(_engine_terms(poly, p, pack), pack(poly.leading_monomial()))
             self._engine = basis
         return self._engine
 
@@ -371,8 +385,9 @@ class ReducedBasis:
         if not self.polys:
             return False
         p = self.ring.field.characteristic or None
-        return _nf_engine(_engine_terms(f, p), self._engine_basis(), self.ring.order, p,
-                          stop_early=True)
+        packing = _packing(self.ring)
+        return _nf_engine(_engine_terms(f, p, packing.pack), self._engine_basis(),
+                          packing.guard, p, stop_early=True)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Exact tail-reduced remainder of f modulo the basis."""
@@ -381,14 +396,16 @@ class ReducedBasis:
         if f.is_zero() or not self.polys:
             return f
         p = self.ring.field.characteristic or None
-        terms = _engine_terms(f, p)
-        out, scale = _nf_engine(terms, self._engine_basis(), self.ring.order, p)
+        packing = _packing(self.ring)
+        terms = _engine_terms(f, p, packing.pack)
+        out, scale = _nf_engine(terms, self._engine_basis(), packing.guard, p)
+        unpack = packing.unpack
         if p is None:
-            # f is a rational multiple of terms; undo it and the engine's scale
-            m = next(iter(terms))
-            factor = f.terms[m] / terms[m] / scale
-            out = {e: c * factor for e, c in out.items()}
-        return Polynomial(self.ring, out)
+            # f is a rational multiple of terms (same term order in both);
+            # undo it and the engine's scale
+            factor = next(iter(f.terms.values())) / next(iter(terms.values())) / scale
+            return Polynomial(self.ring, {unpack(e): c * factor for e, c in out.items()})
+        return Polynomial(self.ring, {unpack(e): c for e, c in out.items()})
 
     def __iter__(self):
         return iter(self.polys)
@@ -418,8 +435,7 @@ def groebner_basis(generators, ring: PolyRing | None = None) -> ReducedBasis:
     mono = _monomial_exponent_list(generators)
     if mono is not None:
         return _basis_from_exponents(mono, ring)
-    terms = _engine_groebner(generators, ring)
-    return ReducedBasis([_engine_to_monic_poly(t, ring) for t in terms], ring)
+    return ReducedBasis._from_engine(_engine_groebner(generators, ring), ring)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -491,31 +507,74 @@ def _tag_intersection(ring: PolyRing, a_polys, b_polys) -> list[Polynomial]:
         for e, c in g.terms.items():
             terms[(1,) + e] = ring.field.neg(c)
         gens.append(terms)
-    basis_terms = _engine_groebner([Polynomial(S, t) for t in gens], S)
+    basis = _engine_groebner([Polynomial(S, t) for t in gens], S)
+    unpack = _packing(S).unpack
+
+    def untagged(e):
+        return unpack(e)[1:]
+
     out = []
-    for terms in basis_terms:
-        lm = max(terms, key=S.order.key)
-        if lm[0] == 0:  # elimination order: t-free lead means t-free element
-            out.append(_engine_to_monic_poly({e[1:]: c for e, c in terms.items()}, ring))
+    for terms, lm in zip(basis.terms, basis.lms):
+        if unpack(lm)[0] == 0:  # elimination order: t-free lead means t-free element
+            out.append(_monic_poly(terms, lm, ring, untagged))
     return out
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly."""
+    """Quotient f/g when g divides f exactly.
+
+    One heap division on packed monomials in the engine's coefficients.
+    Over the rationals f and g become integer-primitive, so by Gauss's lemma
+    every quotient coefficient is an integer, and a nonzero integer
+    remainder already proves that g does not divide f.
+    """
     if g.is_zero():
         raise ZeroPolynomialError("division by the zero polynomial")
     ring = f.ring
-    q = ring.zero
-    r = f
-    lm_g, lc_g = g.leading_term()
-    while not r.is_zero():
-        lm_r, lc_r = r.leading_term()
-        if not _kernels.mono_divides(lm_g, lm_r):
+    if f.is_zero():
+        return f
+    p = ring.field.characteristic or None
+    packing = _packing(ring)
+    pack, guard = packing.pack, packing.guard
+    work = _engine_terms(f, p, pack)
+    gterms = _engine_terms(g, p, pack)
+    if p is None:
+        # f and g are rational multiples of their engine forms
+        factor = (next(iter(f.terms.values())) / next(iter(work.values()))
+                  / next(iter(g.terms.values())) * next(iter(gterms.values())))
+    lm_g = max(gterms)
+    lc_g = gterms.pop(lm_g)
+    inv = None if p is None else pow(lc_g, -1, p)
+    heap = [-e for e in work]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        e = -heapq.heappop(heap)
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        d = e - lm_g
+        t, rest = divmod(c, lc_g) if p is None else (c * inv % p, 0)
+        if rest or d & guard:
             raise RRClosureError("exact division failed: remainder is nonzero")
-        t = ring.monomial(_kernels.mono_div(lm_r, lm_g), ring.field.div(lc_r, lc_g))
-        q = q + t
-        r = r - t * g
-    return q
+        quotient[d] = t
+        for e2, c2 in gterms.items():
+            en = d + e2
+            v = work.get(en)
+            if v is None:
+                if en & guard:
+                    raise _overflow()
+                heapq.heappush(heap, -en)
+                v = 0
+            v = v - t * c2 if p is None else (v - t * c2) % p
+            if v:
+                work[en] = v
+            else:
+                work.pop(en, None)
+    unpack = packing.unpack
+    if p is None:
+        return Polynomial(ring, {unpack(d): t * factor for d, t in quotient.items()})
+    return Polynomial(ring, {unpack(d): t for d, t in quotient.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +663,8 @@ class Ideal:
                 if mono is not None:
                     self._basis = _basis_from_exponents(mono, self.ring)
                 else:
-                    terms = _engine_groebner(self.generators, self.ring)
-                    self._basis = ReducedBasis(
-                        [_engine_to_monic_poly(t, self.ring) for t in terms], self.ring
+                    self._basis = ReducedBasis._from_engine(
+                        _engine_groebner(self.generators, self.ring), self.ring
                     )
                     if self._basis.is_monomial():
                         self._mono_exps = self._basis.leading_monomials

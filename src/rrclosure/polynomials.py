@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from . import _kernels
 from .errors import ExponentOverflowError, RingMismatchError, ZeroPolynomialError
-from .orders import TermOrder, degrevlex
+from .orders import MAX_EXPONENT, TermOrder, degrevlex
 from .scalars import QQ
-
-MAX_EXPONENT = 1 << 30
 
 _NAME_OK = str.isidentifier
 

@@ -75,15 +75,30 @@ def spolynomial(f, g):
     return mf * f.monic() - mg * g.monic()
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_buchberger_criterion_randomized(seed):
+# the engine packs each monomial into one int with a field per exponent and
+# per order sum, so more variables mean more fields; F_p is the modular path.
+# QQ[x, y] keeps the plain seed as its id.
+CRITERION_RINGS = {
+    "": R,
+    "QQ[x,y,z]-": qq_ring("x", "y", "z"),
+    "GF(32003)[x,y]-": PolyRing(GF(32003), ("x", "y")),
+    "GF(32003)[x,y,z]-": PolyRing(GF(32003), ("x", "y", "z")),
+}
+
+
+@pytest.mark.parametrize(
+    "ring, seed",
+    [(ring, seed) for ring in CRITERION_RINGS.values() for seed in range(8)],
+    ids=[f"{name}{seed}" for name in CRITERION_RINGS for seed in range(8)],
+)
+def test_buchberger_criterion_randomized(ring, seed):
     rng = random.Random(seed)
     polys = []
     while len(polys) < 3:
-        p = random_polynomial(rng, R, max_terms=3, max_exp=3)
+        p = random_polynomial(rng, ring, max_terms=3, max_exp=3)
         if not p.is_zero():
             polys.append(p)
-    basis = groebner_basis(polys, R)
+    basis = groebner_basis(polys, ring)
     if not basis.polys:
         return
     for i in range(len(basis.polys)):
@@ -91,7 +106,7 @@ def test_buchberger_criterion_randomized(seed):
             s = spolynomial(basis.polys[i], basis.polys[j])
             assert basis.normal_form(s).is_zero()
     # the basis generates the same ideal: generators reduce to zero both ways
-    regenerated = groebner_basis(list(basis.polys), R)
+    regenerated = groebner_basis(list(basis.polys), ring)
     assert regenerated.polys == basis.polys
     for p in polys:
         assert basis.reduces_to_zero(p)

@@ -4,11 +4,21 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import rrclosure
-from rrclosure import INFINITE, Ideal, PolyRing, QQ, ZeroPolynomialError
+from rrclosure import (
+    GF,
+    INFINITE,
+    QQ,
+    Ideal,
+    PolyRing,
+    RRClosureError,
+    ZeroPolynomialError,
+    exact_divide,
+)
 from util_algebra import (
     brute_colength,
     brute_monomial_colon,
@@ -191,6 +201,23 @@ def test_colon_by_zero_rejected():
     I = ideal_of(R, "x")
     with pytest.raises(ZeroPolynomialError):
         I.colon(Ideal(R, []))
+
+
+def test_exact_divide():
+    g = R.parse("y^2 - 7") + R.monomial((1, 0), Fraction(1, 2))
+    q = R.parse("(3*x - 2*y)^5")
+    # rational multiples on both sides, which the integer division divides out
+    assert exact_divide(q * g * Fraction(5, 3), g * 7) == q * Fraction(5, 21)
+    assert exact_divide(R.parse("x^2 + x"), R.parse("2*x")) == R.parse("1/2*x + 1/2")
+    S = PolyRing(GF(7), ("x", "y"))
+    assert exact_divide(S.parse("(x + y)^7*(3*x - y)"), S.parse("3*x - y")) == S.parse("x^7 + y^7")
+    assert exact_divide(R.zero, g) == R.zero
+    # a leading monomial that does not divide, and an integer remainder
+    for f, h in (("x^2 + 1", "y + 1"), ("x^2 + 1", "x + 1"), ("x^2 + x", "2*x + 3")):
+        with pytest.raises(RRClosureError):
+            exact_divide(R.parse(f), R.parse(h))
+    with pytest.raises(ZeroPolynomialError):
+        exact_divide(g, R.zero)
 
 
 def test_intersection_mixed_paths():

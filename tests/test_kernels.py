@@ -1,12 +1,15 @@
-"""Monomial kernels: edge cases of every built backend, and backend
-equivalence (the compiled kernels must match the pure-Python ones exactly on
-randomized inputs) where the compiled extension is built."""
+"""Monomial kernels: edge cases of every built backend, backend equivalence
+(the compiled kernels must match the pure-Python ones exactly on randomized
+inputs) where the compiled extension is built, and the engine's packed
+divisor scan against brute force."""
 
 import random
 
 import pytest
 
-from rrclosure._kernels import pure
+from rrclosure import TermOrder
+from rrclosure._kernels import find_divisor_index, pure
+from util_algebra import divides
 
 try:
     from rrclosure._kernels import fast
@@ -53,7 +56,6 @@ def test_set_ops_agree(seed, d):
     assert fast.monomial_intersection(A, B) == pure.monomial_intersection(A, B)
     assert fast.monomial_colon_single(A, m) == pure.monomial_colon_single(A, m)
     assert fast.monomial_contains(A, m) == pure.monomial_contains(A, m)
-    assert fast.find_divisor_index(A, m) == pure.find_divisor_index(A, m)
 
 
 @needs_fast
@@ -92,3 +94,16 @@ def test_big_exponent_totals_are_exact():
     gens = [(0, big), (big, 0)]
     for impl in IMPLS:
         assert impl.staircase_colength(gens, 2) == big * big
+
+
+@pytest.mark.parametrize("kind", ["degrevlex", "eliminate-first"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_packed_divisor_scan_finds_the_first_divisor(kind, d):
+    rng = random.Random(300 + d)
+    packing = TermOrder(kind).packing(d)
+    for _ in range(50):
+        lms = random_monos(rng, rng.randint(0, 8), d, hi=5)
+        m = random_mono(rng, d, hi=8)
+        want = next((i for i, a in enumerate(lms) if divides(a, m)), -1)
+        got = find_divisor_index([packing.pack(a) for a in lms], packing.pack(m), packing.guard)
+        assert got == want

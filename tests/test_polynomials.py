@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from rrclosure import (
     GF,
+    QQ,
     ExponentOverflowError,
+    Ideal,
     PolyRing,
     RingMismatchError,
     TermOrder,
     ZeroPolynomialError,
+    groebner_basis,
     parse_polynomial,
 )
-from util_algebra import counter_multiply, degrevlex_max, qq_ring
+from rrclosure.orders import elimination_order
+from rrclosure.polynomials import MAX_EXPONENT
+from util_algebra import counter_multiply, degrevlex_max, divides, qq_ring
 
 R = qq_ring("x", "y")
 X, Y = R.var("x"), R.var("y")
@@ -133,3 +138,88 @@ def test_order_multiplicativity(f, g):
                 uw = tuple(a + b for a, b in zip(u, w))
                 vw = tuple(a + b for a, b in zip(v, w))
                 assert o.key(uw) < o.key(vw)
+
+
+# -- packed monomials ----------------------------------------------------------
+
+ORDERS = st.sampled_from(["degrevlex", "eliminate-first"])
+# small exponents give order ties; large ones exercise the field widths, and
+# two of them still multiply within MAX_EXPONENT
+EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT // 2))
+
+
+def monomial_triples(d):
+    mono = st.tuples(*[EXPONENT] * d)
+    return st.tuples(st.just(d), mono, mono, mono)
+
+
+TRIPLES = st.integers(1, 4).flatmap(monomial_triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ORDERS, TRIPLES)
+def test_packing_is_the_term_order_and_multiplicative(kind, triple):
+    d, u, v, w = triple
+    order = TermOrder(kind)
+    packing = order.packing(d)
+    pu, pv, pw = packing.pack(u), packing.pack(v), packing.pack(w)
+    assert packing.unpack(pu) == u
+    assert (pu < pv) == (order.key(u) < order.key(v))
+    assert (pu == pv) == (u == v)
+    uv = tuple(a + b for a, b in zip(u, v))
+    assert packing.pack(uv) == pu + pv
+    assert not (pu + pv) & packing.guard
+    assert (not (pv - pu) & packing.guard) == divides(u, v)
+    assert (not (pw - pu) & packing.guard) == divides(u, w)
+    assert packing.lcm(pu, pw) == packing.pack(tuple(map(max, u, w)))
+    assert packing.degree(pw) == sum(w)
+
+
+def test_packing_rejects_a_degree_that_does_not_fit():
+    packing = TermOrder().packing(2)
+    wide = (packing.max_degree, 1)
+    with pytest.raises(ExponentOverflowError):
+        packing.pack(wide)
+    # the widest monomial that fits packs exactly, and its square overflows
+    top = packing.pack((packing.max_degree, 0))
+    assert packing.unpack(top) == (packing.max_degree, 0)
+    assert (top + top) & packing.guard
+    with pytest.raises(ExponentOverflowError):
+        packing.lcm(top, packing.pack((0, 1)))
+
+
+def test_exponents_at_the_cap_round_trip_through_groebner_basis():
+    M = MAX_EXPONENT
+    S = PolyRing(QQ, ("x", "y"))
+    x, y = S.gens()
+    basis = groebner_basis([x**M - y**M, x * y], S)
+    assert [str(p) for p in basis] == ["x*y", f"x^{M} - y^{M}", f"y^{M + 1}"]
+    assert basis.normal_form(x**M + y**M) == 2 * y**M
+    T = PolyRing(GF(32003), ("x", "y", "z"))
+    x, y, z = T.gens()
+    basis = groebner_basis([x**M - y**M, y**M - z**M, x * y * z], T)
+    assert [str(p) for p in basis] == [
+        "x*y*z", f"y^{M} + 32002*z^{M}", f"x^{M} + 32002*z^{M}",
+        f"y*z^{M + 1}", f"x*z^{M + 1}", f"z^{2 * M + 1}",
+    ]
+
+
+def test_engine_overflow_raises_instead_of_a_wrong_basis():
+    M = MAX_EXPONENT
+    # (f) ∩ (g) = (f*g) has degree 4*MAX_EXPONENT, past the packed width
+    # of the tag ring: the lcm of a pair does not fit
+    f, g = X**M * Y**M + 1, X**M - Y**M
+    with pytest.raises(ExponentOverflowError):
+        Ideal(R, [f]).intersection(Ideal(R, [g]))
+    # under the eliminate-first order a tail can outweigh its leading term,
+    # so products overflow although every lcm fits: in an S-polynomial ...
+    S = PolyRing(QQ, ("t", "x", "y"), elimination_order())
+    t, x, y = S.gens()
+    with pytest.raises(ExponentOverflowError):
+        groebner_basis([t - x**M * y**M, t * x**M * y**M + 1], S)
+    # ... and in a reduction step, where t*x -> y^M keeps raising the degree
+    basis = groebner_basis([t * x - y**M], S)
+    with pytest.raises(ExponentOverflowError):
+        basis.normal_form(t**M * x**M * y**M)
+    with pytest.raises(ExponentOverflowError):
+        basis.reduces_to_zero(t**M * x**M * y**M)
