@@ -20,25 +20,6 @@ def mono_mul(tuple a, tuple b):
     return tuple(out)
 
 
-def mono_divides(tuple a, tuple b):
-    cdef Py_ssize_t i, n = len(a)
-    cdef long long x, y
-    for i in range(n):
-        x = a[i]
-        y = b[i]
-        if x > y:
-            return False
-    return True
-
-
-def mono_div(tuple a, tuple b):
-    cdef Py_ssize_t i, n = len(a)
-    cdef list out = [0] * n
-    for i in range(n):
-        out[i] = a[i] - b[i]
-    return tuple(out)
-
-
 def mono_lcm(tuple a, tuple b):
     cdef Py_ssize_t i, n = len(a)
     cdef list out = [0] * n

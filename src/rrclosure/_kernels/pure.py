@@ -13,19 +13,6 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a, b):
-    """True iff monomial a divides monomial b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def mono_div(a, b):
-    """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 

@@ -82,9 +82,15 @@ def _normalize_fp(terms: dict, lm, p: int) -> dict:
 
 
 class _Basis:
-    """Parallel arrays describing reducers for the hot normal-form loop."""
+    """Parallel arrays describing reducers for the hot normal-form loop.
 
-    __slots__ = ("lms", "lcs", "tails", "monos", "terms")
+    A basis only grows by ``append``: ``memo``, the divisor answers of
+    ``_kernels.find_divisor_index``, holds indices into ``lms`` that stay
+    exact only while earlier elements never move.
+    """
+
+    _COLUMNS = ("lms", "lcs", "tails", "monos", "terms")
+    __slots__ = _COLUMNS + ("memo",)
 
     def __init__(self):
         self.lms = []
@@ -92,6 +98,7 @@ class _Basis:
         self.tails = []
         self.monos = []
         self.terms = []
+        self.memo = {}
 
     def append(self, terms: dict, lm):
         self.lms.append(lm)
@@ -101,9 +108,10 @@ class _Basis:
         self.terms.append(terms)
 
     def select(self, idxs) -> "_Basis":
-        """The sub-basis of the elements at ``idxs``, in that order."""
+        """The sub-basis of the elements at ``idxs``, in that order, with an
+        empty memo: the parent's holds indices in the parent's order."""
         sub = _Basis()
-        for name in _Basis.__slots__:
+        for name in _Basis._COLUMNS:
             column = getattr(self, name)
             setattr(sub, name, [column[i] for i in idxs])
         return sub
@@ -121,7 +129,7 @@ def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None, stop_earl
     ``stop_early`` the return value is just the is-zero boolean.
     """
     find_div = _kernels.find_divisor_index
-    lms, lcs, tails, monos = basis.lms, basis.lcs, basis.tails, basis.monos
+    lms, lcs, tails, monos, memo = basis.lms, basis.lcs, basis.tails, basis.monos, basis.memo
     heappush, heappop = heapq.heappush, heapq.heappop
 
     work = dict(fterms)
@@ -135,7 +143,7 @@ def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None, stop_earl
         c = work.pop(e, None)
         if c is None:
             continue
-        j = find_div(lms, e, guard)
+        j = find_div(lms, e, guard, memo)
         if j < 0:
             if stop_early:
                 return False
@@ -331,11 +339,21 @@ def _engine_groebner(polys, ring: PolyRing) -> _Basis:
 
 def _monic_poly(terms: dict, lm: int, ring: PolyRing, unpack) -> Polynomial:
     """Monic polynomial of ``ring`` from an engine term dict; ``unpack`` turns a
-    packed monomial into an exponent tuple of ``ring``."""
+    packed monomial into an exponent tuple of ``ring``.
+
+    The packing leaves room above ``MAX_EXPONENT`` (up to ``nvars *
+    MAX_EXPONENT``), so an engine result can exceed the cap that every
+    ``Polynomial`` input obeys; such a result raises ExponentOverflowError
+    here rather than become a polynomial no other operation accepts.
+    """
+    exps = [unpack(e) for e in terms]
+    for e in exps:
+        if max(e) > MAX_EXPONENT:
+            raise ExponentOverflowError(f"result exponent in {e!r} exceeds {MAX_EXPONENT}")
     if ring.field.characteristic:
-        return Polynomial(ring, {unpack(e): c for e, c in terms.items()})
+        return Polynomial(ring, dict(zip(exps, terms.values())))
     lc = terms[lm]
-    return Polynomial(ring, {unpack(e): Fraction(c, lc) for e, c in terms.items()})
+    return Polynomial(ring, {e: Fraction(c, lc) for e, c in zip(exps, terms.values())})
 
 
 # ---------------------------------------------------------------------------
