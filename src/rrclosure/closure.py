@@ -3,7 +3,11 @@
 The pipeline: (1) Poincare series of I gives e0 and pn(I); (2) a certified
 superficial sequence x_1..x_d; (3) quotient Poincare series give
 pn(I; x_1..x_d); (4) the closure is the colon (I^{k+1} : (x_1^k..x_d^k)) at
-k = max(pn(I;xs)+1, 1).  In heuristic mode the run additionally verifies
+k = max(pn(I;xs)+1, 1).  For d = 2 each quotient series of step (3) stops
+exactly where its first difference reaches the certified local length of
+R/(x_1, x_2), recorded as ``quotient-i-exact`` in ``checks_passed``; the
+sampling window (heuristic) or the regularity bound (certified) is only the
+fallback.  In heuristic mode the run additionally verifies
 that the colon chain has stabilized at k and retries with a doubled sampling
 window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
 exposed for cross-validation at its certified threshold.
@@ -168,12 +172,16 @@ def closure(
         if k_override is None:
             t0 = time.perf_counter()
             quotients = tuple(
-                poincare_series_quotient(I, x, mode=mode, window=win, max_samples=max_samples)
+                poincare_series_quotient(
+                    I, x, mode=mode, window=win, max_samples=max_samples, reduction=cert
+                )
                 for x in cert.elements
             )
             add_time("quotient-poincare", t0)
             for i, q in enumerate(quotients):
                 _series_checks(q, f"quotient-{i}", failures, passed)
+                if q.exact:
+                    passed.append(f"quotient-{i}-exact")
             pn_joint = max(series.postulation, *(q.postulation for q in quotients))
             k = max(pn_joint + 1, 1)
         else:

@@ -58,6 +58,10 @@ class RMaxExceededError(RRClosureError):
     code = "R_MAX_EXCEEDED"
 
 
+class CertifiedBoundViolation(AssertionError):
+    """A certified bound failed: a bug or a forged certificate, not a user error."""
+
+
 class ParseError(RRClosureError):
     """Syntax or semantic error in a problem file or polynomial expression."""
 

@@ -6,6 +6,17 @@ h(n) = colength(I^{n+1}): since the generating series of h is
 f(X)/(1-X)^{d+1}, the coefficients a_i are the (d+1)-fold backward
 differences of the h-sequence.  The quotient variant I/(x) works the same
 way one dimension down, sampling colength(I^{n+1} + (x)).
+
+Sampling ends after ``window`` zero differences (heuristic mode) or at the
+regularity bound (certified mode).  For d = 2 and x one element of a
+certified reduction (x, y) with local length l = colength(R/(x, y)), the
+quotient series has an exact stop: R/(x) is Cohen-Macaulay of dimension
+one and y is regular on it, so with bars for images in R/(x),
+y*Ibar^n <= Ibar^{n+1} <= Ibar^n and every first difference
+q(n) - q(n-1) = length(Ibar^n / Ibar^{n+1}) is at most l, with equality iff
+Ibar^{n+1} = y*Ibar^n, which then holds for all later n (Northcott 1960;
+Huneke-Swanson, ch. 8 and 11).  The first n with difference l fixes the
+numerator; the window or the bound remains the fallback.
 """
 
 from __future__ import annotations
@@ -13,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import BoundTooLargeError, ElementNotInIdealError, ZeroPolynomialError
+from .errors import (
+    BoundTooLargeError,
+    CertifiedBoundViolation,
+    ElementNotInIdealError,
+    ZeroPolynomialError,
+)
 from .ideals import Ideal
 from .polynomials import Polynomial
 
@@ -37,13 +53,18 @@ def regularity_bound(e: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class SeriesData:
-    """Poincare-series numerator plus the invariants read off from it."""
+    """Poincare-series numerator plus the invariants read off from it.
+
+    ``exact`` is true when sampling ended at the certified dimension-one stop
+    rather than at the window or the regularity bound.
+    """
 
     numerator: tuple[int, ...]
     denominator_power: int
     mode: str
     window_used: int
     samples: tuple[int, ...]
+    exact: bool = False
 
     @property
     def multiplicity(self) -> int:
@@ -125,7 +146,24 @@ def hilbert_samuel_quotient(I: Ideal, x: Polynomial, n: int) -> int:
     return (I.power(n + 1) + x).colength()
 
 
-def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples) -> SeriesData:
+def _trimmed(diffs) -> list[int]:
+    """The differences without their trailing zeros."""
+    cut = len(diffs)
+    while cut and diffs[cut - 1] == 0:
+        cut -= 1
+    return diffs[:cut]
+
+
+def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples,
+                         step_bound=None) -> SeriesData:
+    """Sample length_fn(0), length_fn(1), ... until the numerator is fixed.
+
+    Sampling ends at the first of: a first difference equal to
+    ``step_bound`` (the exact dimension-one stop, when given); ``window``
+    consecutive zero numerator differences (heuristic mode); the regularity
+    bound, re-estimated as e0 grows, once the window has passed (certified
+    mode).
+    """
     if mode not in (HEURISTIC, CERTIFIED):
         raise ValueError(f"unknown mode {mode!r}")
     window = window if window is not None else d_ring + 3
@@ -136,49 +174,55 @@ def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples) ->
 
     samples: list[int] = []
     diffs: list[int] = []
-
-    def extend_to(count: int):
-        if count > max_samples:
-            raise BoundTooLargeError(
-                f"needed {count} length samples but the cap is {max_samples}"
-            )
-        while len(samples) < count:
-            n = len(samples)
-            samples.append(length_fn(n))
-            diffs.append(sum(signed[j] * samples[n - j] for j in range(depth + 1) if n - j >= 0))
-
-    # heuristic phase: stop after `window` consecutive zero differences
-    n = 0
     zero_run = 0
-    while zero_run < window:
-        extend_to(n + 1)
-        zero_run = zero_run + 1 if diffs[n] == 0 else 0
-        n += 1
+    target = None  # certified mode: sample count to reach, once the window passed
+    exact = False
+    while True:
+        n = len(samples)
+        if n >= max_samples:
+            raise BoundTooLargeError(
+                f"needed {n + 1} length samples but the cap is {max_samples}"
+            )
+        samples.append(length_fn(n))
+        diffs.append(sum(signed[j] * samples[n - j] for j in range(depth + 1) if n - j >= 0))
 
-    if mode == CERTIFIED:
-        # pn(I; -) <= regularity_bound(e0, d) + 1, so the numerator degree is
-        # at most bound + 1 + d_eff; extend sampling that far (iterating in
-        # case the estimate of e0 grows).
-        while True:
-            cut = len(diffs)
-            while cut and diffs[cut - 1] == 0:
-                cut -= 1
-            e0_est = sum(diffs[:cut])
-            target = regularity_bound(max(e0_est, 1), d_ring) + 1 + d_eff + 1
-            if target <= len(samples):
+        if step_bound is not None:
+            step = samples[n] - (samples[n - 1] if n else 0)
+            if step > step_bound:
+                raise CertifiedBoundViolation(
+                    f"length difference {step} at n = {n} exceeds the certified "
+                    f"bound {step_bound}"
+                )
+            if step == step_bound:
+                exact = True
                 break
-            extend_to(target)
 
-    cut = len(diffs)
-    while cut and diffs[cut - 1] == 0:
-        cut -= 1
-    numerator = tuple(diffs[:cut]) if cut else (0,)
+        if target is None:
+            zero_run = zero_run + 1 if diffs[n] == 0 else 0
+            if zero_run < window:
+                continue
+            if mode == HEURISTIC:
+                break
+        if target is None or n + 1 >= target:
+            # pn(I; -) <= regularity_bound(e0, d) + 1, so the numerator degree
+            # is at most bound + 1 + d_eff; re-estimated in case e0 grows
+            e0_est = sum(_trimmed(diffs))
+            target = regularity_bound(max(e0_est, 1), d_ring) + 1 + d_eff + 1
+            if target <= n + 1:
+                break
+            if target > max_samples and step_bound is None:  # nothing ends it sooner
+                raise BoundTooLargeError(
+                    f"needed {target} length samples but the cap is {max_samples}"
+                )
+
+    numerator = tuple(_trimmed(diffs)) or (0,)
     return SeriesData(
         numerator=numerator,
         denominator_power=d_eff,
         mode=mode,
         window_used=window,
         samples=tuple(samples),
+        exact=exact,
     )
 
 
@@ -202,12 +246,22 @@ def poincare_series_quotient(
     mode: str = HEURISTIC,
     window: int | None = None,
     max_samples: int = DEFAULT_MAX_SAMPLES,
+    reduction=None,
 ) -> SeriesData:
-    """Poincare data of the image of I in R/(x) (denominator power d-1)."""
+    """Poincare data of the image of I in R/(x) (denominator power d-1).
+
+    ``reduction`` is a ``ReductionCertificate``; when d = 2 and x is one of
+    its elements, sampling stops exactly at the first difference equal to
+    its colength (see the module docstring).
+    """
     _require_quotient_element(I, x)
     d = I.ring.dim
+    step_bound = None
+    if reduction is not None and d == 2 and x in reduction.elements:
+        step_bound = reduction.colength
     return _series_from_lengths(
-        lambda n: (I.power(n + 1) + x).colength(), d, d - 1, mode, window, max_samples
+        lambda n: (I.power(n + 1) + x).colength(), d, d - 1, mode, window, max_samples,
+        step_bound,
     )
 
 
@@ -216,7 +270,15 @@ def quotient_series_set(I: Ideal, elements, **opts) -> list[SeriesData]:
 
 
 def postulation_with_reduction(I: Ideal, elements, **opts) -> int:
-    """max of pn(I) and pn(I/(x_i)) over a certified superficial sequence."""
+    """max of pn(I) and pn(I/(x_i)) over a certified superficial sequence.
+
+    The sequence is certified against e0 first (NotSuperficialError
+    otherwise), and its certificate gives the quotient series their exact
+    stop.
+    """
+    from .reductions import certify_sequence  # reductions imports this module
+
     main = poincare_series(I, **opts)
-    quotients = quotient_series_set(I, elements, **opts)
+    cert = certify_sequence(I, elements, main.multiplicity)
+    quotients = quotient_series_set(I, cert.elements, reduction=cert, **opts)
     return max(main.postulation, *(q.postulation for q in quotients))

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    CertifiedBoundViolation,
     ElementNotInIdealError,
     GenericityFailureError,
     NotSuperficialError,
@@ -24,10 +25,6 @@ from .polynomials import Polynomial
 
 DEFAULT_MAX_ATTEMPTS = 25
 DEFAULT_COEFF_BOUND = 10
-
-
-class CertifiedBoundViolation(AssertionError):
-    """A certified bound failed; indicates a bug, not a user error."""
 
 
 @dataclass(frozen=True)

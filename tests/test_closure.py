@@ -19,6 +19,7 @@ from rrclosure import (
     hilbert_coefficients,
     is_ratliff_rush_closed,
     poincare_series,
+    poincare_series_quotient,
     regularity_bound,
 )
 from util_algebra import ideal_of, qq_ring
@@ -66,6 +67,25 @@ def test_closure_golden_example():
         "x^8*y",
     }
     assert "chain-stabilization" in report.checks_passed
+    # d = 2: each quotient series stops exactly where its first difference
+    # reaches the reduction's length 45
+    assert [q.numerator for q in report.quotient_series] == [(35, 6, 4), (35, 6, 2, 2)]
+    assert [len(q.samples) for q in report.quotient_series] == [3, 4]
+    assert "quotient-0-exact" in report.checks_passed
+    assert "quotient-1-exact" in report.checks_passed
+
+
+def test_exact_stops_match_the_window_on_the_criterion_5_corpus():
+    from test_acceptance import _bundles
+
+    for b in _bundles():
+        rep = b["report"]
+        for i, (x, stopped) in enumerate(zip(rep.certificate.elements, rep.quotient_series)):
+            assert stopped.exact
+            assert f"quotient-{i}-exact" in rep.checks_passed
+            windowed = poincare_series_quotient(b["ideal"], x)
+            assert stopped.numerator == windowed.numerator
+            assert len(stopped.samples) <= len(windowed.samples)
 
 
 def test_closure_of_regular_ideal():
@@ -238,6 +258,8 @@ def test_closure_dimension_three():
     rep2 = closure(mixed, seed=0)
     assert rep2.is_closed
     assert rep2.multiplicity == 18
+    # the exact quotient stop is for d = 2 only
+    assert not any(c.endswith("-exact") for c in rep.checks_passed + rep2.checks_passed)
 
 
 def test_closure_over_prime_field():

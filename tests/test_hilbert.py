@@ -7,6 +7,11 @@ from rrclosure import (
     ElementNotInIdealError,
     Ideal,
     NotMPrimaryError,
+    NotSuperficialError,
+    PolyRing,
+    QQ,
+    ReductionCertificate,
+    certify_sequence,
     hilbert_coefficients,
     hilbert_samuel,
     hilbert_samuel_quotient,
@@ -15,6 +20,7 @@ from rrclosure import (
     postulation_with_reduction,
     regularity_bound,
 )
+from rrclosure.errors import CertifiedBoundViolation
 from util_algebra import brute_colength, ideal_of, qq_ring
 
 R = qq_ring("x", "y")
@@ -166,3 +172,77 @@ def test_quotient_coefficients_preserved_for_generic_sequence():
     for x in cert.elements:
         q = poincare_series_quotient(I, x)
         assert hilbert_coefficients(q) == e[:2]
+
+
+# -- the certified dimension-one stop of the quotient series ------------------
+
+PAPER_REDUCTION = ("y^5+x^10+x^8*y", "x*y^4")
+
+
+def test_quotient_series_stop_exactly_on_the_paper_reduction():
+    # l = 45; the first differences of the samples are 35, 41, 45 for x1 and
+    # 35, 41, 43, 45 for x2, so the stop fires after 3 and 4 samples
+    I = ex110()
+    xs = tuple(R.parse(s) for s in PAPER_REDUCTION)
+    cert = certify_sequence(I, xs, 45)
+    assert cert.colength == 45
+    q1, q2 = (poincare_series_quotient(I, x, reduction=cert) for x in xs)
+    assert (q1.numerator, q1.samples, q1.exact) == ((35, 6, 4), (35, 76, 121), True)
+    assert (q2.numerator, q2.samples, q2.exact) == ((35, 6, 2, 2), (35, 76, 119, 164), True)
+    for stopped, x in ((q1, xs[0]), (q2, xs[1])):
+        windowed = poincare_series_quotient(I, x)
+        assert not windowed.exact
+        assert windowed.numerator == stopped.numerator
+        assert len(windowed.samples) > len(stopped.samples)
+        assert stopped.consistency_failures() == []
+        certified = poincare_series_quotient(I, x, mode="certified", reduction=cert)
+        assert certified.samples == stopped.samples
+        assert certified.exact
+
+
+def test_quotient_series_fall_back_when_the_certificate_is_no_reduction():
+    # (x^2, y^3) is no reduction of m^2: its length 6 exceeds e(m^2) = 4, and
+    # the first differences stay at 3, 4, 4, ...; the window, or in certified
+    # mode the regularity bound, must end the sampling; the cap of 50 makes a
+    # missing fallback fail fast
+    m2 = ideal_of(R, "x^2", "x*y", "y^2")
+    x = R.parse("x^2")
+    cert = ReductionCertificate((x, R.parse("y^3")), 6, 6, None, 0)
+    heuristic = poincare_series_quotient(m2, x, reduction=cert, max_samples=50)
+    assert heuristic.numerator == (3, 1)
+    assert not heuristic.exact
+    assert heuristic.samples == poincare_series_quotient(m2, x).samples
+    assert len(heuristic.samples) == 2 + heuristic.window_used
+    certified = poincare_series_quotient(m2, x, mode="certified", reduction=cert, max_samples=50)
+    assert certified.numerator == (3, 1)
+    assert not certified.exact
+    # e0 estimate 4: regularity bound 4*3 = 12, target 12 + 1 + 1 + 1
+    assert len(certified.samples) == 15
+
+
+def test_quotient_series_reject_a_difference_above_the_certified_length():
+    I = ex110()
+    x = R.parse("x*y^4")
+    forged = ReductionCertificate((R.parse(PAPER_REDUCTION[0]), x), 40, 40, None, 0)
+    with pytest.raises(CertifiedBoundViolation, match="41 at n = 1"):
+        poincare_series_quotient(I, x, reduction=forged)
+
+
+def test_quotient_series_ignore_certificates_that_do_not_apply():
+    I = ex110()
+    xs = tuple(R.parse(s) for s in PAPER_REDUCTION)
+    cert = certify_sequence(I, xs, 45)
+    other = R.parse("x^10")  # in I, but not an element of the certificate
+    assert poincare_series_quotient(I, other, reduction=cert) == poincare_series_quotient(I, other)
+    # d = 3 keeps the window: its quotients have dimension two
+    T = PolyRing(QQ, ("x", "y", "z"))
+    m = Ideal(T, [T.var(v) for v in "xyz"])
+    cert3 = certify_sequence(m, m.generators, 1)
+    stopped = poincare_series_quotient(m, T.var("x"), reduction=cert3)
+    assert stopped == poincare_series_quotient(m, T.var("x"))
+    assert not stopped.exact
+
+
+def test_postulation_with_reduction_certifies_its_sequence():
+    with pytest.raises(NotSuperficialError):
+        postulation_with_reduction(ex110(), (R.parse("x^10"), R.parse("y^5")))
