@@ -9,7 +9,6 @@ the closure pipeline (`closure`, `closure_power`, `is_ratliff_rush_closed`,
 `closure_via_colon_powers`, `chain_term`).
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from ._version import __version__
 from .closure import (
     BoundParams,
@@ -57,6 +56,9 @@ from .reductions import (
     reduction_number,
 )
 from .scalars import GF, QQ, PrimeField, RationalField
+
+# the monomial kernels (``_kernels``) have one implementation, in Python
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "BoundParams",

@@ -1,12 +1,17 @@
-"""Pure-Python implementations of the hot monomial kernels.
+"""Monomial kernels: the staircase kernels of monomial ideals, and the
+Groebner engine's memoised divisor scan.
 
-Monomials are tuples of nonnegative ints; monomial ideals are lists of such
-tuples.  The compiled backend (``fast.pyx``) implements exactly the same
-functions with identical semantics; randomized equivalence between the two
-is part of the test suite.
+In the staircase kernels monomials are tuples of nonnegative ints and
+monomial ideals are lists of such tuples.  The divisor scan works on
+packed-int monomials (``orders.Packing``), where Python-int arithmetic is
+all the work.
+
+The scan is memoised per engine basis: a query answered before returns its
+stored first divisor at once, and a stored miss resumes the scan at the
+first element appended since.  This is exact because an engine basis only
+grows at its end (``ideals._Basis.append``), so earlier elements never move
+and every call returns the same index an unmemoised scan would.
 """
-
-BACKEND_NAME = "pure"
 
 
 def mono_mul(a, b):
@@ -15,19 +20,6 @@ def mono_mul(a, b):
 
 def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _find_divisor_index(lms, m):
-    """Index of the first monomial in lms dividing m, or -1 (for monomial_contains)."""
-    for i, lm in enumerate(lms):
-        ok = True
-        for x, y in zip(lm, m):
-            if x > y:
-                ok = False
-                break
-        if ok:
-            return i
-    return -1
 
 
 def _canonical_key(e):
@@ -81,7 +73,15 @@ def monomial_intersection(gens_a, gens_b):
 
 def monomial_contains(gens, m):
     """Membership of the monomial m in the monomial ideal."""
-    return _find_divisor_index(gens, m) >= 0
+    for g in gens:
+        ok = True
+        for x, y in zip(g, m):
+            if x > y:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
 def staircase_colength(gens, nvars):
@@ -120,3 +120,25 @@ def _colength_rec(gens, nvars):
         slice_gens = minimalize(g[:-1] for g in gens if g[-1] <= e)
         total += _colength_rec(slice_gens, nvars - 1)
     return total
+
+
+def find_divisor_index(lms, m, guard, memo):
+    """Index of the first packed monomial in lms dividing the packed m, or -1.
+
+    ``guard`` is the packing's guard mask (``orders.Packing``): ``a``
+    divides ``m`` exactly when ``m - a`` sets no guard bit.
+
+    ``memo`` holds the answers already given for this ``lms``: a hit ``j``,
+    or ``~L`` for "no element of ``lms[:L]`` divides ``m``", from which the
+    scan resumes.  Both stay exact only while ``lms`` grows by appending
+    alone, so a memo belongs to one list and is never shared with another.
+    """
+    j = memo.get(m, -1)  # -1 == ~0: an empty prefix has no divisor
+    if j >= 0:
+        return j
+    for i in range(~j, len(lms)):
+        if not (m - lms[i]) & guard:
+            memo[m] = i
+            return i
+    memo[m] = ~len(lms)
+    return -1

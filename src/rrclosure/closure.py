@@ -97,10 +97,6 @@ class ClosureReport:
     def postulation(self) -> int:
         return self.series.postulation
 
-    @property
-    def quotient_postulations(self) -> tuple[int, ...]:
-        return tuple(q.postulation for q in self.quotient_series)
-
 
 def _series_checks(series: SeriesData, label: str, failures: list[str], passed: list[str]):
     bad = series.consistency_failures()

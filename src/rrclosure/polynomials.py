@@ -126,9 +126,6 @@ class Polynomial:
         """Single-term test (the coefficient is irrelevant for ideal work)."""
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1

@@ -1,24 +1,18 @@
-"""Monomial kernels: edge cases of every built backend, backend equivalence
-(the compiled kernels must match the pure-Python ones exactly on randomized
-inputs) where the compiled extension is built, and the engine's memoised
-packed divisor scan against brute force."""
+"""Monomial kernels: the staircase kernels against the brute-force oracles of
+``util_algebra`` on randomized inputs in one, two and three variables, their
+edge cases, and the engine's memoised packed divisor scan against brute
+force."""
 
+import itertools
 import random
 
 import pytest
 
 from rrclosure import QQ, PolyRing, TermOrder
-from rrclosure._kernels import find_divisor_index, pure
+from rrclosure import _kernels as K
+from rrclosure._kernels import find_divisor_index
 from rrclosure.ideals import _Basis, _engine_terms, _nf_engine
-from util_algebra import divides
-
-try:
-    from rrclosure._kernels import fast
-except ImportError:
-    fast = None
-
-IMPLS = [pure] if fast is None else [pure, fast]
-needs_fast = pytest.mark.skipif(fast is None, reason="compiled kernels are not built")
+from util_algebra import brute_colength, divides, minimal_set
 
 
 def random_mono(rng, d=2, hi=8):
@@ -29,69 +23,95 @@ def random_monos(rng, n, d=2, hi=8):
     return [random_mono(rng, d, hi) for _ in range(n)]
 
 
-@needs_fast
-@pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_pairwise_ops_agree(seed, d):
-    rng = random.Random(seed)
-    for _ in range(50):
-        a, b = random_mono(rng, d), random_mono(rng, d)
-        assert fast.mono_mul(a, b) == pure.mono_mul(a, b)
-        assert fast.mono_lcm(a, b) == pure.mono_lcm(a, b)
+def generators_in_box(member, box):
+    """Minimal generators of the monomials m with 0 <= m <= box that satisfy
+    ``member``: exactly the generators of the ideal when ``box`` bounds them."""
+    points = itertools.product(*(range(c + 1) for c in box))
+    return minimal_set(m for m in points if member(m))
 
 
-@needs_fast
+def in_ideal(gens, m):
+    return any(divides(g, m) for g in gens)
+
+
+def assert_generators(got, want):
+    assert len(got) == len(set(got)), got
+    assert set(got) == set(want)
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_set_ops_agree(seed, d):
+def test_minimalize_sum_and_membership_match_the_oracle(seed, d):
     rng = random.Random(100 + seed)
-    A = random_monos(rng, rng.randint(1, 12), d)
-    B = random_monos(rng, rng.randint(1, 12), d)
-    m = random_mono(rng, d)
-    assert fast.minimalize(A) == pure.minimalize(A)
-    assert fast.monomial_product(A, B) == pure.monomial_product(A, B)
-    assert fast.monomial_sum(A, B) == pure.monomial_sum(A, B)
-    assert fast.monomial_intersection(A, B) == pure.monomial_intersection(A, B)
-    assert fast.monomial_colon_single(A, m) == pure.monomial_colon_single(A, m)
-    assert fast.monomial_contains(A, m) == pure.monomial_contains(A, m)
+    for _ in range(10):
+        A = random_monos(rng, rng.randint(0, 12), d)
+        B = random_monos(rng, rng.randint(0, 12), d)
+        assert_generators(K.minimalize(A), minimal_set(A))
+        assert_generators(K.monomial_sum(A, B), minimal_set(A + B))
+        for m in random_monos(rng, 5, d):
+            assert K.monomial_contains(A, m) == in_ideal(A, m)
 
 
-@needs_fast
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_staircase_agree(seed, d):
+def test_product_and_intersection_match_the_oracle(seed, d):
     rng = random.Random(200 + seed)
+    for _ in range(10):
+        A = random_monos(rng, rng.randint(0, 6), d, hi=5)
+        B = random_monos(rng, rng.randint(0, 6), d, hi=5)
+        sums = [tuple(x + y for x, y in zip(a, b)) for a in A for b in B]
+        assert_generators(K.monomial_product(A, B), minimal_set(sums))
+        # an lcm of two generators is bounded by the generators' own exponents
+        box = [5] * d
+        want = generators_in_box(lambda m: in_ideal(A, m) and in_ideal(B, m), box)
+        assert_generators(K.monomial_intersection(A, B), want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_colon_by_a_monomial_matches_the_oracle(seed, d):
+    rng = random.Random(300 + seed)
+    for _ in range(10):
+        A = random_monos(rng, rng.randint(0, 6), d, hi=5)
+        b = random_mono(rng, d, hi=4)
+        # m is in (A : x^b) iff m + b is in A; generators stay below A's exponents
+        want = generators_in_box(
+            lambda m: in_ideal(A, tuple(x + y for x, y in zip(m, b))), [5] * d)
+        assert_generators(K.monomial_colon_single(A, b), want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_staircase_colength_matches_box_counting(seed, d):
+    rng = random.Random(400 + seed)
     for _ in range(20):
-        gens = pure.minimalize(random_monos(rng, rng.randint(1, 8), d, hi=6))
-        assert fast.staircase_colength(gens, d) == pure.staircase_colength(gens, d)
-    # force m-primary instances too
+        gens = sorted(minimal_set(random_monos(rng, rng.randint(1, 8), d, hi=6)))
+        want = brute_colength(gens, d)
+        assert K.staircase_colength(gens, d) == (-1 if want is None else want)
+    # m-primary instances, which reach the slicing recursion for d = 3
     for _ in range(20):
         gens = random_monos(rng, rng.randint(0, 6), d, hi=6)
         for i in range(d):
-            pure_power = [0] * d
-            pure_power[i] = rng.randint(1, 6)
-            gens.append(tuple(pure_power))
-        gens = pure.minimalize(gens)
-        got = fast.staircase_colength(gens, d)
-        want = pure.staircase_colength(gens, d)
-        assert got == want
-        assert want >= 0
+            power = [0] * d
+            power[i] = rng.randint(1, 6)
+            gens.append(tuple(power))
+        gens = sorted(minimal_set(gens))
+        want = brute_colength(gens, d)
+        assert want is not None
+        assert K.staircase_colength(gens, d) == want
 
 
 def test_staircase_edge_cases():
-    for impl in IMPLS:
-        assert impl.staircase_colength([], 2) == -1
-        assert impl.staircase_colength([(0, 0)], 2) == 0
-        assert impl.staircase_colength([(2, 0), (1, 1)], 2) == -1
-        assert impl.staircase_colength([(1, 0), (0, 1)], 2) == 1
+    assert K.staircase_colength([], 2) == -1
+    assert K.staircase_colength([(0, 0)], 2) == 0
+    assert K.staircase_colength([(2, 0), (1, 1)], 2) == -1
+    assert K.staircase_colength([(1, 0), (0, 1)], 2) == 1
 
 
 def test_big_exponent_totals_are_exact():
-    # products beyond 64-bit territory must not overflow in either backend
+    # products beyond 64-bit territory stay exact
     big = 1 << 40
-    gens = [(0, big), (big, 0)]
-    for impl in IMPLS:
-        assert impl.staircase_colength(gens, 2) == big * big
+    assert K.staircase_colength([(0, big), (big, 0)], 2) == big * big
 
 
 @pytest.mark.parametrize("kind", ["degrevlex", "eliminate-first"])

@@ -19,3 +19,8 @@ def test_star_import_binds_every_name_in_all():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_backend_is_pure():
+    # the benchmark records this name with every run
+    assert rrclosure.KERNEL_BACKEND == "pure"
