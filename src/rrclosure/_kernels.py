@@ -122,6 +122,35 @@ def _colength_rec(gens, nvars):
     return total
 
 
+def staircase_colon(gens, supports):
+    """Minimal generators of {m : m*t in J for every t in ``supports``}.
+
+    J is the m-primary monomial ideal of k[x, y] with the minimalized
+    generators ``gens``; ``supports`` are exponent pairs.  The work is done
+    on J's height list: h[i] is the least j with x^i*y^j in J (0 from J's
+    pure power of x on).  A colon by x^p*y^q shifts it to
+    max(h[i+p] - q, 0), an intersection is a pointwise max, and the corners
+    of the result are its minimal generators.
+    """
+    seq = sorted(gens)
+    h = []
+    for (x0, y0), (x1, _) in zip(seq, seq[1:]):
+        h.extend([y0] * (x1 - x0))
+    # heights of the result; entries past its end are 0, and starting from
+    # the empty list (the unit ideal) makes every entry at least 0
+    out = []
+    for p, q in supports:
+        seg = h[p:]
+        if len(seg) > len(out):
+            out.extend([0] * (len(seg) - len(out)))
+        out[: len(seg)] = map(max, out, [v - q for v in seg])
+    # heights never increase, so the result's pure power of x is its first 0
+    n = out.index(0) if 0 in out else len(out)
+    corners = [(i, v) for i, v in enumerate(out[:n]) if i == 0 or v < out[i - 1]]
+    corners.append((n, 0))
+    return corners
+
+
 def find_divisor_index(lms, m, guard, memo):
     """Index of the first packed monomial in lms dividing the packed m, or -1.
 

@@ -3,7 +3,10 @@
 The pipeline: (1) Poincare series of I gives e0 and pn(I); (2) a certified
 superficial sequence x_1..x_d; (3) quotient Poincare series give
 pn(I; x_1..x_d); (4) the closure is the colon (I^{k+1} : (x_1^k..x_d^k)) at
-k = max(pn(I;xs)+1, 1).  For d = 2 each quotient series of step (3) stops
+k = max(pn(I;xs)+1, 1).  For a monomial I in two variables step (4) takes
+only the monomial part of that colon, on the staircase of I^{k+1}, since the
+closure is monomial there; every other input takes the exact colon by tag
+elimination (``chain_term``).  For d = 2 each quotient series of step (3) stops
 exactly where its first difference reaches the certified local length of
 R/(x_1, x_2), recorded as ``quotient-i-exact`` in ``checks_passed``; the
 sampling window (heuristic) or the regularity bound (certified) is only the
@@ -18,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from . import _kernels
 from .errors import (
     BoundTooLargeError,
     ChainUnstableError,
@@ -66,10 +70,31 @@ def colon_powers_threshold(e0: int, d: int) -> int:
 
 
 def chain_term(I: Ideal, elements, k: int) -> Ideal:
-    """The k-th term (I^{k+1} : (x_1^k, ..., x_d^k)) of the colon chain."""
+    """The k-th term (I^{k+1} : (x_1^k, ..., x_d^k)) of the colon chain, exact.
+
+    ``closure`` uses it for every input but a monomial ideal in two
+    variables, where it takes the monomial part of this term instead.
+    """
     if k < 1:
         raise ValueError("chain terms are indexed by k >= 1")
     return I.power(k + 1).colon([x**k for x in elements])
+
+
+def _monomial_chain_term(I: Ideal, powers, k: int) -> Ideal:
+    """M_k, the monomial part of L_k = (I^{k+1} : (x_1^k, x_2^k)), for a
+    monomial I in two variables, given the powers x_i^k.
+
+    A monomial m has m*f in the monomial ideal I^{k+1} iff m*t does for
+    every term t of f, so M_k is the intersection of (I^{k+1} : t) over the
+    terms of every x_i^k.  At k >= pn(I; x), L_k is the closure (Elias),
+    which is monomial (Heinzer-Lantz-Shah), so M_k = L_k there.  Below that
+    M_k still lies in the closure: M_k is in L_k, and with r the reduction
+    number of (x), every monomial of (x)^{2k-1} has an x_i-exponent >= k, so
+    m in L_k gives m*I^{2k-1+r} = m*(x)^{2k-1}*I^r in I^{2k+r}.
+    """
+    supports = [t for f in powers for t in f.terms]
+    exps = _kernels.staircase_colon(I.power(k + 1).monomial_generators(), supports)
+    return Ideal.from_exponents(I.ring, exps)
 
 
 @dataclass(frozen=True)
@@ -125,6 +150,7 @@ def closure(
     index directly (the stabilization check still runs in heuristic mode).
     """
     I.require_m_primary()
+    monomial = I.ring.dim == 2 and I.monomial_generators() is not None
 
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
@@ -135,6 +161,9 @@ def closure(
     last_failures: list[str] = []
     last_error = None
     for round_no in range(_STABILITY_RETRIES):
+        if round_no:
+            # the previous round failed a check: resample with a doubled window
+            win = (win if win is not None else I.ring.dim + 3) * 2
         passed: list[str] = []
         failures: list[str] = []
 
@@ -158,8 +187,6 @@ def closure(
         except (GenericityFailureError, NotSuperficialError) as exc:
             last_error = exc
             last_failures = failures + ["reduction-certification"]
-            base = win if win is not None else I.ring.dim + 3
-            win = base * 2
             continue
         finally:
             add_time("reduction", t0)
@@ -186,12 +213,21 @@ def closure(
             k = max(k_override, 1)
 
         t0 = time.perf_counter()
-        result = chain_term(I, cert.elements, k)
+        if monomial:
+            powers = [x**k for x in cert.elements]
+            result = _monomial_chain_term(I, powers, k)
+        else:
+            result = chain_term(I, cert.elements, k)
         add_time("chain-colon", t0)
 
         if mode == HEURISTIC:
             t0 = time.perf_counter()
-            stable = result.equals(chain_term(I, cert.elements, k + 1))
+            if monomial:
+                powers = [p * x for p, x in zip(powers, cert.elements)]
+                following = _monomial_chain_term(I, powers, k + 1)
+            else:
+                following = chain_term(I, cert.elements, k + 1)
+            stable = result.equals(following)
             add_time("stabilization-check", t0)
             if stable:
                 passed.append("chain-stabilization")
@@ -202,8 +238,6 @@ def closure(
             break
         last_failures = failures
         last_error = None
-        base = win if win is not None else I.ring.dim + 3
-        win = base * 2
     else:
         if last_error is not None:
             raise last_error

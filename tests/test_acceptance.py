@@ -155,6 +155,8 @@ def criterion_5():
             for k in range(max(pn + 1, 1), pn + 5):
                 assert I.power(k + 1).colon(x).equals(I.power(k)), f"colon identity at k={k}"
 
+        assert rep.closure_ideal.equals(chain[rep.k_used])
+
         # extensivity and idempotence
         assert rep.closure_ideal.contains_ideal(I)
         assert b["idempotent"].is_closed

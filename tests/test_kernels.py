@@ -1,7 +1,7 @@
 """Monomial kernels: the staircase kernels against the brute-force oracles of
-``util_algebra`` on randomized inputs in one, two and three variables, their
-edge cases, and the engine's memoised packed divisor scan against brute
-force."""
+``util_algebra`` on randomized inputs in one, two and three variables, the
+two-variable chain colon on height lists, their edge cases, and the engine's
+memoised packed divisor scan against brute force."""
 
 import itertools
 import random
@@ -12,7 +12,13 @@ from rrclosure import QQ, PolyRing, TermOrder
 from rrclosure import _kernels as K
 from rrclosure._kernels import find_divisor_index
 from rrclosure.ideals import _Basis, _engine_terms, _nf_engine
-from util_algebra import brute_colength, divides, minimal_set
+from util_algebra import (
+    brute_colength,
+    brute_monomial_colon,
+    divides,
+    minimal_set,
+    random_monomial_mprimary,
+)
 
 
 def random_mono(rng, d=2, hi=8):
@@ -112,6 +118,32 @@ def test_big_exponent_totals_are_exact():
     # products beyond 64-bit territory stay exact
     big = 1 << 40
     assert K.staircase_colength([(0, big), (big, 0)], 2) == big * big
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_staircase_colon_matches_the_oracle(seed):
+    # supports reach past J's pure powers, so some shifts leave the staircase
+    rng = random.Random(600 + seed)
+    for _ in range(10):
+        J = random_monomial_mprimary(rng, max_pure=8, max_extra=4)
+        supports = random_monos(rng, rng.randint(1, 4), hi=10)
+        assert_generators(K.staircase_colon(J, supports),
+                          brute_monomial_colon(J, supports, 2))
+
+
+def test_staircase_colon_edge_cases():
+    J = [(0, 4), (1, 3), (3, 1), (4, 0)]
+    # a support holding the monomial 1 gives J itself
+    assert_generators(K.staircase_colon(J, [(0, 0)]), J)
+    assert_generators(K.staircase_colon(J, [(0, 0), (1, 2)]), J)
+    # a shift wider than the staircase: x^5 and y^4*x lie in J
+    assert K.staircase_colon(J, [(5, 0)]) == [(0, 0)]
+    assert K.staircase_colon(J, [(1, 4)]) == [(0, 0)]
+    assert_generators(K.staircase_colon(J, [(5, 0), (2, 0)]), [(2, 0), (1, 1), (0, 3)])
+    # two supports: (J : x^2) = (x^2, xy, y^3) meets (J : y^2) = (x^3, xy, y^2)
+    want = [(3, 0), (1, 1), (0, 3)]
+    assert_generators(K.staircase_colon(J, [(2, 0), (0, 2)]), want)
+    assert brute_monomial_colon(J, [(2, 0), (0, 2)], 2) == set(want)
 
 
 @pytest.mark.parametrize("kind", ["degrevlex", "eliminate-first"])
