@@ -6,6 +6,19 @@ monomial ideals are lists of such tuples.  The divisor scan works on
 packed-int monomials (``orders.Packing``), where Python-int arithmetic is
 all the work.
 
+Every sum, product, colon by a monomial and intersection ends in
+``minimalize``.  The length of the exponent tuples picks its path.  In two
+variables a staircase is a chain: sorted by (x, y), a monomial is divisible
+by another exactly when its y is at least the least y before it, so one sort
+and one sweep give the minimal generators (Miller-Sturmfels, *Combinatorial
+Commutative Algebra*, ch. 3), and ``monomial_product`` and
+``monomial_intersection`` build their pair sums and lcms inline for it.  In
+other dimensions each candidate is checked against the generators kept so
+far.  Both paths return the minimal generators in the canonical order of
+``_canonical_key`` (degrevlex ascending), which reports and cache entries
+keep, so ``Ideal`` wraps their output without minimalizing it again.
+``staircase_colon`` returns its corners in x order instead.
+
 The scan is memoised per engine basis: a query answered before returns its
 stored first divisor at once, and a stored miss resumes the scan at the
 first element appended since.  This is exact because an engine basis only
@@ -33,9 +46,18 @@ def minimalize(monomials):
     Removes duplicates and every monomial divisible by another; the result is
     sorted canonically (degrevlex ascending).
     """
-    cands = sorted(set(monomials), key=_canonical_key)
+    cands = set(monomials)
+    if _two_vars(cands):
+        # the sweep of the module docstring: the last kept monomial has the
+        # least y so far
+        kept = []
+        for m in sorted(cands):
+            if not kept or m[1] < kept[-1][1]:
+                kept.append(m)
+        kept.sort(key=_canonical_key)
+        return kept
     kept = []
-    for m in cands:
+    for m in sorted(cands, key=_canonical_key):
         divisible = False
         for g in kept:
             ok = True
@@ -51,8 +73,17 @@ def minimalize(monomials):
     return kept
 
 
+def _two_vars(monomials):
+    for m in monomials:
+        return len(m) == 2
+    return False
+
+
 def monomial_product(gens_a, gens_b):
     """Minimal generators of the product of two monomial ideals."""
+    # gens_b is read once per element of gens_a, so peeking at it is safe
+    if _two_vars(gens_b):
+        return minimalize([(a0 + b0, a1 + b1) for a0, a1 in gens_a for b0, b1 in gens_b])
     prods = {mono_mul(a, b) for a in gens_a for b in gens_b}
     return minimalize(prods)
 
@@ -68,6 +99,9 @@ def monomial_colon_single(gens, b):
 
 def monomial_intersection(gens_a, gens_b):
     """Minimal generators of the intersection of two monomial ideals."""
+    if _two_vars(gens_b):
+        return minimalize([(a0 if a0 > b0 else b0, a1 if a1 > b1 else b1)
+                           for a0, a1 in gens_a for b0, b1 in gens_b])
     return minimalize(mono_lcm(a, b) for a in gens_a for b in gens_b)
 
 

@@ -643,10 +643,21 @@ class Ideal:
 
     @classmethod
     def from_exponents(cls, ring: PolyRing, exponents) -> "Ideal":
-        exps = _kernels.minimalize(list(exponents))
+        return cls._from_minimal(ring, _kernels.minimalize(list(exponents)))
+
+    @classmethod
+    def _from_minimal(cls, ring: PolyRing, exps) -> "Ideal":
+        """The monomial ideal of ``exps``, which must be minimal and in
+        canonical order, as ``_kernels.minimalize`` returns them.
+
+        The generators are built here from ``ring``, so the per-generator
+        checks of ``__init__`` are skipped.
+        """
         one = ring.field.one
-        polys = [Polynomial(ring, {e: one}) for e in exps]
-        ideal = cls(ring, polys, basis=ReducedBasis(polys, ring))
+        polys = tuple(Polynomial(ring, {e: one}) for e in exps)
+        ideal = cls(ring)
+        ideal.generators = polys
+        ideal._basis = ReducedBasis(polys, ring)
         ideal._mono_exps = exps
         return ideal
 
@@ -730,7 +741,7 @@ class Ideal:
             raise RingMismatchError("ideals from different rings")
         a, b = self.monomial_generators(), other.monomial_generators()
         if a is not None and b is not None:
-            return Ideal.from_exponents(self.ring, _kernels.monomial_sum(a, b))
+            return Ideal._from_minimal(self.ring, _kernels.monomial_sum(a, b))
         return Ideal(self.ring, self.generators + other.generators)
 
     def multiply(self, other: "Ideal") -> "Ideal":
@@ -740,7 +751,7 @@ class Ideal:
             return Ideal(self.ring)
         a, b = self.monomial_generators(), other.monomial_generators()
         if a is not None and b is not None:
-            return Ideal.from_exponents(self.ring, _kernels.monomial_product(a, b))
+            return Ideal._from_minimal(self.ring, _kernels.monomial_product(a, b))
         # dict keys drop duplicate products and keep a reproducible order
         gens = dict.fromkeys(g * h for g in self.generators for h in other.generators)
         return Ideal(self.ring, gens)
@@ -783,7 +794,7 @@ class Ideal:
             return Ideal(self.ring)
         a, b = self.monomial_generators(), other.monomial_generators()
         if a is not None and b is not None:
-            return Ideal.from_exponents(self.ring, _kernels.monomial_intersection(a, b))
+            return Ideal._from_minimal(self.ring, _kernels.monomial_intersection(a, b))
         polys = _tag_intersection(self.ring, self._best_generators(), other._best_generators())
         return Ideal(self.ring, polys, basis=ReducedBasis(polys, self.ring))
 
@@ -812,7 +823,7 @@ class Ideal:
         mono = self.monomial_generators()
         if mono is not None and len(g.terms) == 1:
             exps = _kernels.monomial_colon_single(mono, g.leading_monomial())
-            return Ideal.from_exponents(self.ring, exps)
+            return Ideal._from_minimal(self.ring, exps)
         inter = self.intersection(Ideal(self.ring, [g]))
         return Ideal(self.ring, [exact_divide(h, g) for h in inter.generators])
 

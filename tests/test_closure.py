@@ -28,6 +28,8 @@ R = qq_ring("x", "y")
 EX110 = ("x^10", "y^5", "x*y^4", "x^8*y")
 EX110_CLOSURE = ("x^10", "y^5", "x*y^4", "x^7*y^2", "x^6*y^3", "x^8*y")
 EX33 = ("x^8", "x^3*y^2", "x^2*y^4", "y^8")
+EX14 = ("y^22", "x^4*y^18", "x^7*y^15", "x^8*y^14", "x^11*y^11", "x^14*y^8", "x^15*y^7",
+        "x^18*y^4", "x^22")
 
 
 def test_bound_params_invariants():
@@ -304,3 +306,44 @@ def test_chain_monotone_on_golden_example():
     terms = [chain_term(I, xs, k) for k in range(1, rep.k_used + 3)]
     for earlier, later in zip(terms, terms[1:]):
         assert later.contains_ideal(earlier)
+
+
+EXACT_CHECKS = (
+    "series-consistent",
+    "reduction-colength-equals-e0",
+    "quotient-0-consistent",
+    "quotient-0-exact",
+    "quotient-1-consistent",
+    "quotient-1-exact",
+    "chain-stabilization",
+)
+
+
+@pytest.mark.parametrize("case", ["ex14-squared", "ex110-paper-reduction"])
+def test_reports_are_pinned_in_order(case):
+    # reports and cache entries list generators in kernel order, so the
+    # order, the samples and the checks are all part of the visible answer
+    if case == "ex14-squared":
+        rep = closure_power(ideal_of(R, *EX14), 2, seed=0)
+        want_gens = (
+            "y^44", "x^4*y^40", "x^7*y^37", "x^8*y^36", "x^11*y^33", "x^12*y^32", "x^14*y^30",
+            "x^15*y^29", "x^16*y^28", "x^18*y^26", "x^19*y^25", "x^20*y^24", "x^21*y^23",
+            "x^22*y^22", "x^23*y^21", "x^24*y^20", "x^25*y^19", "x^26*y^18", "x^28*y^16",
+            "x^29*y^15", "x^30*y^14", "x^32*y^12", "x^33*y^11", "x^36*y^8", "x^37*y^7",
+            "x^40*y^4", "x^44",
+        )
+        want_samples = (1020, 3944, 8806, 15604, 24338, 35008, 47614, 62156, 78634)
+        want_quotients = ((1020, 2926, 4862), (1020, 2926, 4862))
+        want_k = 2
+    else:
+        xs = (R.parse("y^5+x^10+x^8*y"), R.parse("x*y^4"))
+        rep = closure(ideal_of(R, *EX110), reduction=xs)
+        want_gens = ("y^5", "x*y^4", "x^6*y^3", "x^7*y^2", "x^8*y", "x^10")
+        want_samples = (35, 109, 226, 390, 599, 853, 1152, 1496, 1885, 2319)
+        want_quotients = ((35, 76, 121), (35, 76, 119, 164))
+        want_k = 3
+    assert tuple(str(g) for g in rep.closure_generators) == want_gens
+    assert rep.series.samples == want_samples
+    assert tuple(q.samples for q in rep.quotient_series) == want_quotients
+    assert rep.k_used == want_k
+    assert rep.checks_passed == EXACT_CHECKS

@@ -40,9 +40,12 @@ def in_ideal(gens, m):
     return any(divides(g, m) for g in gens)
 
 
-def assert_generators(got, want):
-    assert len(got) == len(set(got)), got
-    assert set(got) == set(want)
+def assert_generators(got, want, key=K._canonical_key):
+    """``got`` lists each monomial of ``want`` once, in the order of ``key``:
+    canonical for every kernel that minimalizes, (x, y) for the corners of
+    ``staircase_colon``.  Reports and cache entries list generators in this
+    order, so the order is part of the answer."""
+    assert got == sorted(set(want), key=key)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -56,6 +59,46 @@ def test_minimalize_sum_and_membership_match_the_oracle(seed, d):
         assert_generators(K.monomial_sum(A, B), minimal_set(A + B))
         for m in random_monos(rng, 5, d):
             assert K.monomial_contains(A, m) == in_ideal(A, m)
+
+
+def generator(monomials):
+    return (m for m in monomials)
+
+
+@pytest.mark.parametrize("form", [list, set, generator])
+def test_two_variable_minimalize_edge_cases(form):
+    # the colon hands minimalize a generator, the ideal constructors lists
+    cases = [
+        ([], []),
+        ([(3, 1)], [(3, 1)]),
+        ([(2, 1), (2, 1), (1, 2), (2, 1)], [(1, 2), (2, 1)]),
+        ([(2, 3), (0, 0), (5, 0), (0, 0)], [(0, 0)]),
+        ([(0, 0)], [(0, 0)]),
+        # equal x or equal y: only the lower one of each pair stays
+        ([(2, 5), (2, 3), (4, 1), (6, 1)], [(2, 3), (4, 1)]),
+        # one degree, so the canonical order is the one of descending y
+        ([(0, 4), (3, 1), (1, 3), (4, 0), (2, 2)], [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]),
+        ([(5, 0), (0, 5), (1, 1), (1, 3), (3, 1)], [(1, 1), (0, 5), (5, 0)]),
+    ]
+    for given, want in cases:
+        assert K.minimalize(form(given)) == want
+
+
+def test_minimalize_at_pipeline_size():
+    # the corners of ex14^6 from the pair sums of ex14^3 with itself, with
+    # their x- and y-multiples mixed in for the sweep to drop
+    ex14 = [(0, 22), (4, 18), (7, 15), (8, 14), (11, 11), (14, 8), (15, 7), (18, 4), (22, 0)]
+    cube = ex14
+    for _ in range(2):
+        cube = K.monomial_product(cube, ex14)
+    sums = [(a0 + b0, a1 + b1) for a0, a1 in cube for b0, b1 in cube]
+    cands = sums + [(x + 1, y) for x, y in sums] + [(x, y + 2) for x, y in sums]
+    random.Random(7).shuffle(cands)
+    assert len(cands) >= 2000
+    want = minimal_set(cands)
+    assert_generators(K.minimalize(cands), want)
+    assert_generators(K.minimalize(generator(cands)), want)
+    assert_generators(K.monomial_product(cube, cube), want)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -128,21 +171,21 @@ def test_staircase_colon_matches_the_oracle(seed):
         J = random_monomial_mprimary(rng, max_pure=8, max_extra=4)
         supports = random_monos(rng, rng.randint(1, 4), hi=10)
         assert_generators(K.staircase_colon(J, supports),
-                          brute_monomial_colon(J, supports, 2))
+                          brute_monomial_colon(J, supports, 2), key=None)
 
 
 def test_staircase_colon_edge_cases():
     J = [(0, 4), (1, 3), (3, 1), (4, 0)]
     # a support holding the monomial 1 gives J itself
-    assert_generators(K.staircase_colon(J, [(0, 0)]), J)
-    assert_generators(K.staircase_colon(J, [(0, 0), (1, 2)]), J)
+    assert_generators(K.staircase_colon(J, [(0, 0)]), J, key=None)
+    assert_generators(K.staircase_colon(J, [(0, 0), (1, 2)]), J, key=None)
     # a shift wider than the staircase: x^5 and y^4*x lie in J
     assert K.staircase_colon(J, [(5, 0)]) == [(0, 0)]
     assert K.staircase_colon(J, [(1, 4)]) == [(0, 0)]
-    assert_generators(K.staircase_colon(J, [(5, 0), (2, 0)]), [(2, 0), (1, 1), (0, 3)])
+    assert_generators(K.staircase_colon(J, [(5, 0), (2, 0)]), [(2, 0), (1, 1), (0, 3)], key=None)
     # two supports: (J : x^2) = (x^2, xy, y^3) meets (J : y^2) = (x^3, xy, y^2)
     want = [(3, 0), (1, 1), (0, 3)]
-    assert_generators(K.staircase_colon(J, [(2, 0), (0, 2)]), want)
+    assert_generators(K.staircase_colon(J, [(2, 0), (0, 2)]), want, key=None)
     assert brute_monomial_colon(J, [(2, 0), (0, 2)], 2) == set(want)
 
 
