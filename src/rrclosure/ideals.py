@@ -483,24 +483,6 @@ def _basis_from_exponents(exps, ring: PolyRing) -> ReducedBasis:
     return ReducedBasis([Polynomial(ring, {e: one}) for e in minimal], ring)
 
 
-def _m_power(ring: PolyRing, n: int) -> "Ideal":
-    """The n-th power of the irrelevant maximal ideal (all degree-n monomials)."""
-    d = ring.dim
-    if d == 1:
-        return Ideal.from_exponents(ring, [(n,)])
-    exps = []
-
-    def build(prefix, remaining, slots):
-        if slots == 1:
-            exps.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            build(prefix + (e,), remaining - e, slots - 1)
-
-    build((), n, d)
-    return Ideal.from_exponents(ring, exps)
-
-
 # ---------------------------------------------------------------------------
 # tag-variable elimination
 # ---------------------------------------------------------------------------
@@ -846,37 +828,51 @@ class Ideal:
             self._colength = INFINITE if count < 0 else count
         return self._colength
 
-    def colength_at_origin(self, expect=None, cap: int = 65536):
+    def colength_at_origin(self, expect=None, cap: int = 65536, by: "Ideal | None" = None):
         """Length of R_m/(I R_m), the localization at the origin.
 
         For an m-primary ideal this equals :meth:`colength`; in general the
         ideal may have components away from the origin, so the local length
-        is read off the truncations I + m^N: their colengths increase to the
-        local length, and equality at two consecutive N certifies
-        stabilization (Krull intersection).  With ``expect`` given, the scan
-        stops early once the monotone lower bound exceeds it.
+        is read off the truncations I + Q^t by the powers of an m-primary
+        ideal Q: ``by`` when given, else the maximal ideal m.  Their
+        colengths never pass the local length, and they rise strictly with t
+        until two consecutive ones agree: then Q^t lies in I + Q*Q^t, so
+        Q^t lies in I R_m by Nakayama and the value at t is the local length
+        exactly.  They never pass the plain colength either, so reaching it
+        also ends the scan.  The scan steps t by one from 1 (from the
+        largest generator degree plus one for m), one truncation per step,
+        and raises :class:`RRClosureError` past the power ``cap``.  With
+        ``expect`` given it stops early once the rising lower bound exceeds
+        ``expect``, and returns that bound.
+
+        A Q that contains the ideal and sits close to it stops the scan
+        early on small truncations: the searched candidate reduction J of
+        ex110 stabilizes at I^2 (checked at I^3), but at m^17 (checked at
+        m^18).
         """
         if self.is_zero_ideal():
             return INFINITE
         total = self.colength()
         if total == 0:
             return 0
-        degrees = [g.total_degree() for g in self.generators]
-        N = max(degrees) + 1 if degrees else 1
-        while True:
-            here = (self + _m_power(self.ring, N)).colength()
-            if expect is not None and here > expect:
-                return here
-            after = (self + _m_power(self.ring, N + 1)).colength()
-            if here == after:
-                return here
-            if expect is not None and after > expect:
-                return after
-            N *= 2
-            if N > cap:
+        if by is None:
+            by = Ideal(self.ring, [self.ring.var(i) for i in range(self.ring.dim)])
+            t = max(g.total_degree() for g in self.generators) + 1
+        else:
+            by.require_m_primary()
+            t = 1
+        here = (self + by.power(t)).colength()
+        while here != total and (expect is None or here <= expect):
+            if t >= cap:
                 raise RRClosureError(
-                    f"localized length did not stabilize below the cap {cap}"
+                    f"localized length did not stabilize by the truncation power {cap}"
                 )
+            t += 1
+            after = (self + by.power(t)).colength()
+            if after == here:
+                break
+            here = after
+        return here
 
     def is_m_primary(self) -> bool:
         """True iff rad(I) is the irrelevant maximal ideal.

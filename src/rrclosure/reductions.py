@@ -5,6 +5,12 @@ the length test colength(R/(x_1..x_d)) = e_0(I); the certified sequence then
 generates a minimal reduction of I.  Candidates are random linear
 combinations of the minimal generators (their cosets span I/mI, where
 genericity lives).
+
+Lengths are taken at the origin.  Both local lengths here, of a candidate J
+and of J * I^r in :func:`reduction_number`, are read off truncations by
+powers of I rather than of m: the ideals lie inside I, so the truncations
+stabilize within a few powers of I, where powers of m have to climb well
+past the generator degrees (Nakayama; Huneke-Swanson, ch. 8).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     RMaxExceededError,
 )
 from .hilbert import regularity_bound
-from .ideals import INFINITE, Ideal
+from .ideals import Ideal
 from .polynomials import Polynomial
 
 DEFAULT_MAX_ATTEMPTS = 25
@@ -49,7 +55,10 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
     localization there).  When the candidate ideal is supported only at the
     origin its plain colength already equals the local length; random
     candidates usually pick up extra zeros elsewhere, so the general path
-    reads the local length off stabilized truncations J + m^N.
+    reads the local length off the truncations J + I^t, t = 1, 2, 3, ...,
+    each colength computed once, until two agree
+    (:meth:`Ideal.colength_at_origin` with ``by=I``).  The scan stops as
+    soon as a colength passes e0, since they only rise from there.
     """
     I.require_m_primary()
     elements = tuple(elements)
@@ -66,10 +75,13 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
         # parameter ideal inside I has local length >= e(J) >= e(I) = e0
         length = e0
     else:
-        length = J.colength_at_origin(expect=e0)
-    if length is INFINITE or length != e0:
+        length = J.colength_at_origin(expect=e0, by=I)
+    if length != e0:
+        # past e0 the scan stopped early, so the length is only a lower bound
+        bound = "at least " if length > e0 else ""
         raise NotSuperficialError(
-            f"length of the candidate reduction at the origin is {length}, expected e0 = {e0}"
+            f"length of the candidate reduction at the origin is {bound}{length}, "
+            f"expected e0 = {e0}"
         )
     return ReductionCertificate(elements, length, e0, seed, attempts)
 
@@ -118,19 +130,23 @@ def find_superficial_sequence(
 def reduction_number(I: Ideal, J: Ideal, r_max: int = 64) -> int:
     """Least r with I^{r+1} = J * I^r, for a certified minimal reduction J.
 
-    The equality is the one in the localization: J * I^r sits inside the
-    m-primary ideal I^{r+1}, so the two agree at the origin exactly when
-    their local lengths do.
+    The equality is the one in the localization.  J * I^r lies in I^{r+1},
+    so J * I^r + I^{r+2} has colength at least that of I^{r+1}, with
+    equality exactly when I^{r+1} = J * I^r + I * I^{r+1}, that is, by
+    Nakayama, when I^{r+1} = J * I^r at the origin.  This is the I-adic
+    scan of :meth:`Ideal.colength_at_origin` for J * I^r started at
+    I^{r+1}, whose colength is known: one truncation per r.
     """
     I.require_m_primary()
     if J.ring != I.ring:
         raise NotSuperficialError("reduction lives in a different ring")
-    e0 = J.colength_at_origin()
+    if not I.contains_ideal(J):
+        raise ElementNotInIdealError("the reduction does not lie in the ideal")
     for r in range(r_max + 1):
         target = I.power(r + 1).colength()
-        product = J.multiply(I.power(r))
-        if product.colength_at_origin(expect=target) == target:
-            if e0 is not INFINITE and r > regularity_bound(e0, I.ring.dim):
+        if (J.multiply(I.power(r)) + I.power(r + 2)).colength() == target:
+            # J is a reduction now, so its local length is finite
+            if r > regularity_bound(J.colength_at_origin(by=I), I.ring.dim):
                 raise CertifiedBoundViolation(
                     f"reduction number {r} exceeds the certified bound"
                 )

@@ -14,10 +14,13 @@ from rrclosure import (
     INFINITE,
     QQ,
     Ideal,
+    NotMPrimaryError,
+    NotSuperficialError,
     PolyRing,
     RRClosureError,
     ZeroPolynomialError,
     exact_divide,
+    reductions,
 )
 from util_algebra import (
     brute_colength,
@@ -245,6 +248,73 @@ def test_colength_at_origin():
     L = ideal_of(S, "x^3 - x^2")
     assert L.colength() == 3
     assert L.colength_at_origin() == 2
+    # truncating by the powers of another m-primary ideal gives the same
+    cube = ideal_of(S, "x^3")
+    assert K.colength_at_origin(by=cube) == 1
+    assert L.colength_at_origin(by=cube) == 2
+    with pytest.raises(NotMPrimaryError):
+        I.colength_at_origin(by=ideal_of(R, "x^2"))
+
+
+def test_colength_at_origin_cap_stops_an_infinite_local_length():
+    # (x + y) * m vanishes on the line x + y = 0 through the origin, so the
+    # truncations rise for ever; with no expect the cap ends the scan
+    J = ideal_of(R, "x^2 + x*y", "x*y + y^2")
+    for by in (None, ideal_of(R, "x^2", "x*y", "y^2")):
+        with pytest.raises(RRClosureError, match="did not stabilize"):
+            J.colength_at_origin(cap=6, by=by)
+
+
+def _searched_candidates(monkeypatch, I, e0, coeff_bound):
+    """Every candidate the reduction search tries, with its verdict."""
+    tried = []
+    certify = reductions.certify_sequence
+
+    def recording(I, elements, e0, **kwargs):
+        try:
+            cert = certify(I, elements, e0, **kwargs)
+        except NotSuperficialError:
+            tried.append((elements, False))
+            raise
+        tried.append((elements, True))
+        return cert
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "certify_sequence", recording)
+        cert = reductions.find_superficial_sequence(I, e0, seed=0, coeff_bound=coeff_bound)
+    # one more rejected candidate, with zeros away from the origin and a
+    # finite local length above e0
+    ring = I.ring
+    f, g = cert.elements[0], cert.elements[-1]
+    f = f * ring.parse(f"1 + {ring.variables[0]}")
+    g = g * ring.parse(" + ".join(ring.variables))
+    tried.append(((f,) + cert.elements[1:-1] + (g,), False))
+    return tried
+
+
+@pytest.mark.parametrize(
+    "field, variables, gens, coeff_bound",
+    [
+        (QQ, ("x", "y"), ("x^10", "y^5", "x*y^4", "x^8*y"), 1),
+        (GF(32003), ("x", "y"), ("x^8", "x^3*y^2", "x^2*y^4", "y^8"), 10),
+        (QQ, ("x", "y", "z"), ("x^2", "y^2", "z^2", "x*y"), 1),
+        (GF(32003), ("x", "y", "z"), ("x^2", "y^2", "z^2", "x*y"), 10),
+    ],
+    ids=["QQ-d2", "GF-d2", "QQ-d3", "GF-d3"],
+)
+def test_i_adic_and_m_adic_local_lengths_agree(monkeypatch, field, variables, gens, coeff_bound):
+    S = PolyRing(field, variables)
+    I = ideal_of(S, *gens)
+    e0 = rrclosure.poincare_series(I).multiplicity
+    tried = _searched_candidates(monkeypatch, I, e0, coeff_bound)
+    assert any(ok for _, ok in tried) and not all(ok for _, ok in tried)
+    for elements, accepted in tried:
+        J = Ideal(S, elements)
+        by_m = J.colength_at_origin(expect=e0)
+        by_i = J.colength_at_origin(expect=e0, by=I)
+        assert (by_m == e0) == (by_i == e0) == accepted
+        if J.colength() is not INFINITE:  # the local length is finite too
+            assert J.colength_at_origin() == J.colength_at_origin(by=I)
 
 
 def test_product_generator_order_does_not_depend_on_hashing():

@@ -12,6 +12,7 @@ from rrclosure import (
     poincare_series,
     reduction_number,
 )
+from rrclosure import ideals
 from util_algebra import ideal_of, qq_ring
 
 R = qq_ring("x", "y")
@@ -27,10 +28,40 @@ def test_certify_rejections():
     m2 = ideal_of(R, "x^2", "x*y", "y^2")
     cert = certify_sequence(m2, (R.parse("x^2"), R.parse("y^2")), 4)
     assert cert.colength == 4
-    with pytest.raises(NotSuperficialError):
+    # (x^2, xy) has infinite local length: the scan stops once its rising
+    # lower bound passes e0, so the message gives a bound, not a length
+    with pytest.raises(NotSuperficialError, match=r"is at least \d+, expected e0 = 4"):
         certify_sequence(m2, (R.parse("x^2"), R.parse("x*y")), 4)
+    # below e0 the scan runs to stabilization, so the length is exact
+    with pytest.raises(NotSuperficialError, match=r"is 4, expected e0 = 5"):
+        certify_sequence(m2, (R.parse("x^2"), R.parse("y^2")), 5)
     with pytest.raises(ElementNotInIdealError):
         certify_sequence(m2, (R.parse("x"), R.parse("y^2")), 4)
+
+
+def test_certifying_ex110_truncates_by_the_third_power_of_i(monkeypatch):
+    # the candidate's truncations J + I^t have colengths 35, 45, 45 at
+    # t = 1, 2, 3: four Buchberger runs with J's own; truncating by powers
+    # of m took m^11, m^12, m^22 and m^23
+    I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
+    elements = find_superficial_sequence(I, 45, seed=0).elements
+    runs, powers = [], []
+    engine, power = ideals._engine_groebner, Ideal.power
+
+    def counted_engine(polys, ring):
+        runs.append(len(polys))
+        return engine(polys, ring)
+
+    def counted_power(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(ideals, "_engine_groebner", counted_engine)
+    monkeypatch.setattr(Ideal, "power", counted_power)
+    cert = certify_sequence(I, elements, 45)
+    assert cert.colength == 45
+    assert len(runs) == 4
+    assert max(powers) == 3
 
 
 def test_find_for_regular_ideal():
@@ -80,6 +111,12 @@ def test_reduction_number_with_generic_reduction():
     cert = find_superficial_sequence(m2, 4, seed=1)
     r = reduction_number(m2, cert.ideal())
     assert r <= 1
+
+
+def test_reduction_number_needs_the_reduction_inside_the_ideal():
+    m2 = ideal_of(R, "x^2", "x*y", "y^2")
+    with pytest.raises(ElementNotInIdealError):
+        reduction_number(m2, ideal_of(R, "x", "y^2"))
 
 
 def test_reduction_number_r_max_exceeded():
