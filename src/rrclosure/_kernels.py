@@ -17,7 +17,8 @@ other dimensions each candidate is checked against the generators kept so
 far.  Both paths return the minimal generators in the canonical order of
 ``_canonical_key`` (degrevlex ascending), which reports and cache entries
 keep, so ``Ideal`` wraps their output without minimalizing it again.
-``staircase_colon`` returns its corners in x order instead.
+``staircase_colon`` (the chain colon of a monomial ideal) picks its path the
+same way; in two variables it returns its corners in x order instead.
 
 The scan is memoised per engine basis: a query answered before returns its
 stored first divisor at once, and a stored miss resumes the scan at the
@@ -159,13 +160,22 @@ def _colength_rec(gens, nvars):
 def staircase_colon(gens, supports):
     """Minimal generators of {m : m*t in J for every t in ``supports``}.
 
-    J is the m-primary monomial ideal of k[x, y] with the minimalized
-    generators ``gens``; ``supports`` are exponent pairs.  The work is done
-    on J's height list: h[i] is the least j with x^i*y^j in J (0 from J's
-    pure power of x on).  A colon by x^p*y^q shifts it to
-    max(h[i+p] - q, 0), an intersection is a pointwise max, and the corners
-    of the result are its minimal generators.
+    J is the m-primary monomial ideal with the minimalized generators
+    ``gens``; ``supports`` are exponent tuples of the same length.  No
+    supports give the unit ideal.
+
+    In two variables the work is done on J's height list: h[i] is the least
+    j with x^i*y^j in J (0 from J's pure power of x on).  A colon by x^p*y^q
+    shifts it to max(h[i+p] - q, 0), an intersection is a pointwise max, and
+    the corners of the result are its minimal generators, in x order.  In
+    other dimensions the colons (J : t) are intersected one by one, over the
+    minimal supports only: t | t' gives (J : t) in (J : t').
     """
+    if not _two_vars(gens):
+        out = [(0,) * len(gens[0])]
+        for t in minimalize(supports):
+            out = monomial_intersection(out, monomial_colon_single(gens, t))
+        return out
     seq = sorted(gens)
     h = []
     for (x0, y0), (x1, _) in zip(seq, seq[1:]):

@@ -24,6 +24,19 @@ from .parsing import parse_problem
 from .reductions import certify_sequence, find_superficial_sequence
 
 
+def _int_at_least(least: int):
+    """An argparse type for ints >= ``least``; a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-number as an "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrclosure",
@@ -31,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, mode=True, seed=True, k=False, n=False, reduction=False):
+    # ``least_n`` is the least --n the command accepts; None means no --n
+    def common(sp, *, mode=True, seed=True, k=False, least_n=None, reduction=False):
         sp.add_argument("problem", help="path to a problem file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--cache", metavar="DIR", default=None,
@@ -41,19 +55,20 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=None)
         if k:
-            sp.add_argument("--k", type=int, default=None)
-        if n:
-            sp.add_argument("--n", type=int, required=True)
+            sp.add_argument("--k", type=_int_at_least(1), default=None)
+        if least_n is not None:
+            sp.add_argument("--n", type=_int_at_least(least_n), required=True)
         if reduction:
             sp.add_argument("--reduction-from-file", action="store_true",
                             help="use the problem file's reduction: entry instead of searching")
 
     common(sub.add_parser("closure", help="Ratliff-Rush closure with certificates"),
            k=True, reduction=True)
-    common(sub.add_parser("closure-power", help="closure of I^n"), k=True, n=True, reduction=True)
+    common(sub.add_parser("closure-power", help="closure of I^n"), k=True, least_n=1,
+           reduction=True)
     common(sub.add_parser("poincare", help="Poincare series numerator, e0 and pn"), seed=False)
     common(sub.add_parser("hilbert", help="Hilbert-Samuel value at n"),
-           mode=False, seed=False, n=True)
+           mode=False, seed=False, least_n=0)
     common(sub.add_parser("reduction", help="find or certify a superficial sequence"),
            mode=False, reduction=True)
     common(sub.add_parser("check-closed", help="is the ideal Ratliff-Rush closed?"),

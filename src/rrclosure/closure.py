@@ -3,16 +3,16 @@
 The pipeline: (1) Poincare series of I gives e0 and pn(I); (2) a certified
 superficial sequence x_1..x_d; (3) quotient Poincare series give
 pn(I; x_1..x_d); (4) the closure is the colon (I^{k+1} : (x_1^k..x_d^k)) at
-k = max(pn(I;xs)+1, 1).  For a monomial I in two variables step (4) takes
-only the monomial part of that colon, on the staircase of I^{k+1}, since the
-closure is monomial there; every other input takes the exact colon by tag
-elimination (``chain_term``).  For d = 2 each quotient series of step (3) stops
-exactly where its first difference reaches the certified local length of
-R/(x_1, x_2), recorded as ``quotient-i-exact`` in ``checks_passed``; the
-sampling window (heuristic) or the regularity bound (certified) is only the
-fallback.  In heuristic mode the run additionally verifies
-that the colon chain has stabilized at k and retries with a doubled sampling
-window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
+k = max(pn(I;xs)+1, 1).  For a monomial I, in any number of variables,
+step (4) takes only the monomial part of that colon, on the staircase of
+I^{k+1}, since the closure is monomial there; every other input takes the
+exact colon by tag elimination (``chain_term``).  For d = 2 each quotient
+series of step (3) stops exactly where its first difference reaches the
+certified local length of R/(x_1, x_2), recorded as ``quotient-i-exact`` in
+``checks_passed``; the sampling window (heuristic) or the regularity bound
+(certified) is only the fallback.  In heuristic mode the run additionally
+verifies that the colon chain has stabilized at k and retries with a doubled
+sampling window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
 exposed for cross-validation at its certified threshold.
 """
 
@@ -29,7 +29,6 @@ from .errors import (
     NotSuperficialError,
 )
 from .hilbert import (
-    DEFAULT_MAX_SAMPLES,
     HEURISTIC,
     SeriesData,
     poincare_series,
@@ -38,8 +37,6 @@ from .hilbert import (
 )
 from .ideals import Ideal
 from .reductions import (
-    DEFAULT_COEFF_BOUND,
-    DEFAULT_MAX_ATTEMPTS,
     ReductionCertificate,
     certify_sequence,
     find_superficial_sequence,
@@ -72,8 +69,8 @@ def colon_powers_threshold(e0: int, d: int) -> int:
 def chain_term(I: Ideal, elements, k: int) -> Ideal:
     """The k-th term (I^{k+1} : (x_1^k, ..., x_d^k)) of the colon chain, exact.
 
-    ``closure`` uses it for every input but a monomial ideal in two
-    variables, where it takes the monomial part of this term instead.
+    ``closure`` uses it for every input but a monomial ideal, where it takes
+    the monomial part of this term instead.
     """
     if k < 1:
         raise ValueError("chain terms are indexed by k >= 1")
@@ -81,16 +78,17 @@ def chain_term(I: Ideal, elements, k: int) -> Ideal:
 
 
 def _monomial_chain_term(I: Ideal, powers, k: int) -> Ideal:
-    """M_k, the monomial part of L_k = (I^{k+1} : (x_1^k, x_2^k)), for a
-    monomial I in two variables, given the powers x_i^k.
+    """M_k, the monomial part of L_k = (I^{k+1} : (x_1^k, ..., x_d^k)), for
+    a monomial I, given the powers x_i^k.
 
     A monomial m has m*f in the monomial ideal I^{k+1} iff m*t does for
     every term t of f, so M_k is the intersection of (I^{k+1} : t) over the
     terms of every x_i^k.  At k >= pn(I; x), L_k is the closure (Elias),
     which is monomial (Heinzer-Lantz-Shah), so M_k = L_k there.  Below that
     M_k still lies in the closure: M_k is in L_k, and with r the reduction
-    number of (x), every monomial of (x)^{2k-1} has an x_i-exponent >= k, so
-    m in L_k gives m*I^{2k-1+r} = m*(x)^{2k-1}*I^r in I^{2k+r}.
+    number of (x) and n = d(k-1)+1, every monomial of (x)^n has an
+    x_i-exponent >= k, so (x)^n is in (x_1^k, ..., x_d^k)(x)^{(d-1)(k-1)},
+    and m in L_k gives m*I^{n+r} = m*(x)^n*I^r in I^{n+r+1}.
     """
     supports = [t for f in powers for t in f.terms]
     exps = _kernels.staircase_colon(I.power(k + 1).monomial_generators(), supports)
@@ -137,9 +135,6 @@ def closure(
     mode: str = HEURISTIC,
     seed: int = 0,
     window: int | None = None,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
     k_override: int | None = None,
 ) -> ClosureReport:
     """Compute the Ratliff-Rush closure with a full certificate report.
@@ -150,7 +145,7 @@ def closure(
     index directly (the stabilization check still runs in heuristic mode).
     """
     I.require_m_primary()
-    monomial = I.ring.dim == 2 and I.monomial_generators() is not None
+    monomial = I.monomial_generators() is not None
 
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
@@ -168,7 +163,7 @@ def closure(
         failures: list[str] = []
 
         t0 = time.perf_counter()
-        series = poincare_series(I, mode=mode, window=win, max_samples=max_samples)
+        series = poincare_series(I, mode=mode, window=win)
         add_time("poincare", t0)
         e0 = series.multiplicity
         _series_checks(series, "series", failures, passed)
@@ -181,9 +176,7 @@ def closure(
             if reduction is not None:
                 cert = certify_sequence(I, reduction, e0, seed=seed)
             else:
-                cert = find_superficial_sequence(
-                    I, e0, seed=seed, max_attempts=max_attempts, coeff_bound=coeff_bound
-                )
+                cert = find_superficial_sequence(I, e0, seed=seed)
         except (GenericityFailureError, NotSuperficialError) as exc:
             last_error = exc
             last_failures = failures + ["reduction-certification"]
@@ -195,9 +188,7 @@ def closure(
         if k_override is None:
             t0 = time.perf_counter()
             quotients = tuple(
-                poincare_series_quotient(
-                    I, x, mode=mode, window=win, max_samples=max_samples, reduction=cert
-                )
+                poincare_series_quotient(I, x, mode=mode, window=win, reduction=cert)
                 for x in cert.elements
             )
             add_time("quotient-poincare", t0)

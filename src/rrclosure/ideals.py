@@ -450,10 +450,7 @@ def groebner_basis(generators, ring: PolyRing | None = None) -> ReducedBasis:
         if not generators:
             raise ValueError("cannot infer the ring of an empty generator list")
         ring = generators[0].ring
-    mono = _monomial_exponent_list(generators)
-    if mono is not None:
-        return _basis_from_exponents(mono, ring)
-    return ReducedBasis._from_engine(_engine_groebner(generators, ring), ring)
+    return Ideal(ring, generators).reduced_basis()
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -461,20 +458,6 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if isinstance(basis, Ideal):
         basis = basis.reduced_basis()
     return basis.normal_form(f)
-
-
-def _monomial_exponent_list(polys):
-    exps = []
-    for f in polys:
-        if isinstance(f, Polynomial):
-            if f.is_zero():
-                continue
-            if len(f.terms) != 1:
-                return None
-            exps.append(next(iter(f.terms)))
-        else:
-            return None
-    return exps
 
 
 def _basis_from_exponents(exps, ring: PolyRing) -> ReducedBasis:

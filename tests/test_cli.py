@@ -127,6 +127,21 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["closure-power", "--n", "0"],
+    ["hilbert", "--n", "-1"],
+    ["colon-powers", "--k", "-2"],
+    ["closure", "--k", "-3"],
+])
+def test_out_of_range_k_and_n_are_usage_errors(capsys, ex33_file, argv):
+    # --k >= 1 as in a problem file's k: entry, closure-power --n >= 1,
+    # hilbert --n >= 0
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], ex33_file, *argv[1:]])
+    assert exc.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
 def test_cache_serves_identical_bytes(capsys, ex33_file, tmp_path):
     cache_dir = str(tmp_path / "cache")
     code1, out1, _ = run(capsys, "check-closed", ex33_file, "--format", "json",

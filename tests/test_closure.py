@@ -260,8 +260,27 @@ def test_closure_dimension_three():
     rep2 = closure(mixed, seed=0)
     assert rep2.is_closed
     assert rep2.multiplicity == 18
+    # the monomial route agrees with the exact colon by tag elimination
+    for I, r in ((m2, rep), (mixed, rep2)):
+        assert r.closure_ideal.equals(chain_term(I, r.certificate.elements, r.k_used))
     # the exact quotient stop is for d = 2 only
     assert not any(c.endswith("-exact") for c in rep.checks_passed + rep2.checks_passed)
+
+
+def test_monomial_input_never_takes_the_tag_elimination_colon(monkeypatch):
+    from rrclosure import PolyRing, QQ
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a monomial closure reached the exact colon")
+
+    monkeypatch.setattr(importlib.import_module("rrclosure.closure"), "chain_term", forbidden)
+    monkeypatch.setattr(importlib.import_module("rrclosure.ideals"), "_tag_intersection",
+                        forbidden)
+    S = PolyRing(QQ, ("x",))
+    assert closure(Ideal(S, [S.parse("x^5")]), seed=0).is_closed
+    T = PolyRing(QQ, ("x", "y", "z"))
+    rep = closure(Ideal(T, [T.parse(s) for s in ("x^2", "x*y", "y^2", "z^2")]), seed=0)
+    assert rep.multiplicity == 8
 
 
 def test_closure_over_prime_field():

@@ -1,7 +1,7 @@
 """Monomial kernels: the staircase kernels against the brute-force oracles of
-``util_algebra`` on randomized inputs in one, two and three variables, the
-two-variable chain colon on height lists, their edge cases, and the engine's
-memoised packed divisor scan against brute force."""
+``util_algebra`` on randomized inputs in one, two and three variables (the
+chain colon among them), their edge cases, and the engine's memoised packed
+divisor scan against brute force."""
 
 import itertools
 import random
@@ -163,15 +163,32 @@ def test_big_exponent_totals_are_exact():
     assert K.staircase_colength([(0, big), (big, 0)], 2) == big * big
 
 
+def random_mprimary(rng, d, max_pure=8, max_extra=4):
+    """An m-primary monomial ideal of k[x_1..x_d]: a pure power of every
+    variable plus random extras, minimalized."""
+    gens = [tuple(rng.randint(1, max_pure) if j == i else 0 for j in range(d))
+            for i in range(d)]
+    gens += [m for m in random_monos(rng, rng.randint(0, max_extra), d, hi=max_pure - 1)
+             if any(m)]  # the monomial 1 would make J the unit ideal
+    return sorted(minimal_set(gens))
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_staircase_colon_matches_the_oracle(seed):
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_staircase_colon_matches_the_oracle(seed, d):
     # supports reach past J's pure powers, so some shifts leave the staircase
     rng = random.Random(600 + seed)
     for _ in range(10):
-        J = random_monomial_mprimary(rng, max_pure=8, max_extra=4)
-        supports = random_monos(rng, rng.randint(1, 4), hi=10)
+        if d == 2:
+            J = random_monomial_mprimary(rng, max_pure=8, max_extra=4)
+            supports = random_monos(rng, rng.randint(1, 4), d, hi=10)
+        else:
+            J = random_mprimary(rng, d, max_pure=6 if d == 3 else 8)
+            supports = random_monos(rng, rng.randint(1, 4), d, hi=4 if d == 3 else 10)
+        # two variables list the corners in x order, other dimensions canonically
+        key = None if d == 2 else K._canonical_key
         assert_generators(K.staircase_colon(J, supports),
-                          brute_monomial_colon(J, supports, 2), key=None)
+                          brute_monomial_colon(J, supports, d), key=key)
 
 
 def test_staircase_colon_edge_cases():
@@ -187,6 +204,16 @@ def test_staircase_colon_edge_cases():
     want = [(3, 0), (1, 1), (0, 3)]
     assert_generators(K.staircase_colon(J, [(2, 0), (0, 2)]), want, key=None)
     assert brute_monomial_colon(J, [(2, 0), (0, 2)], 2) == set(want)
+    # three variables: (x^2, y^2, z^2) : x meets (x^2, y^2, z^2) : y; the
+    # support x*y is divisible by x, so it changes nothing
+    J3 = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    want3 = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2)]
+    for supports in ([(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (1, 0, 0), (0, 1, 0)]):
+        assert_generators(K.staircase_colon(J3, supports), want3)
+    assert brute_monomial_colon(J3, [(1, 0, 0), (0, 1, 0)], 3) == set(want3)
+    # no supports: the unit ideal in every dimension
+    for gens in ([(3,)], J, J3):
+        assert K.staircase_colon(gens, []) == [(0,) * len(gens[0])]
 
 
 @pytest.mark.parametrize("kind", ["degrevlex", "eliminate-first"])
