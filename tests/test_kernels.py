@@ -174,21 +174,27 @@ def random_mprimary(rng, d, max_pure=8, max_extra=4):
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_staircase_colon_matches_the_oracle(seed, d):
-    # supports reach past J's pure powers, so some shifts leave the staircase
+def test_staircase_colon_matches_the_oracle(seed):
+    # supports reach past J's pure powers, so some shifts leave the staircase;
+    # two variables list the corners in x order
     rng = random.Random(600 + seed)
     for _ in range(10):
-        if d == 2:
-            J = random_monomial_mprimary(rng, max_pure=8, max_extra=4)
-            supports = random_monos(rng, rng.randint(1, 4), d, hi=10)
-        else:
-            J = random_mprimary(rng, d, max_pure=6 if d == 3 else 8)
-            supports = random_monos(rng, rng.randint(1, 4), d, hi=4 if d == 3 else 10)
-        # two variables list the corners in x order, other dimensions canonically
-        key = None if d == 2 else K._canonical_key
+        J = random_monomial_mprimary(rng, max_pure=8, max_extra=4)
+        supports = random_monos(rng, rng.randint(1, 4), hi=10)
         assert_generators(K.staircase_colon(J, supports),
-                          brute_monomial_colon(J, supports, d), key=key)
+                          brute_monomial_colon(J, supports, 2), key=None)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("d", [1, 3])
+def test_staircase_colon_matches_the_oracle_in_other_dimensions(seed, d):
+    # one and three variables list the generators canonically
+    rng = random.Random(600 + seed)
+    for _ in range(10):
+        J = random_mprimary(rng, d, max_pure=6 if d == 3 else 8)
+        supports = random_monos(rng, rng.randint(1, 4), d, hi=4 if d == 3 else 10)
+        assert_generators(K.staircase_colon(J, supports),
+                          brute_monomial_colon(J, supports, d), key=K._canonical_key)
 
 
 def test_staircase_colon_edge_cases():
