@@ -18,7 +18,11 @@ far.  Both paths return the minimal generators in the canonical order of
 ``_canonical_key`` (degrevlex ascending), which reports and cache entries
 keep, so ``Ideal`` wraps their output without minimalizing it again.
 ``staircase_colon`` (the chain colon of a monomial ideal) picks its path the
-same way; in two variables it returns its corners in x order instead.
+same way; in two variables it returns its corners in x order instead.  The
+Newton-polyhedron kernels split the same way too: in two variables the lower
+convex hull of the staircase is one more sort and sweep, which gives the
+vertices exactly and e0 as a shoelace sum; in other dimensions vertices are
+found by minimizing random positive weights.
 
 The scan is memoised per engine basis: a query answered before returns its
 stored first divisor at once, and a stored miss resumes the scan at the
@@ -26,6 +30,8 @@ first element appended since.  This is exact because an engine basis only
 grows at its end (``ideals._Basis.append``), so earlier elements never move
 and every call returns the same index an unmemoised scan would.
 """
+
+import random
 
 
 def mono_mul(a, b):
@@ -193,6 +199,66 @@ def staircase_colon(gens, supports):
     corners = [(i, v) for i, v in enumerate(out[:n]) if i == 0 or v < out[i - 1]]
     corners.append((n, 0))
     return corners
+
+
+_WEIGHTS_PER_VARIABLE = 4  # weight vectors for the Newton vertices in d != 2
+_WEIGHT_MAX = 32
+
+
+def _lower_hull(gens):
+    """Vertices of the Newton polygon of a two-variable monomial ideal, in x
+    order: the lower convex hull of its minimal generators.
+
+    One sort and one monotone-chain sweep.  A point whose y is not below the
+    last kept one is divisible by an earlier point and skipped; a kept point
+    on or above the segment from its predecessor to the next point is popped,
+    so collinear points are not vertices.
+    """
+    hull = []
+    for p in sorted(set(gens)):
+        if hull and p[1] >= hull[-1][1]:
+            continue
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) > 0:
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+def newton_vertices(gens, seed=0):
+    """Generators of a monomial ideal at vertices of its Newton polyhedron,
+    canonically ordered.  They generate a reduction with the same integral
+    closure when every vertex is found (Huneke-Swanson 1.4).
+
+    In two variables these are exactly the vertices (``_lower_hull``).  In
+    other dimensions they are the minimizers of <w, g> over the minimal
+    generators for 4d positive integer weights w drawn from ``seed``, ties
+    broken lexicographically (so each is a vertex), together with the pure
+    powers, which are always vertices.  A vertex whose normal cone no weight
+    hits is missed.
+    """
+    if _two_vars(gens):
+        return sorted(_lower_hull(gens), key=_canonical_key)
+    gens = minimalize(gens)
+    if not gens:
+        return []
+    d = len(gens[0])
+    rng = random.Random(seed)
+    found = {g for g in gens if sum(1 for v in g if v) == 1}
+    for _ in range(_WEIGHTS_PER_VARIABLE * d):
+        w = [rng.randint(1, _WEIGHT_MAX) for _ in range(d)]
+        found.add(min(gens, key=lambda g: (sum(a * b for a, b in zip(w, g)), g)))
+    return sorted(found, key=_canonical_key)
+
+
+def newton_polygon_e0(gens):
+    """e0 of an m-primary monomial ideal in two variables, 2 * covol(NP(I))
+    (Teissier; Kushnirenko 1976): the shoelace sum of (x' - x)(y + y') over
+    the edges (x, y) -> (x', y') of the Newton polygon."""
+    hull = _lower_hull(gens)
+    return sum((x1 - x0) * (y0 + y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
 
 
 def find_divisor_index(lms, m, guard, memo):

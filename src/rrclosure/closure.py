@@ -1,9 +1,12 @@
 """Ratliff-Rush closure of an m-primary ideal.
 
-The pipeline: (1) Poincare series of I gives e0 and pn(I); (2) a certified
-superficial sequence x_1..x_d; (3) quotient Poincare series give
-pn(I; x_1..x_d); (4) the closure is the colon (I^{k+1} : (x_1^k..x_d^k)) at
-k = max(pn(I;xs)+1, 1).  For a monomial I, in any number of variables,
+The pipeline: (1) Poincare series of I gives e0 and pn(I), which for a
+monomial I in two variables must equal 2 * covol of its Newton polygon
+(``e0-newton-polygon`` in ``checks_passed``; a mismatch fails the round);
+(2) a certified superficial sequence x_1..x_d, whose search starts from the
+Newton polyhedron's vertices for a monomial I; (3) quotient Poincare series
+give pn(I; x_1..x_d); (4) the closure is the colon
+(I^{k+1} : (x_1^k..x_d^k)) at k = max(pn(I;xs)+1, 1).  For a monomial I, in any number of variables,
 step (4) takes only the monomial part of that colon, on the staircase of
 I^{k+1}, since the closure is monomial there; every other input takes the
 exact colon by tag elimination (``chain_term``).  For d = 2 each quotient
@@ -145,7 +148,10 @@ def closure(
     index directly (the stabilization check still runs in heuristic mode).
     """
     I.require_m_primary()
-    monomial = I.monomial_generators() is not None
+    mono = I.monomial_generators()
+    monomial = mono is not None
+    # two variables: e0 is proven by the Newton polygon, and checks the series
+    newton_e0 = _kernels.newton_polygon_e0(mono) if monomial and I.ring.dim == 2 else None
 
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
@@ -167,6 +173,13 @@ def closure(
         add_time("poincare", t0)
         e0 = series.multiplicity
         _series_checks(series, "series", failures, passed)
+        if newton_e0 is not None:
+            if e0 != newton_e0:
+                # a wrong numerator: no candidate could certify against it
+                last_error = None
+                last_failures = failures + ["e0-newton-polygon"]
+                continue
+            passed.append("e0-newton-polygon")
 
         # a wrong heuristic numerator usually dies right here: no candidate
         # can certify against a wrong e0, which is the cross-check doing its

@@ -4,7 +4,10 @@ A candidate sequence x_1..x_d of elements of I is certified superficial by
 the length test colength(R/(x_1..x_d)) = e_0(I); the certified sequence then
 generates a minimal reduction of I.  Candidates are random linear
 combinations of the minimal generators (their cosets span I/mI, where
-genericity lives).
+genericity lives).  For a monomial I the first candidate combines only the
+generators at the vertices of the Newton polyhedron, which generate a
+reduction of I (see :func:`find_superficial_sequence`); the length test
+certifies it like any other.
 
 Lengths are taken at the origin.  Both local lengths here, of a candidate J
 and of J * I^r in :func:`reduction_number`, are read off truncations by
@@ -18,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import _kernels
 from .errors import (
     CertifiedBoundViolation,
     ElementNotInIdealError,
@@ -95,20 +99,36 @@ def find_superficial_sequence(
 ) -> ReductionCertificate:
     """Random search for a superficial sequence, deterministic in the seed.
 
-    Coefficients are drawn from {-B..B}\\{0} over the rationals (B doubles on
-    every retry) or uniformly from F_p* over a prime field.
+    Each attempt draws d random linear combinations of a pool of generators
+    and certifies them by the length test.  Coefficients are drawn from
+    {-B..B}\\{0} over the rationals (B doubles on every retry) or uniformly
+    from F_p* over a prime field.
+
+    For a monomial I the first attempt's pool is the generators at the
+    vertices of the Newton polyhedron (``_kernels.newton_vertices``).  They
+    generate a reduction I_V of I, since both have the same integral closure
+    (Huneke-Swanson 1.4), and generic elements of a reduction are
+    superficial for I, d of them generating a minimal reduction
+    (Huneke-Swanson 8.5-8.6): 2-4 terms instead of every minimal generator.
+    A missed vertex or a degenerate draw fails the length test like any
+    other candidate, and every later attempt combines all minimal
+    generators.
     """
     I.require_m_primary()
     gens = I.minimal_generators()
+    mono = I.monomial_generators()
     d = I.ring.dim
     rng = random.Random(seed)
     p = I.ring.field.characteristic
     bound = coeff_bound
     for attempt in range(1, max_attempts + 1):
+        pool = gens
+        if attempt == 1 and mono is not None:
+            pool = [I.ring.monomial(v) for v in _kernels.newton_vertices(mono, seed)]
         candidates = []
         for _ in range(d):
             combo = I.ring.zero
-            for g in gens:
+            for g in pool:
                 if p:
                     c = rng.randrange(1, p)
                 else:

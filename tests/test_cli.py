@@ -1,6 +1,9 @@
 """cli-io: the command-line surface, exit codes, cache behavior."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -207,3 +210,20 @@ def test_text_and_json_numeric_agreement(capsys, ex110_file):
     doc = json.loads(json_out)
     assert f"e0: {doc['result']['series']['multiplicity']}" in text_out
     assert f"k used: {doc['result']['k_used']}" in text_out
+
+
+def test_closure_power_of_a_shipped_problem_in_a_fresh_process():
+    # the command as a user runs it, from the problem file the README cites
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RRCLOSURE_CACHE_DIR"}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rrclosure.cli", "closure-power",
+         os.path.join(root, "problems", "ex110.ideal"), "--n", "2", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["closure"]["minimal_generators"] == [
+        "y^10", "x*y^9", "x^2*y^8", "x^7*y^7", "x^8*y^6", "x^9*y^5", "x^11*y^4", "x^15*y^3",
+        "x^16*y^2", "x^18*y", "x^20"]
+    assert result["is_closed"] is False

@@ -161,7 +161,7 @@ def test_closure_k_override_below_stability_is_rejected():
 def test_closure_recovers_from_narrow_window():
     # this staircase has numerator (18, 3, 0, 1): a width-1 window stops at
     # the interior zero, underestimates e0, and must resample with a doubled
-    # window (surfaced by the failed reduction certificate)
+    # window (surfaced by the Newton polygon's e0 = 22)
     I = Ideal.from_exponents(R, [(0, 4), (1, 3), (2, 3), (5, 2), (6, 0)])
     narrow = closure(I, seed=0, window=1)
     normal = closure(I, seed=0)
@@ -169,12 +169,21 @@ def test_closure_recovers_from_narrow_window():
     assert narrow.series.numerator == normal.series.numerator
     assert narrow.closure_ideal.equals(normal.closure_ideal)
     assert narrow.series.window_used > 1
+    assert "e0-newton-polygon" in narrow.checks_passed
+
+
+def test_e0_mismatch_with_the_newton_polygon_is_a_failed_check(monkeypatch):
+    from rrclosure import ChainUnstableError, _kernels
+
+    monkeypatch.setattr(_kernels, "newton_polygon_e0", lambda gens: 44)
+    with pytest.raises(ChainUnstableError, match="e0-newton-polygon"):
+        closure(ideal_of(R, *EX110), seed=0)
 
 
 def test_phase_times_add_up_over_retry_rounds(monkeypatch):
     # a clock that ticks once per reading times every phase run as 1; the
-    # narrow window fails the first round at the reduction certificate, so
-    # the Poincare and reduction phases run twice and the rest once
+    # narrow window fails the first round at the Newton polygon's e0, before
+    # the reduction, so the Poincare phase runs twice and the rest once
     closure_module = importlib.import_module("rrclosure.closure")
     clock = SimpleNamespace(perf_counter=itertools.count().__next__)
     monkeypatch.setattr(closure_module, "time", clock)
@@ -183,7 +192,7 @@ def test_phase_times_add_up_over_retry_rounds(monkeypatch):
     assert rep.series.window_used == 2
     assert rep.timings == {
         "poincare": 2,
-        "reduction": 2,
+        "reduction": 1,
         "quotient-poincare": 1,
         "chain-colon": 1,
         "stabilization-check": 1,
@@ -263,8 +272,9 @@ def test_closure_dimension_three():
     # the monomial route agrees with the exact colon by tag elimination
     for I, r in ((m2, rep), (mixed, rep2)):
         assert r.closure_ideal.equals(chain_term(I, r.certificate.elements, r.k_used))
-    # the exact quotient stop is for d = 2 only
+    # the exact quotient stop and the Newton polygon's e0 are for d = 2 only
     assert not any(c.endswith("-exact") for c in rep.checks_passed + rep2.checks_passed)
+    assert "e0-newton-polygon" not in rep.checks_passed + rep2.checks_passed
 
 
 def test_monomial_input_never_takes_the_tag_elimination_colon(monkeypatch):
@@ -281,6 +291,31 @@ def test_monomial_input_never_takes_the_tag_elimination_colon(monkeypatch):
     T = PolyRing(QQ, ("x", "y", "z"))
     rep = closure(Ideal(T, [T.parse(s) for s in ("x^2", "x*y", "y^2", "z^2")]), seed=0)
     assert rep.multiplicity == 8
+
+
+def assert_staircase_certificate(J, rep):
+    # A contains J and A * J^k lies in J^{k+1}, so J <= A <= the closure
+    A, k = rep.closure_ideal, rep.k_used
+    assert A.contains_ideal(J)
+    assert J.power(k + 1).contains_ideal(A.multiply(J.power(k)))
+
+
+def test_closure_power_of_the_shipped_examples():
+    # the searched candidates of these squares combine only the 3 vertices
+    # of the Newton polygon, which keeps the QQ truncations J + I^t that
+    # certify them small
+    rep = closure_power(ideal_of(R, *EX110), 2, seed=0)
+    assert rep.certificate.attempts == 1
+    assert [str(g) for g in rep.closure_generators] == [
+        "y^10", "x*y^9", "x^2*y^8", "x^7*y^7", "x^8*y^6", "x^9*y^5", "x^11*y^4", "x^15*y^3",
+        "x^16*y^2", "x^18*y", "x^20"]
+    assert not rep.is_closed
+    assert_staircase_certificate(ideal_of(R, *EX110).power(2), rep)
+    rep = closure_power(ideal_of(R, *EX33), 2, seed=0)
+    assert rep.certificate.attempts == 1
+    assert rep.is_closed
+    assert_staircase_certificate(ideal_of(R, *EX33).power(2), rep)
+    assert "e0-newton-polygon" in rep.checks_passed
 
 
 def test_closure_over_prime_field():
@@ -329,6 +364,7 @@ def test_chain_monotone_on_golden_example():
 
 EXACT_CHECKS = (
     "series-consistent",
+    "e0-newton-polygon",
     "reduction-colength-equals-e0",
     "quotient-0-consistent",
     "quotient-0-exact",

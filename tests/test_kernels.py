@@ -1,7 +1,7 @@
 """Monomial kernels: the staircase kernels against the brute-force oracles of
 ``util_algebra`` on randomized inputs in one, two and three variables (the
-chain colon among them), their edge cases, and the engine's memoised packed
-divisor scan against brute force."""
+chain colon and the Newton-polygon vertices among them), their edge cases,
+and the engine's memoised packed divisor scan against brute force."""
 
 import itertools
 import random
@@ -15,6 +15,7 @@ from rrclosure.ideals import _Basis, _engine_terms, _nf_engine
 from util_algebra import (
     brute_colength,
     brute_monomial_colon,
+    brute_newton_vertices,
     divides,
     minimal_set,
     random_monomial_mprimary,
@@ -220,6 +221,71 @@ def test_staircase_colon_edge_cases():
     # no supports: the unit ideal in every dimension
     for gens in ([(3,)], J, J3):
         assert K.staircase_colon(gens, []) == [(0,) * len(gens[0])]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_newton_vertices_match_the_oracle_in_two_variables(seed):
+    # staircases, and point sets whose non-minimal points must be dropped
+    rng = random.Random(700 + seed)
+    for _ in range(20):
+        for gens in (random_monomial_mprimary(rng, max_pure=12, max_extra=5),
+                     random_monos(rng, rng.randint(1, 10), hi=12)):
+            assert_generators(K.newton_vertices(gens, seed), brute_newton_vertices(gens))
+
+
+def test_newton_vertices_edge_cases():
+    ex14 = [(0, 22), (4, 18), (7, 15), (8, 14), (11, 11), (14, 8), (15, 7), (18, 4), (22, 0)]
+    ex33 = [(0, 8), (2, 4), (3, 2), (8, 0)]
+    ex110 = [(0, 5), (1, 4), (8, 1), (10, 0)]
+    # collinear generators are not vertices: all of ex14's inner corners lie
+    # on x + y = 22, and ex33's x^2*y^4 on the segment from y^8 to x^3*y^2
+    assert K.newton_vertices(ex14) == [(0, 22), (22, 0)]
+    assert K.newton_vertices(ex33) == [(3, 2), (0, 8), (8, 0)]  # canonical order
+    assert K.newton_vertices(ex110) == [(0, 5), (1, 4), (10, 0)]
+    for gens in (ex14, ex33, ex110):
+        assert set(K.newton_vertices(gens)) == brute_newton_vertices(gens)
+    # two generators, with a non-minimal point and a duplicate
+    assert K.newton_vertices([(3, 0), (0, 2)]) == [(0, 2), (3, 0)]
+    assert K.newton_vertices([(3, 0), (0, 2), (3, 1), (0, 2)]) == [(0, 2), (3, 0)]
+    # one variable: the least power
+    assert K.newton_vertices([(5,), (3,), (7,)]) == [(3,)]
+    assert K.newton_vertices([]) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_newton_vertices_in_three_variables_are_generators_with_every_pure_power(seed):
+    rng = random.Random(800 + seed)
+    for _ in range(10):
+        gens = random_mprimary(rng, 3, max_extra=6)
+        got = K.newton_vertices(gens, seed)
+        assert got == sorted(got, key=K._canonical_key)
+        assert set(got) <= set(gens)
+        assert {g for g in gens if sum(1 for v in g if v) == 1} <= set(got)
+    # a point below the plane through the pure powers is found; points on
+    # the edges of that triangle are not vertices
+    assert K.newton_vertices([(5, 0, 0), (0, 5, 0), (0, 0, 5), (1, 1, 1)], seed) == [
+        (1, 1, 1), (0, 0, 5), (0, 5, 0), (5, 0, 0)]
+    assert K.newton_vertices([(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (0, 2, 1)], seed) == [
+        (0, 0, 3), (0, 3, 0), (3, 0, 0)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_newton_polygon_e0_is_the_multiplicity(seed):
+    from rrclosure import Ideal, poincare_series
+
+    ring = PolyRing(QQ, ("x", "y"))
+    rng = random.Random(900 + seed)
+    for _ in range(6):
+        gens = random_monomial_mprimary(rng, max_pure=8, max_extra=4)
+        e0 = poincare_series(Ideal.from_exponents(ring, gens)).multiplicity
+        assert K.newton_polygon_e0(gens) == e0
+
+
+def test_newton_polygon_e0_examples():
+    assert K.newton_polygon_e0([(0, 5), (1, 4), (8, 1), (10, 0)]) == 45
+    assert K.newton_polygon_e0([(0, 22), (11, 11), (22, 0)]) == 484
+    assert K.newton_polygon_e0([(0, 8), (2, 4), (3, 2), (8, 0)]) == 40
+    assert K.newton_polygon_e0([(1, 0), (0, 1)]) == 1
 
 
 @pytest.mark.parametrize("kind", ["degrevlex", "eliminate-first"])

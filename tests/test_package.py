@@ -24,3 +24,10 @@ def test_star_import_binds_every_name_in_all():
 def test_kernel_backend_is_pure():
     # the benchmark records this name with every run
     assert rrclosure.KERNEL_BACKEND == "pure"
+
+
+def test_version_matches_the_project_metadata():
+    # the cache key carries the version, so both must move together
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        assert f'version = "{rrclosure.__version__}"\n' in fh.read()

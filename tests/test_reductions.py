@@ -157,3 +157,79 @@ def test_corollary_length_bound_spot_check():
         k = e0 * (e0 - 1) + 2  # f(e0, 2) + 2
         for x in cert.elements:
             assert I.power(k + 1).colon(x).equals(I.power(k))
+
+
+EX14 = ("y^22", "x^4*y^18", "x^7*y^15", "x^8*y^14", "x^11*y^11", "x^14*y^8", "x^15*y^7",
+        "x^18*y^4", "x^22")
+
+
+def supports(elements):
+    return {t for x in elements for t in x.terms}
+
+
+def test_monomial_search_starts_from_the_newton_polygon_vertices():
+    # ex14^2 has 25 minimal generators, all on x + y = 44: the first
+    # candidate combines x^44 and y^44 alone, and certifies
+    I = ideal_of(R, *EX14).power(2)
+    e0 = poincare_series(I).multiplicity
+    cert = find_superficial_sequence(I, e0, seed=0)
+    assert cert.attempts == 1
+    assert supports(cert.elements) <= {(44, 0), (0, 44)}
+    assert cert.colength == e0 == 4 * 484
+
+
+def test_failed_vertex_candidate_falls_back_to_every_generator(monkeypatch):
+    # at seed 1 the vertex candidate of (y^3, xy^2, x^3y, x^4) is degenerate:
+    # its two elements differ by a multiple of y^2(x + 2y), and the length
+    # test rejects it; the second attempt combines all four generators
+    from rrclosure import closure, reductions
+
+    I = ideal_of(R, "y^3", "x*y^2", "x^3*y", "x^4")
+    assert poincare_series(I).multiplicity == 11
+    seen = []
+    certify = reductions.certify_sequence
+
+    def recorded(I, elements, e0, **kw):
+        try:
+            cert = certify(I, elements, e0, **kw)
+        except NotSuperficialError as exc:
+            seen.append((elements, str(exc)))
+            raise
+        seen.append((elements, None))
+        return cert
+
+    monkeypatch.setattr(reductions, "certify_sequence", recorded)
+    cert = find_superficial_sequence(I, 11, seed=1)
+    assert cert.attempts == 2
+    (first, message), (second, ok) = seen
+    assert supports(first) <= {(0, 3), (1, 2), (4, 0)}
+    assert Ideal(R, first).contains(R.parse("y^2*(x + 2*y)"))
+    assert message.endswith("is at least 12, expected e0 = 11")
+    assert ok is None and supports(second) == {(0, 3), (1, 2), (3, 1), (4, 0)}
+    with pytest.raises(GenericityFailureError):
+        find_superficial_sequence(I, 11, seed=1, max_attempts=1)
+    rep = closure(I, seed=1)
+    assert rep.certificate.attempts == 2
+    assert rep.is_closed
+    assert [str(g) for g in rep.closure_generators] == ["y^3", "x*y^2", "x^3*y", "x^4"]
+
+
+def test_vertex_candidates_in_three_variables():
+    # the inner generators lie on edges of the triangle of pure powers
+    T = qq_ring("x", "y", "z")
+    I = ideal_of(T, "x^3", "y^3", "z^3", "x^2*y", "y^2*z")
+    cert = find_superficial_sequence(I, 27, seed=0)
+    assert cert.attempts == 1
+    assert supports(cert.elements) <= {(3, 0, 0), (0, 3, 0), (0, 0, 3)}
+
+
+def test_non_monomial_input_searches_every_generator(monkeypatch):
+    from rrclosure import _kernels
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a non-monomial ideal has no Newton polyhedron here")
+
+    monkeypatch.setattr(_kernels, "newton_vertices", forbidden)
+    I = ideal_of(R, "x^4 + x*y^3", "y^4 + x^3*y", "x^2*y^2")
+    cert = find_superficial_sequence(I, 16, seed=0)
+    assert cert.colength == 16

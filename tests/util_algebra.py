@@ -44,6 +44,26 @@ def pure_power_box(exps, nvars):
     return box
 
 
+def brute_newton_vertices(exps) -> set:
+    """Vertices of the Newton polygon of a two-variable monomial ideal.
+
+    A generator is a vertex iff no other generator divides it and it lies
+    neither on nor above any segment between two other generators a, b with
+    a_x <= g_x <= b_x (and a_x < b_x).
+    """
+    exps = set(exps)
+
+    def on_or_above(g, a, b):
+        return (b[0] - a[0]) * (g[1] - a[1]) - (b[1] - a[1]) * (g[0] - a[0]) >= 0
+
+    return {
+        g for g in exps
+        if not any(o != g and divides(o, g) for o in exps)
+        and not any(a[0] <= g[0] <= b[0] and a[0] < b[0] and on_or_above(g, a, b)
+                    for a in exps for b in exps if g not in (a, b))
+    }
+
+
 def brute_colength(exps, nvars) -> int | None:
     """Count standard monomials by box enumeration (None = infinite)."""
     exps = list(exps)
