@@ -4,6 +4,11 @@ intersections, powers, colength and m-primary certification.
 Monomial ideals take combinatorial fast paths through the kernel layer and
 never touch Buchberger; everything else runs through a Buchberger engine
 with the normal selection strategy and the coprimality/chain criteria.
+Most engine inputs are a staircase M plus a few polynomials (I^{n+1} + (x),
+J + I^t).  The generators of M enter as they are, with no pair update: the
+S-polynomial of two monomials is zero.  The update of each later polynomial
+g still takes the lcm of lt g with every monomial and keeps the lcm-minimal
+pairs, which are those with the generators of (M : lt g).
 Internally the engine works on integer-primitive coefficient dicts (over the
 rationals) or monic least-residue dicts (over a prime field), keyed by
 packed-int monomials; the public reduced bases are always monic.
@@ -225,12 +230,12 @@ def _spoly(basis: _Basis, i: int, j: int, L: int, guard: int, p: int | None) -> 
     return out
 
 
-def _update_pairs(basis: _Basis, pairs: dict, new_lm: int, new_is_mono: bool, packing):
+def _update_pairs(basis: _Basis, pairs: dict, new_lm: int, packing):
     """Gebauer-Moeller update: chain criterion on old pairs, coprimality and
     lcm-minimality on the new ones.  ``pairs`` maps (i, j) to the lcm of the
     two leading monomials; returns (pairs, freshly added [((i, j), lcm)])."""
     guard = packing.guard
-    lms, monos = basis.lms, basis.monos
+    lms = basis.lms
     m = len(lms)
     with_new = [packing.lcm(lm, new_lm) for lm in lms]
 
@@ -252,8 +257,6 @@ def _update_pairs(basis: _Basis, pairs: dict, new_lm: int, new_is_mono: bool, pa
         idxs = classes[L]
         if any(L == lms[i] + new_lm for i in idxs):
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        if new_is_mono and any(monos[i] for i in idxs):
-            continue  # S-polynomial of two monomials is identically zero
         pair = (min(idxs), m)
         kept[pair] = L
         added.append((pair, L))
@@ -268,32 +271,46 @@ def _unit_basis() -> _Basis:
 
 def _engine_groebner(polys, ring: PolyRing) -> _Basis:
     """Reduced basis in engine form (primitive over QQ, monic mod p), sorted
-    ascending by leading monomial."""
+    ascending by leading monomial.
+
+    Monomial inputs enter first, as a plain staircase: the S-polynomial of
+    two monomials is zero, so a basis of monomials alone needs no pairs.
+    Each polynomial input and each nonzero remainder then enters by
+    ``push``, whose ``_update_pairs`` takes the lcm with every element, the
+    monomials included, and keeps only the lcm-minimal pairs; against a
+    staircase M these are the pairs with the generators of (M : lt g).  A
+    kept monomial is already reduced once the basis is minimal, so the final
+    interreduction passes it by.
+    """
     packing = _packing(ring)
-    guard = packing.guard
+    guard, pack = packing.guard, packing.pack
     p = ring.field.characteristic or None
 
-    inputs = []
+    monomials, inputs = [], []
     for f in polys:
         if f.ring != ring:
             raise RingMismatchError("generator from a different ring")
         if f.is_zero():
             continue
-        terms = _engine_terms(f, p, packing.pack)
+        if len(f.terms) == 1:
+            (e,) = f.terms
+            monomials.append(pack(e))
+            continue
+        terms = _engine_terms(f, p, pack)
         lm = max(terms)
         terms = _normalize_qq(terms, lm) if p is None else _normalize_fp(terms, lm, p)
         inputs.append((terms, lm))
-    basis = _Basis()
-    if not inputs:
-        return basis
     inputs.sort(key=lambda t: t[1])
 
+    basis = _Basis()
+    for lm in sorted(monomials):
+        basis.append({lm: 1}, lm)
     pairs: dict = {}
     heap: list = []
 
     def push(terms, lm):
         nonlocal pairs
-        pairs, added = _update_pairs(basis, pairs, lm, len(terms) == 1, packing)
+        pairs, added = _update_pairs(basis, pairs, lm, packing)
         basis.append(terms, lm)
         for (i, j), L in added:
             heapq.heappush(heap, (packing.degree(L), L, i, j))
@@ -324,16 +341,16 @@ def _engine_groebner(polys, ring: PolyRing) -> _Basis:
     for i in sorted(range(len(basis)), key=lms.__getitem__):
         if all((lms[i] - lms[k]) & guard for k in kept):
             kept.append(i)
-    if len(kept) == 1 and lms[kept[0]] == 0:
-        return _unit_basis()
 
     # interreduce tails against the other kept elements
     final = _Basis()
     for i in kept:
-        others = basis.select([k for k in kept if k != i])
-        r, _ = _nf_engine(basis.terms[i], others, guard, p)
-        lm = lms[i]
-        final.append(_normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p), lm)
+        terms, lm = basis.terms[i], lms[i]
+        if not basis.monos[i]:
+            others = basis.select([k for k in kept if k != i])
+            r, _ = _nf_engine(terms, others, guard, p)
+            terms = _normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p)
+        final.append(terms, lm)
     return final
 
 

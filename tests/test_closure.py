@@ -277,6 +277,20 @@ def test_closure_dimension_three():
     assert "e0-newton-polygon" not in rep.checks_passed + rep2.checks_passed
 
 
+def test_closure_dimension_three_with_mixed_generators():
+    # its quotient samples I^{n+1} + (x_i) are large staircases plus one
+    # polynomial, which the engine takes without pair updates for the monomials
+    from rrclosure import PolyRing, QQ
+
+    T = PolyRing(QQ, ("x", "y", "z"))
+    I = Ideal(T, [T.parse(s) for s in ("x^3", "y^3", "z^3", "x^2*y", "y^2*z")])
+    rep = closure(I, seed=0)
+    assert rep.is_closed
+    assert rep.k_used == 3
+    assert [str(g) for g in rep.closure_ideal.generators] == [
+        "z^3", "y^2*z", "y^3", "x^2*y", "x^3"]
+
+
 def test_monomial_input_never_takes_the_tag_elimination_colon(monkeypatch):
     from rrclosure import PolyRing, QQ
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rrclosure import GF, PolyRing, groebner_basis, normal_form
-from util_algebra import ideal_of, qq_ring, random_polynomial
+from rrclosure import GF, PolyRing, groebner_basis, ideals, normal_form
+from util_algebra import ideal_of, minimal_set, qq_ring, random_polynomial
 
 R = qq_ring("x", "y")
 
@@ -181,3 +181,79 @@ def test_unit_ideal_detection():
 def test_zero_input_rejected_gracefully():
     basis = groebner_basis([R.zero, R.parse("x")], R)
     assert [str(p) for p in basis.polys] == ["x"]
+
+
+EX14 = ("y^22", "x^4*y^18", "x^7*y^15", "x^8*y^14", "x^11*y^11", "x^14*y^8", "x^15*y^7",
+        "x^18*y^4", "x^22")
+
+
+def test_monomial_generators_enter_without_a_pair_update(monkeypatch):
+    # a staircase M plus one binomial: the engine appends the generators of M
+    # as they are, and runs the Gebauer-Moeller update only for the binomial
+    # and for the remainders that the run adds after it
+    update, sizes = ideals._update_pairs, []
+
+    def counted(basis, pairs, new_lm, packing):
+        sizes.append(len(basis))
+        return update(basis, pairs, new_lm, packing)
+
+    monkeypatch.setattr(ideals, "_update_pairs", counted)
+    monomials = list(ideal_of(R, *EX14).power(4).generators)
+    binomial = R.parse("x^40*y^40 + x^50*y^20")
+    engine = ideals._engine_groebner(monomials + [binomial], R)
+    assert all(len(g.terms) == 1 for g in monomials)
+    # each call sees every monomial generator already in place, then one more
+    # element per earlier call: the binomial, then each remainder
+    assert sizes == list(range(len(monomials), len(monomials) + len(sizes)))
+    assert 1 <= len(sizes) < len(monomials)
+    basis = ideals.ReducedBasis._from_engine(engine, R)
+    assert all(basis.reduces_to_zero(g) for g in monomials + [binomial])
+
+
+def sympy_reduced_basis(polys, ring):
+    """Reduced degrevlex basis by sympy, as a set of monic term sets."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(ring.variables)
+    p = ring.field.characteristic
+    opts = {"modulus": p} if p else {"domain": "QQ"}
+    exprs = []
+    for f in polys:
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+        exprs.append(sympy.Poly.from_dict(terms, *gens, **opts).as_expr())
+    out = set()
+    for g in sympy.groebner(exprs, *gens, order="grevlex", **opts).polys:
+        # Poly.monic() divides by the lex leading coefficient, so divide here
+        terms = g.terms(order="grevlex")
+        if p:
+            inv = pow(int(terms[0][1]), -1, p)
+            out.add(frozenset((e, int(c) * inv % p) for e, c in terms))
+        else:
+            lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
+            out.add(frozenset((e, Fraction(int(c.p), int(c.q)) / lc) for e, c in terms))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring, seed",
+    [(ring, seed) for ring in CRITERION_RINGS.values() for seed in range(10)],
+    ids=[f"{name or 'QQ[x,y]-'}{seed}" for name in CRITERION_RINGS for seed in range(10)],
+)
+def test_staircase_plus_polynomials_matches_sympy(ring, seed):
+    # the monomial generators skip the pair update, so check the whole reduced
+    # basis, not only the Buchberger criterion, against an independent engine
+    rng = random.Random(500 + seed)
+    staircase = set()
+    while not staircase:
+        staircase = minimal_set(
+            tuple(rng.randint(0, 5) for _ in range(ring.dim)) for _ in range(rng.randint(2, 6))
+        ) - {(0,) * ring.dim}
+    polys = [ring.monomial(e) for e in sorted(staircase)]
+    extra = rng.randint(1, 2)
+    while len(polys) < len(staircase) + extra:
+        f = random_polynomial(rng, ring, max_terms=3, max_exp=3)
+        if len(f.terms) > 1:
+            polys.append(f)
+    rng.shuffle(polys)
+    expected = sympy_reduced_basis(polys, ring)
+    basis = groebner_basis(polys, ring)
+    assert {frozenset(g.terms.items()) for g in basis.polys} == expected
