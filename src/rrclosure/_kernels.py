@@ -11,12 +11,14 @@ Every sum, product, colon by a monomial and intersection ends in
 variables a staircase is a chain: sorted by (x, y), a monomial is divisible
 by another exactly when its y is at least the least y before it, so one sort
 and one sweep give the minimal generators (Miller-Sturmfels, *Combinatorial
-Commutative Algebra*, ch. 3), and ``monomial_product`` and
-``monomial_intersection`` build their pair sums and lcms inline for it.  In
-other dimensions each candidate is checked against the generators kept so
-far.  Both paths return the minimal generators in the canonical order of
-``_canonical_key`` (degrevlex ascending), which reports and cache entries
-keep, so ``Ideal`` wraps their output without minimalizing it again.
+Commutative Algebra*, ch. 3); ``monomial_intersection`` builds its lcms
+inline for it, and ``monomial_product`` packs x^a*y^b as the int
+a << 32 | b and sweeps the sorted sums of those ints.  In other dimensions
+each candidate is checked against the generators kept so far.  Both paths
+return the minimal generators in the canonical order of ``_canonical_key``
+(degrevlex ascending), in two variables by sorting ints, which reports and
+cache entries keep, so ``Ideal`` wraps their output without minimalizing it
+again.
 ``staircase_colon`` (the chain colon of a monomial ideal) picks its path the
 same way; in two variables it returns its corners in x order instead.  The
 Newton-polyhedron kernels split the same way too: in two variables the lower
@@ -47,6 +49,19 @@ def _canonical_key(e):
     return (sum(e), tuple(-v for v in reversed(e)))
 
 
+_LOW = (1 << 32) - 1  # the low half of a packed two-variable monomial
+
+
+def _canonical_pairs(pairs):
+    """Two-variable monomials, each exponent below 2^32, in canonical order:
+    degree ascending, then y descending.  Sorts ints rather than keys."""
+    out = []
+    for k in sorted([(x + y) << 32 | (_LOW - y) for x, y in pairs]):
+        y = _LOW - (k & _LOW)
+        out.append(((k >> 32) - y, y))
+    return out
+
+
 def minimalize(monomials):
     """Minimal generators of the monomial ideal spanned by ``monomials``.
 
@@ -61,8 +76,7 @@ def minimalize(monomials):
         for m in sorted(cands):
             if not kept or m[1] < kept[-1][1]:
                 kept.append(m)
-        kept.sort(key=_canonical_key)
-        return kept
+        return _canonical_pairs(kept)
     kept = []
     for m in sorted(cands, key=_canonical_key):
         divisible = False
@@ -87,10 +101,17 @@ def _two_vars(monomials):
 
 
 def monomial_product(gens_a, gens_b):
-    """Minimal generators of the product of two monomial ideals."""
-    # gens_b is read once per element of gens_a, so peeking at it is safe
+    """Minimal generators of the product of two monomial ideals.  In two
+    variables x^a*y^b packs as a << 32 | b, which holds a sum of exponents up
+    to 2^31: a product is one addition, and int order is (x, y) order."""
     if _two_vars(gens_b):
-        return minimalize([(a0 + b0, a1 + b1) for a0, a1 in gens_a for b0, b1 in gens_b])
+        packed_b = [b0 << 32 | b1 for b0, b1 in gens_b]
+        kept, least = [], 1 << 32
+        for m in sorted({(a0 << 32 | a1) + b for a0, a1 in gens_a for b in packed_b}):
+            if m & _LOW < least:  # the sweep of minimalize
+                least = m & _LOW
+                kept.append((m >> 32, least))
+        return _canonical_pairs(kept)
     prods = {mono_mul(a, b) for a in gens_a for b in gens_b}
     return minimalize(prods)
 
@@ -240,7 +261,7 @@ def newton_vertices(gens, seed=0):
     hits is missed.
     """
     if _two_vars(gens):
-        return sorted(_lower_hull(gens), key=_canonical_key)
+        return _canonical_pairs(_lower_hull(gens))
     gens = minimalize(gens)
     if not gens:
         return []

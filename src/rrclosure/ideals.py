@@ -7,8 +7,11 @@ with the normal selection strategy and the coprimality/chain criteria.
 Most engine inputs are a staircase M plus a few polynomials (I^{n+1} + (x),
 J + I^t).  The generators of M enter as they are, with no pair update: the
 S-polynomial of two monomials is zero.  The update of each later polynomial
-g still takes the lcm of lt g with every monomial and keeps the lcm-minimal
-pairs, which are those with the generators of (M : lt g).
+g takes the lcm of lt g with every live element (one whose leading monomial
+no later one divides) and keeps the lcm-minimal pairs, which against M are
+those with the generators of (M : lt g).  The engine returns a minimal
+basis, whose leading monomials give ``Ideal.colength``; ``_interreduce``
+makes the reduced basis only when one is asked for.
 Internally the engine works on integer-primitive coefficient dicts (over the
 rationals) or monic least-residue dicts (over a prime field), keyed by
 packed-int monomials; the public reduced bases are always monic.
@@ -91,11 +94,13 @@ class _Basis:
 
     A basis only grows by ``append``: ``memo``, the divisor answers of
     ``_kernels.find_divisor_index``, holds indices into ``lms`` that stay
-    exact only while earlier elements never move.
+    exact only while earlier elements never move.  ``live`` lists the
+    elements that still form pairs: one whose leading monomial a later one
+    divides leaves it (``_update_pairs``), but still reduces.
     """
 
     _COLUMNS = ("lms", "lcs", "tails", "monos", "terms")
-    __slots__ = _COLUMNS + ("memo",)
+    __slots__ = _COLUMNS + ("memo", "live")
 
     def __init__(self):
         self.lms = []
@@ -104,8 +109,10 @@ class _Basis:
         self.monos = []
         self.terms = []
         self.memo = {}
+        self.live = []
 
     def append(self, terms: dict, lm):
+        self.live.append(len(self.lms))
         self.lms.append(lm)
         self.lcs.append(terms[lm])
         self.tails.append([(e, c) for e, c in terms.items() if e != lm])
@@ -113,12 +120,13 @@ class _Basis:
         self.terms.append(terms)
 
     def select(self, idxs) -> "_Basis":
-        """The sub-basis of the elements at ``idxs``, in that order, with an
-        empty memo: the parent's holds indices in the parent's order."""
+        """The sub-basis of the elements at ``idxs``, in that order, all live,
+        with an empty memo: the parent's holds indices in the parent's order."""
         sub = _Basis()
         for name in _Basis._COLUMNS:
             column = getattr(self, name)
             setattr(sub, name, [column[i] for i in idxs])
+        sub.live = list(range(len(sub)))
         return sub
 
     def __len__(self):
@@ -231,22 +239,26 @@ def _spoly(basis: _Basis, i: int, j: int, L: int, guard: int, p: int | None) -> 
 
 
 def _update_pairs(basis: _Basis, pairs: dict, new_lm: int, packing):
-    """Gebauer-Moeller update: chain criterion on old pairs, coprimality and
-    lcm-minimality on the new ones.  ``pairs`` maps (i, j) to the lcm of the
-    two leading monomials; returns (pairs, freshly added [((i, j), lcm)])."""
-    guard = packing.guard
-    lms = basis.lms
+    """Gebauer-Moeller update (Becker-Weispfenning, procedure UPDATE): chain
+    criterion on old pairs, coprimality and lcm-minimality on the new ones,
+    which pair ``new_lm`` with the live elements only.  The live elements
+    whose leading monomial ``new_lm`` divides then leave ``basis.live``.
+    ``pairs`` maps (i, j) to the lcm of the two leading monomials; returns
+    (pairs, freshly added [((i, j), lcm)])."""
+    guard, lcm = packing.guard, packing.lcm
+    lms, live = basis.lms, basis.live
     m = len(lms)
-    with_new = [packing.lcm(lm, new_lm) for lm in lms]
-
+    with_new = {i: lcm(lms[i], new_lm) for i in live}
     kept = {
         pair: L
         for pair, L in pairs.items()
-        if (L - new_lm) & guard or with_new[pair[0]] == L or with_new[pair[1]] == L
+        # an old pair may hold an element no longer live: its lcm comes here
+        if (L - new_lm) & guard
+        or any((with_new.get(i) or lcm(lms[i], new_lm)) == L for i in pair)
     }
 
     classes: dict = {}
-    for i, L in enumerate(with_new):
+    for i, L in with_new.items():
         classes.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(classes):
@@ -260,6 +272,7 @@ def _update_pairs(basis: _Basis, pairs: dict, new_lm: int, packing):
         pair = (min(idxs), m)
         kept[pair] = L
         added.append((pair, L))
+    basis.live = [i for i in live if (lms[i] - new_lm) & guard]
     return kept, added
 
 
@@ -270,17 +283,17 @@ def _unit_basis() -> _Basis:
 
 
 def _engine_groebner(polys, ring: PolyRing) -> _Basis:
-    """Reduced basis in engine form (primitive over QQ, monic mod p), sorted
-    ascending by leading monomial.
+    """Minimal basis in engine form (primitive over QQ, monic mod p), sorted
+    ascending by leading monomial; ``_interreduce`` makes it reduced.
 
     Monomial inputs enter first, as a plain staircase: the S-polynomial of
     two monomials is zero, so a basis of monomials alone needs no pairs.
     Each polynomial input and each nonzero remainder then enters by
-    ``push``, whose ``_update_pairs`` takes the lcm with every element, the
-    monomials included, and keeps only the lcm-minimal pairs; against a
-    staircase M these are the pairs with the generators of (M : lt g).  A
-    kept monomial is already reduced once the basis is minimal, so the final
-    interreduction passes it by.
+    ``push``, whose ``_update_pairs`` takes the lcm with every live element,
+    the monomials included, and keeps only the lcm-minimal pairs; against a
+    staircase M these are the pairs with the generators of (M : lt g).  An
+    element whose leading monomial a later one divides stops forming pairs,
+    and the final minimalization passes over it.
     """
     packing = _packing(ring)
     guard, pack = packing.guard, packing.pack
@@ -335,19 +348,27 @@ def _engine_groebner(polys, ring: PolyRing) -> _Basis:
             return _unit_basis()
         push(r, lm)
 
-    # minimalize: drop elements whose leading monomial is divisible by another's
+    # minimalize: drop live elements whose leading monomial another's divides
     lms = basis.lms
     kept: list[int] = []
-    for i in sorted(range(len(basis)), key=lms.__getitem__):
+    for i in sorted(basis.live, key=lms.__getitem__):
         if all((lms[i] - lms[k]) & guard for k in kept):
             kept.append(i)
+    return basis.select(kept)
 
-    # interreduce tails against the other kept elements
+
+def _interreduce(basis: _Basis, ring: PolyRing) -> _Basis:
+    """The reduced basis from a minimal one: each tail reduced against the
+    other elements.  A monomial is reduced already, since in a minimal basis
+    no other leading monomial divides its only term."""
+    guard = _packing(ring).guard
+    p = ring.field.characteristic or None
     final = _Basis()
-    for i in kept:
-        terms, lm = basis.terms[i], lms[i]
+    everyone = range(len(basis))
+    for i in everyone:
+        terms, lm = basis.terms[i], basis.lms[i]
         if not basis.monos[i]:
-            others = basis.select([k for k in kept if k != i])
+            others = basis.select([k for k in everyone if k != i])
             r, _ = _nf_engine(terms, others, guard, p)
             terms = _normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p)
         final.append(terms, lm)
@@ -398,6 +419,8 @@ class ReducedBasis:
 
     @classmethod
     def _from_engine(cls, basis: _Basis, ring: PolyRing) -> "ReducedBasis":
+        """The reduced basis of a minimal engine basis (``_engine_groebner``)."""
+        basis = _interreduce(basis, ring)
         unpack = _packing(ring).unpack
         polys = [_monic_poly(t, lm, ring, unpack) for t, lm in zip(basis.terms, basis.lms)]
         reduced = cls(polys, ring)
@@ -507,7 +530,7 @@ def _tag_intersection(ring: PolyRing, a_polys, b_polys) -> list[Polynomial]:
         for e, c in g.terms.items():
             terms[(1,) + e] = ring.field.neg(c)
         gens.append(terms)
-    basis = _engine_groebner([Polynomial(S, t) for t in gens], S)
+    basis = _interreduce(_engine_groebner([Polynomial(S, t) for t in gens], S), S)
     unpack = _packing(S).unpack
 
     def untagged(e):
@@ -594,6 +617,7 @@ class Ideal:
         "ring",
         "generators",
         "_basis",
+        "_minimal",
         "_mono_exps",
         "_witness",
         "_colength",
@@ -612,6 +636,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._basis = basis
+        self._minimal = None  # the engine's minimal basis, for a non-monomial ideal
         self._mono_exps = None
         self._witness = None  # (m_primary_witness(),) once computed
         self._colength = None
@@ -625,7 +650,11 @@ class Ideal:
 
     @classmethod
     def from_exponents(cls, ring: PolyRing, exponents) -> "Ideal":
-        return cls._from_minimal(ring, _kernels.minimalize(list(exponents)))
+        exps = list(exponents)
+        for e in exps:  # the two-variable kernels pack exponents below 2^32
+            if not all(0 <= v <= MAX_EXPONENT for v in e):
+                ring.monomial(e)  # raises the error that names e
+        return cls._from_minimal(ring, _kernels.minimalize(exps))
 
     @classmethod
     def _from_minimal(cls, ring: PolyRing, exps) -> "Ideal":
@@ -674,18 +703,25 @@ class Ideal:
                 if mono is not None:
                     self._basis = _basis_from_exponents(mono, self.ring)
                 else:
-                    self._basis = ReducedBasis._from_engine(
-                        _engine_groebner(self.generators, self.ring), self.ring
-                    )
+                    self._basis = ReducedBasis._from_engine(self._minimal_basis(), self.ring)
                     if self._basis.is_monomial():
                         self._mono_exps = self._basis.leading_monomials
         return self._basis
 
+    def _minimal_basis(self) -> _Basis:
+        if self._minimal is None:
+            self._minimal = _engine_groebner(self.generators, self.ring)
+        return self._minimal
+
     def leading_exponents(self):
+        """Leading monomials of the reduced basis, read off the minimal one
+        when no reduced basis is cached, with no polynomial built."""
         mono = self.monomial_generators()
         if mono is not None:
             return mono
-        return self.reduced_basis().leading_monomials
+        if self._basis is not None:
+            return self._basis.leading_monomials
+        return list(map(_packing(self.ring).unpack, self._minimal_basis().lms))
 
     # -- membership / comparison -------------------------------------------
 

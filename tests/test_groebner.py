@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from rrclosure import GF, PolyRing, groebner_basis, ideals, normal_form
-from util_algebra import ideal_of, minimal_set, qq_ring, random_polynomial
+from rrclosure import GF, INFINITE, Ideal, PolyRing, groebner_basis, ideals, normal_form
+from util_algebra import (
+    brute_colength,
+    degrevlex_max,
+    ideal_of,
+    minimal_set,
+    qq_ring,
+    random_polynomial,
+)
 
 R = qq_ring("x", "y")
 
@@ -256,4 +263,84 @@ def test_staircase_plus_polynomials_matches_sympy(ring, seed):
     rng.shuffle(polys)
     expected = sympy_reduced_basis(polys, ring)
     basis = groebner_basis(polys, ring)
+    assert {frozenset(g.terms.items()) for g in basis.polys} == expected
+
+
+def test_a_new_leading_monomial_retires_the_live_elements_it_divides(monkeypatch):
+    # the Gebauer-Moeller update pairs a new element with the live elements
+    # only, then retires those whose leading monomial the new one divides:
+    # they stay in the basis, where they still reduce
+    packing = ideals._packing(R)
+    monomials = list(ideal_of(R, *EX14).power(4).generators)
+    binomial = R.parse("x^40*y^40 + x^50*y^20")
+    basis = ideals._Basis()
+    for lm in sorted(packing.pack(g.leading_monomial()) for g in monomials):
+        basis.append({lm: 1}, lm)
+    terms = ideals._engine_terms(binomial, None, packing.pack)
+    new_lm = max(terms)
+    divided = [i for i, lm in enumerate(basis.lms) if not (lm - new_lm) & packing.guard]
+    assert len(divided) >= 2
+    _, added = ideals._update_pairs(basis, {}, new_lm, packing)
+    basis.append(terms, new_lm)
+    m = len(monomials)
+    assert len(basis) == m + 1
+    assert basis.live == [i for i in range(m) if i not in divided] + [m]
+    assert added and all(j == m for (_, j), _ in added)
+
+    # a whole run on the same input makes fewer lcms than pairing with every
+    # element did: 755 lcms before elements retired
+    calls = []
+    lcm = type(packing).lcm
+
+    def counted(self, a, b):
+        calls.append(1)
+        return lcm(self, a, b)
+
+    monkeypatch.setattr(type(packing), "lcm", counted)
+    engine = ideals._engine_groebner(monomials + [binomial], R)
+    assert len(calls) < 755
+    basis = ideals.ReducedBasis._from_engine(engine, R)
+    assert all(basis.reduces_to_zero(g) for g in monomials + [binomial])
+
+
+def staircase_plus_polynomials(ring, seed):
+    """The staircase and the polynomials of the sympy test's case ``seed``."""
+    rng = random.Random(500 + seed)
+    staircase = set()
+    while not staircase:
+        staircase = minimal_set(
+            tuple(rng.randint(0, 5) for _ in range(ring.dim)) for _ in range(rng.randint(2, 6))
+        ) - {(0,) * ring.dim}
+    polys = [ring.monomial(e) for e in sorted(staircase)]
+    extra = rng.randint(1, 2)
+    while len(polys) < len(staircase) + extra:
+        f = random_polynomial(rng, ring, max_terms=3, max_exp=3)
+        if len(f.terms) > 1:
+            polys.append(f)
+    return staircase, polys[len(staircase):]
+
+
+@pytest.mark.parametrize(
+    "ring, seed",
+    [(ring, seed) for ring in CRITERION_RINGS.values() for seed in range(10)],
+    ids=[f"{name or 'QQ[x,y]-'}{seed}" for name in CRITERION_RINGS for seed in range(10)],
+)
+def test_colength_counts_the_leading_staircase_without_a_reduced_basis(ring, seed, monkeypatch):
+    staircase, extras = staircase_plus_polynomials(ring, seed)
+    I = Ideal.from_exponents(ring, staircase) + Ideal(ring, extras)
+    expected = sympy_reduced_basis(I.generators, ring)
+    want = brute_colength([degrevlex_max([e for e, _ in g]) for g in expected], ring.dim)
+    assert I.colength() == (INFINITE if want is None else want)
+    assert I._basis is None
+    runs = []
+    engine = ideals._engine_groebner
+
+    def counted(polys, ring):
+        runs.append(1)
+        return engine(polys, ring)
+
+    monkeypatch.setattr(ideals, "_engine_groebner", counted)
+    basis = I.reduced_basis()
+    assert not runs
+    assert basis == Ideal(ring, I.generators).reduced_basis()
     assert {frozenset(g.terms.items()) for g in basis.polys} == expected

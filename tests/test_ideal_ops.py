@@ -22,6 +22,7 @@ from rrclosure import (
     exact_divide,
     reductions,
 )
+from rrclosure.polynomials import MAX_EXPONENT
 from util_algebra import (
     brute_colength,
     brute_monomial_colon,
@@ -204,6 +205,18 @@ def test_colon_by_zero_rejected():
     I = ideal_of(R, "x")
     with pytest.raises(ZeroPolynomialError):
         I.colon(Ideal(R, []))
+
+
+def test_exponents_out_of_range_are_rejected_before_any_kernel():
+    # the two-variable kernels pack exponents into 32-bit fields, so an
+    # exponent past the cap must raise, even when another generator divides it
+    for exps, error in (([(3, 0), (0, 1 << 32)], rrclosure.ExponentOverflowError),
+                        ([(1, 0), (1 << 40, 1)], rrclosure.ExponentOverflowError),
+                        ([(2, 0), (-1, 3)], ValueError)):
+        with pytest.raises(error):
+            Ideal.from_exponents(R, exps)
+    top = Ideal.from_exponents(R, [(MAX_EXPONENT, 0), (0, MAX_EXPONENT)])
+    assert top.colength() == MAX_EXPONENT * MAX_EXPONENT
 
 
 def test_exact_divide():

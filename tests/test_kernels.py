@@ -12,6 +12,7 @@ from rrclosure import QQ, PolyRing, TermOrder
 from rrclosure import _kernels as K
 from rrclosure._kernels import find_divisor_index
 from rrclosure.ideals import _Basis, _engine_terms, _nf_engine
+from rrclosure.polynomials import MAX_EXPONENT
 from util_algebra import (
     brute_colength,
     brute_monomial_colon,
@@ -115,6 +116,37 @@ def test_product_and_intersection_match_the_oracle(seed, d):
         box = [5] * d
         want = generators_in_box(lambda m: in_ideal(A, m) and in_ideal(B, m), box)
         assert_generators(K.monomial_intersection(A, B), want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_canonical_order_of_two_variable_staircases_sorts_ints(seed):
+    # whole staircases of one degree or a few, so that many monomials tie in
+    # degree, plus scattered ones with exponents up to the kernels' 2^31
+    rng = random.Random(700 + seed)
+    for _ in range(10):
+        degrees = [rng.randint(0, 12) for _ in range(rng.randint(1, 3))]
+        pairs = {(i, deg - i) for deg in degrees for i in range(deg + 1) if rng.random() < 0.7}
+        pairs |= {(rng.randint(0, 1 << 31), rng.randint(0, 1 << 31)) for _ in range(3)}
+        assert K._canonical_pairs(pairs) == sorted(pairs, key=K._canonical_key)
+    assert K._canonical_pairs([]) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_packed_two_variable_product_matches_pair_sums(seed):
+    # exponents up to MAX_EXPONENT, so that the pair sums reach 2^31; ideals
+    # with one generator, and the unit ideal on either side
+    rng = random.Random(800 + seed)
+    hi = [8, MAX_EXPONENT][seed % 2]
+    for _ in range(10):
+        A = random_monos(rng, rng.randint(1, 6), hi=hi)
+        B = random_monos(rng, rng.randint(1, 6), hi=hi)
+        A.append((rng.choice([0, hi]), rng.choice([0, hi])))
+        for a, b in ((A, B), (A[:1], B), (A, B[:1]), (A, [(0, 0)]), ([(0, 0)], B)):
+            want = minimal_set(K.mono_mul(x, y) for x in a for y in b)
+            assert_generators(K.monomial_product(a, b), want)
+    top = [(MAX_EXPONENT, 0), (0, MAX_EXPONENT)]
+    assert K.monomial_product(top, top) == [(0, 2 * MAX_EXPONENT), (MAX_EXPONENT, MAX_EXPONENT),
+                                            (2 * MAX_EXPONENT, 0)]
 
 
 @pytest.mark.parametrize("seed", range(10))
