@@ -42,12 +42,11 @@ from .hilbert import (
     poincare_series,
     poincare_series_quotient,
     postulation_with_reduction,
-    quotient_series_set,
     regularity_bound,
 )
 from .ideals import INFINITE, Ideal, ReducedBasis, exact_divide, groebner_basis, normal_form
 from .orders import TermOrder, degrevlex
-from .parsing import ProblemFile, parse_polynomial, parse_problem, print_polynomial
+from .parsing import ProblemFile, parse_polynomial, parse_problem
 from .polynomials import Polynomial, PolyRing
 from .reductions import (
     ReductionCertificate,
@@ -109,8 +108,6 @@ __all__ = [
     "poincare_series",
     "poincare_series_quotient",
     "postulation_with_reduction",
-    "print_polynomial",
-    "quotient_series_set",
     "reduction_number",
     "regularity_bound",
     "__version__",

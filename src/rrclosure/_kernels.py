@@ -40,10 +40,6 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 def _canonical_key(e):
     # degrevlex-ascending; used only to present generator lists canonically
     return (sum(e), tuple(-v for v in reversed(e)))
@@ -79,17 +75,7 @@ def minimalize(monomials):
         return _canonical_pairs(kept)
     kept = []
     for m in sorted(cands, key=_canonical_key):
-        divisible = False
-        for g in kept:
-            ok = True
-            for x, y in zip(g, m):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
-                divisible = True
-                break
-        if not divisible:
+        if not monomial_contains(kept, m):
             kept.append(m)
     return kept
 
@@ -130,7 +116,8 @@ def monomial_intersection(gens_a, gens_b):
     if _two_vars(gens_b):
         return minimalize([(a0 if a0 > b0 else b0, a1 if a1 > b1 else b1)
                            for a0, a1 in gens_a for b0, b1 in gens_b])
-    return minimalize(mono_lcm(a, b) for a in gens_a for b in gens_b)
+    return minimalize(tuple(x if x > y else y for x, y in zip(a, b))
+                      for a in gens_a for b in gens_b)
 
 
 def monomial_contains(gens, m):

@@ -132,7 +132,8 @@ def _run(args) -> dict:
         key = cache_mod.cache_key(ring.field.name, ring.variables, basis_strings,
                                   command, params)
         hit = cache_mod.lookup(cache_dir, key)
-        if hit is not None:
+        # an entry that decodes but is no report is a miss, recomputed and overwritten
+        if isinstance(hit, dict) and "problem" in hit and "result" in hit:
             return hit
 
     if command == "closure":

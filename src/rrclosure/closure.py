@@ -22,7 +22,7 @@ exposed for cross-validation at its certified threshold.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import (
@@ -49,8 +49,7 @@ DEFAULT_COLON_POWERS_CAP = 512
 _STABILITY_RETRIES = 3
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     """Certified thresholds derived from multiplicity and dimension."""
 
     multiplicity: int
@@ -98,8 +97,7 @@ def _monomial_chain_term(I: Ideal, powers, k: int) -> Ideal:
     return Ideal.from_exponents(I.ring, exps)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Everything a closure run certifies, for reporting and cross-checks."""
 
     input_ideal: Ideal
@@ -113,7 +111,7 @@ class ClosureReport:
     is_closed: bool
     mode: str
     checks_passed: tuple[str, ...]
-    timings: dict = field(default_factory=dict)
+    timings: dict
 
     @property
     def multiplicity(self) -> int:
@@ -145,8 +143,11 @@ def closure(
     ``reduction`` may be a sequence of polynomials to use (certified before
     use); otherwise a generic one is searched, deterministically in ``seed``.
     ``k_override`` skips the postulation bookkeeping and uses the given chain
-    index directly (the stabilization check still runs in heuristic mode).
+    index directly (the stabilization check still runs in heuristic mode);
+    an index below 1 raises ValueError.
     """
+    if k_override is not None and k_override < 1:
+        raise ValueError(f"chain terms are indexed by k >= 1, got k_override = {k_override}")
     I.require_m_primary()
     mono = I.monomial_generators()
     monomial = mono is not None
@@ -164,7 +165,7 @@ def closure(
     for round_no in range(_STABILITY_RETRIES):
         if round_no:
             # the previous round failed a check: resample with a doubled window
-            win = (win if win is not None else I.ring.dim + 3) * 2
+            win = series.window_used * 2
         passed: list[str] = []
         failures: list[str] = []
 
@@ -214,7 +215,7 @@ def closure(
         else:
             quotients = ()
             pn_joint = None
-            k = max(k_override, 1)
+            k = k_override
 
         t0 = time.perf_counter()
         if monomial:
@@ -280,17 +281,12 @@ def is_ratliff_rush_closed(I: Ideal, **opts) -> bool:
     return closure(I, **opts).is_closed
 
 
-def closure_via_colon_powers(
-    I: Ideal,
-    k: int | None = None,
-    max_threshold: int = DEFAULT_COLON_POWERS_CAP,
-    e0: int | None = None,
-):
+def closure_via_colon_powers(I: Ideal, k: int | None = None, e0: int | None = None):
     """The closure as (I^{k+1} : I^k) at the certified threshold.
 
     Returns (ideal, BoundParams, certified).  A ``k`` below the threshold is
     accepted but flagged uncertified; without an override the certified k
-    must stay under ``max_threshold`` (BOUND_TOO_LARGE otherwise).
+    must stay under ``DEFAULT_COLON_POWERS_CAP`` (BOUND_TOO_LARGE otherwise).
     """
     I.require_m_primary()
     if e0 is None:
@@ -298,13 +294,11 @@ def closure_via_colon_powers(
     bounds = BoundParams.for_ideal(e0, I.ring.dim)
     certified_k = bounds.colon_powers_k
     if k is None:
-        if certified_k > max_threshold:
+        if certified_k > DEFAULT_COLON_POWERS_CAP:
             raise BoundTooLargeError(
-                f"certified colon-powers index {certified_k} exceeds the cap {max_threshold}; "
+                f"certified colon-powers index {certified_k} exceeds the cap "
+                f"{DEFAULT_COLON_POWERS_CAP}; "
                 "pass an explicit k to run uncertified"
             )
         k = certified_k
-    certified = k >= certified_k
-    power = I.power(k)
-    result = I.power(k + 1).colon(power._best_generators())
-    return result, bounds, certified
+    return I.power(k + 1).colon(I.power(k)), bounds, k >= certified_k

@@ -21,8 +21,8 @@ numerator; the window or the bound remains the fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import (
     BoundTooLargeError,
@@ -51,8 +51,7 @@ def regularity_bound(e: int, d: int) -> int:
     return e ** (2 * f - 1) * (e - 1) ** f
 
 
-@dataclass(frozen=True)
-class SeriesData:
+class SeriesData(NamedTuple):
     """Poincare-series numerator plus the invariants read off from it.
 
     ``exact`` is true when sampling ended at the certified dimension-one stop
@@ -265,10 +264,6 @@ def poincare_series_quotient(
     )
 
 
-def quotient_series_set(I: Ideal, elements, **opts) -> list[SeriesData]:
-    return [poincare_series_quotient(I, x, **opts) for x in elements]
-
-
 def postulation_with_reduction(I: Ideal, elements, **opts) -> int:
     """max of pn(I) and pn(I/(x_i)) over a certified superficial sequence.
 
@@ -280,5 +275,5 @@ def postulation_with_reduction(I: Ideal, elements, **opts) -> int:
 
     main = poincare_series(I, **opts)
     cert = certify_sequence(I, elements, main.multiplicity)
-    quotients = quotient_series_set(I, cert.elements, reduction=cert, **opts)
+    quotients = [poincare_series_quotient(I, x, reduction=cert, **opts) for x in cert.elements]
     return max(main.postulation, *(q.postulation for q in quotients))

@@ -70,7 +70,15 @@ def _engine_terms(poly: Polynomial, p: int | None, pack) -> dict:
     return {pack(e): v // g for e, v in zip(poly.terms, values)}
 
 
-def _normalize_qq(terms: dict, lm) -> dict:
+def _normalize(terms: dict, lm, p: int | None) -> dict:
+    """The engine's normal form of a term dict with leading monomial ``lm``:
+    primitive with a positive leading coefficient over QQ, monic mod p."""
+    if p is not None:
+        lc = terms[lm]
+        if lc == 1:
+            return terms
+        inv = pow(lc, -1, p)
+        return {e: v * inv % p for e, v in terms.items()}
     g = 0
     for v in terms.values():
         g = gcd(g, v)
@@ -79,14 +87,6 @@ def _normalize_qq(terms: dict, lm) -> dict:
     if terms[lm] < 0:
         terms = {e: -v for e, v in terms.items()}
     return terms
-
-
-def _normalize_fp(terms: dict, lm, p: int) -> dict:
-    lc = terms[lm]
-    if lc == 1:
-        return terms
-    inv = pow(lc, -1, p)
-    return {e: v * inv % p for e, v in terms.items()}
 
 
 class _Basis:
@@ -311,7 +311,7 @@ def _engine_groebner(polys, ring: PolyRing) -> _Basis:
             continue
         terms = _engine_terms(f, p, pack)
         lm = max(terms)
-        terms = _normalize_qq(terms, lm) if p is None else _normalize_fp(terms, lm, p)
+        terms = _normalize(terms, lm, p)
         inputs.append((terms, lm))
     inputs.sort(key=lambda t: t[1])
 
@@ -343,7 +343,7 @@ def _engine_groebner(polys, ring: PolyRing) -> _Basis:
         if not r:
             continue
         lm = max(r)
-        r = _normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p)
+        r = _normalize(r, lm, p)
         if lm == 0:
             return _unit_basis()
         push(r, lm)
@@ -370,7 +370,7 @@ def _interreduce(basis: _Basis, ring: PolyRing) -> _Basis:
         if not basis.monos[i]:
             others = basis.select([k for k in everyone if k != i])
             r, _ = _nf_engine(terms, others, guard, p)
-            terms = _normalize_qq(r, lm) if p is None else _normalize_fp(r, lm, p)
+            terms = _normalize(r, lm, p)
         final.append(terms, lm)
     return final
 
@@ -500,10 +500,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     return basis.normal_form(f)
 
 
-def _basis_from_exponents(exps, ring: PolyRing) -> ReducedBasis:
-    minimal = _kernels.minimalize(exps)
+def _monomial_basis(exps, ring: PolyRing) -> ReducedBasis:
+    """The reduced basis of the monomial ideal of ``exps``, which must be
+    minimal and in canonical order, as ``_kernels.minimalize`` returns them."""
     one = ring.field.one
-    return ReducedBasis([Polynomial(ring, {e: one}) for e in minimal], ring)
+    return ReducedBasis([Polynomial(ring, {e: one}) for e in exps], ring)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +611,9 @@ class Ideal:
 
     Instances are immutable apart from single-assignment caches; semantic
     comparisons go through :meth:`equals` (generator lists are not
-    canonical).
+    canonical).  An ideal that knows its minimal monomial generators
+    (``monomial_generators``) also holds their reduced basis, built once
+    from them when the ideal is made: monic monomials in canonical order.
     """
 
     __slots__ = (
@@ -642,9 +645,10 @@ class Ideal:
         self._colength = None
         self._powers = None
         if basis is not None and basis.is_monomial():
-            self._mono_exps = [p.leading_monomial() for p in basis.polys]
+            self._mono_exps = basis.leading_monomials
         elif gens and all(len(g.terms) == 1 for g in gens):
             self._mono_exps = _kernels.minimalize([g.leading_monomial() for g in gens])
+            self._basis = _monomial_basis(self._mono_exps, ring)
 
     # -- construction helpers ---------------------------------------------
 
@@ -661,14 +665,12 @@ class Ideal:
         """The monomial ideal of ``exps``, which must be minimal and in
         canonical order, as ``_kernels.minimalize`` returns them.
 
-        The generators are built here from ``ring``, so the per-generator
-        checks of ``__init__`` are skipped.
+        The generators are the reduced basis, built here from ``ring``, so
+        the per-generator checks of ``__init__`` are skipped.
         """
-        one = ring.field.one
-        polys = tuple(Polynomial(ring, {e: one}) for e in exps)
         ideal = cls(ring)
-        ideal.generators = polys
-        ideal._basis = ReducedBasis(polys, ring)
+        ideal._basis = _monomial_basis(exps, ring)
+        ideal.generators = ideal._basis.polys
         ideal._mono_exps = exps
         return ideal
 
@@ -684,28 +686,20 @@ class Ideal:
     def monomial_generators(self):
         """Minimal exponent vectors when the ideal is known monomial, else None.
 
-        Cheap: inspects the generators and any cached basis, never triggers a
-        Groebner computation.
+        Known from monomial generators when the ideal is made, or once a
+        Groebner computation finds its reduced basis monomial; never triggers
+        one.
         """
-        if self._mono_exps is not None:
-            return self._mono_exps
-        if self._basis is not None and self._basis.is_monomial():
-            self._mono_exps = self._basis.leading_monomials
-            return self._mono_exps
-        return None
+        return self._mono_exps
 
     def reduced_basis(self) -> ReducedBasis:
         if self._basis is None:
             if self.is_zero_ideal():
                 self._basis = ReducedBasis((), self.ring)
             else:
-                mono = self.monomial_generators()
-                if mono is not None:
-                    self._basis = _basis_from_exponents(mono, self.ring)
-                else:
-                    self._basis = ReducedBasis._from_engine(self._minimal_basis(), self.ring)
-                    if self._basis.is_monomial():
-                        self._mono_exps = self._basis.leading_monomials
+                self._basis = ReducedBasis._from_engine(self._minimal_basis(), self.ring)
+                if self._basis.is_monomial():
+                    self._mono_exps = self._basis.leading_monomials
         return self._basis
 
     def _minimal_basis(self) -> _Basis:
@@ -846,13 +840,7 @@ class Ideal:
         return Ideal(self.ring, [exact_divide(h, g) for h in inter.generators])
 
     def _best_generators(self):
-        mono = self.monomial_generators()
-        if mono is not None:
-            one = self.ring.field.one
-            return [Polynomial(self.ring, {e: one}) for e in mono]
-        if self._basis is not None:
-            return list(self._basis.polys)
-        return list(self.generators)
+        return self._basis.polys if self._basis is not None else self.generators
 
     # -- numeric invariants ---------------------------------------------------
 
@@ -958,8 +946,7 @@ class Ideal:
         if mono is not None:
             if mono and not any(mono[0]):
                 raise ValueError("the unit ideal is not contained in the maximal ideal")
-            one = self.ring.field.one
-            return tuple(Polynomial(self.ring, {e: one}) for e in mono)
+            return self._basis.polys
         basis = self.reduced_basis()
         if self.colength() == 0:
             raise ValueError("the unit ideal is not contained in the maximal ideal")

@@ -39,9 +39,6 @@ class TermOrder:
         rest = e[1:]
         return (e[0], sum(rest), tuple(-v for v in reversed(rest)))
 
-    def max(self, exps_iterable):
-        return max(exps_iterable, key=self.key)
-
     def packing(self, nvars: int) -> "Packing":
         """The packed-int encoding of monomials in ``nvars`` variables."""
         return _packing(self.kind, nvars)

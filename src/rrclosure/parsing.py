@@ -19,8 +19,8 @@ order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .polynomials import Polynomial, PolyRing
@@ -147,16 +147,10 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     return _ExprParser(_tokenize(text), ring).parse()
 
 
-def print_polynomial(poly: Polynomial) -> str:
-    """Canonical rendering; ``parse_polynomial`` round-trips it."""
-    return str(poly)
-
-
 _RING_LINE = re.compile(r"^\s*(?P<field>QQ|Fp:\d+)\s*\[\s*(?P<vars>[^\]]*)\]\s*$")
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """Parsed problem: ring, generators and optional reduction/overrides."""
 
     ring: PolyRing
@@ -166,13 +160,9 @@ class ProblemFile:
     seed: int | None = None
     k: int | None = None
 
-    @property
-    def field_descriptor(self) -> str:
-        return self.ring.field.name
-
     def render(self) -> str:
         lines = [
-            f"ring: {self.field_descriptor}[{','.join(self.ring.variables)}]",
+            f"ring: {self.ring.field.name}[{','.join(self.ring.variables)}]",
             "ideal: " + ", ".join(str(g) for g in self.generators),
         ]
         if self.reduction is not None:

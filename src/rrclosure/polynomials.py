@@ -122,31 +122,24 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        """Single-term test (the coefficient is irrelevant for ideal work)."""
-        return len(self.terms) == 1
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading_term(self, order: TermOrder | None = None):
-        """The maximal (exponent tuple, coefficient) pair under ``order``."""
+    def leading_term(self):
+        """The maximal (exponent tuple, coefficient) pair under the ring's order."""
         if not self.terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
-        if order is None or order == self.ring.order:
-            if self._lead is None:
-                self._lead = self.ring.order.max(self.terms)
-            return self._lead, self.terms[self._lead]
-        lm = order.max(self.terms)
-        return lm, self.terms[lm]
+        if self._lead is None:
+            self._lead = max(self.terms, key=self.ring.order.key)
+        return self._lead, self.terms[self._lead]
 
-    def leading_monomial(self, order: TermOrder | None = None):
-        return self.leading_term(order)[0]
+    def leading_monomial(self):
+        return self.leading_term()[0]
 
-    def leading_coefficient(self, order: TermOrder | None = None):
-        return self.leading_term(order)[1]
+    def leading_coefficient(self):
+        return self.leading_term()[1]
 
     def sorted_terms(self, reverse: bool = True):
         key = self.ring.order.key

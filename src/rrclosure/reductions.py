@@ -19,7 +19,7 @@ past the generator degrees (Nakayama; Huneke-Swanson, ch. 8).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import (
@@ -37,8 +37,7 @@ DEFAULT_MAX_ATTEMPTS = 25
 DEFAULT_COEFF_BOUND = 10
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     """Witness that (elements) is a superficial sequence / minimal reduction:
     the colength of the generated ideal equals the multiplicity."""
 

@@ -60,19 +60,11 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero in QQ")
-        return a / b
 
     def inv(self, a):
         if not a:
@@ -116,19 +108,11 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
     def neg(self, a):
         return -a % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in {self.name}")
-        return a * pow(b, -1, self.p) % self.p
 
     def inv(self, a):
         if a % self.p == 0:

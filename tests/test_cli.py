@@ -170,6 +170,34 @@ def test_cache_serves_identical_bytes(capsys, ex33_file, tmp_path):
     assert json.loads(out4)["options"]["seed"] == 5
 
 
+@pytest.mark.parametrize("entry", ["{}", "[1]", "problem-only"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cache_entry_that_is_no_report_is_recomputed(capsys, ex110_file, tmp_path, entry, fmt):
+    # valid JSON but no report (no dict with 'problem' and 'result') is a miss
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+
+    argv = ["hilbert", ex110_file, "--n", "1", "--format", fmt]
+    code, want, err = run(capsys, *argv)
+    assert code == 0, err
+    cache_dir = tmp_path / "cache"
+    code, _, err = run(capsys, *argv, "--cache", str(cache_dir))
+    assert code == 0, err
+    (path,) = cache_dir.glob("*.json")
+    report = json.loads(path.read_text())
+    if entry == "problem-only":
+        entry = json.dumps({k: v for k, v in report.items() if k != "result"})
+    path.write_text(entry)
+
+    code, out, err = run(capsys, *argv, "--cache", str(cache_dir))
+    assert code == 0, err
+    assert out == want
+    rewritten = json.loads(path.read_text())
+    assert rewritten == report
+    with resources.files("rrclosure").joinpath("schema/report.schema.json").open() as fh:
+        jsonschema.validate(rewritten, json.load(fh))
+
+
 @pytest.mark.xfail(strict=True, reason="a cache hit still returns the first caller's whole "
                    "report; perfbench/test_bench.py pins this fault in the cli workload's "
                    "failure count, so the fix waits for the benchmark's next change")

@@ -158,6 +158,20 @@ def test_closure_k_override_below_stability_is_rejected():
         closure(I, reduction=xs, k_override=1)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_closure_k_override_below_one_is_a_value_error(monkeypatch, k):
+    # rejected before any sampling, like chain_term and the CLI's --k
+    closure_module = importlib.import_module("rrclosure.closure")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking k_override")
+
+    monkeypatch.setattr(closure_module, "poincare_series", no_sampling)
+    for gens in (EX110, EX33):
+        with pytest.raises(ValueError, match=f"k_override = {k}"):
+            closure(ideal_of(R, *gens), seed=0, k_override=k)
+
+
 def test_closure_recovers_from_narrow_window():
     # this staircase has numerator (18, 3, 0, 1): a width-1 window stops at
     # the interior zero, underestimates e0, and must resample with a doubled

@@ -347,3 +347,53 @@ def test_product_generator_order_does_not_depend_on_hashing():
                               capture_output=True, text=True, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("variables, gens, minimal, inside", [
+    (("x", "y"), ("x^3", "2*y^2", "x^3*y", "x*y^2", "x^2*y"),
+     ["y^2", "x^2*y", "x^3"], "x^4 + 3*x^2*y^2"),
+    (("x", "y", "z"), ("z^2", "x^2", "x^2*z", "3*y^2", "x*y*z", "y^3*z"),
+     ["z^2", "y^2", "x^2", "x*y*z"], "x*y^2*z - x^3"),
+])
+def test_monomial_ideal_holds_its_basis_from_construction(monkeypatch, variables, gens,
+                                                         minimal, inside):
+    # the minimal generators are found once, when the ideal is made; nothing
+    # after that minimalizes monomials of the ring again (the staircase count
+    # in three variables still minimalizes its two-variable slices)
+    from rrclosure import _kernels
+
+    S = qq_ring(*variables)
+    I = ideal_of(S, *gens)
+    real = _kernels.minimalize
+
+    def no_monomials_of_the_ring(monomials):
+        monomials = list(monomials)
+        assert all(len(m) < S.dim for m in monomials), "minimal generators recomputed"
+        return real(monomials)
+
+    monkeypatch.setattr(_kernels, "minimalize", no_monomials_of_the_ring)
+    basis = I.reduced_basis()
+    assert [str(g) for g in I.minimal_generators()] == minimal
+    assert basis.polys == I.minimal_generators()
+    assert I.colength() == brute_colength(I.monomial_generators(), S.dim)
+    assert I.contains(S.parse(inside))
+    assert not I.contains(S.parse("x*y"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_colon_powers_of_a_non_monomial_ideal(field):
+    # phi: x -> x + y moves ex110 off the monomial fast paths; (I^4 : I^3)
+    # is already its closure, so it must be phi of the paper's closure
+    from rrclosure import closure_via_colon_powers
+
+    S = PolyRing(field, ("x", "y"))
+
+    def phi(text):
+        return S.parse(text.replace("x", "(x+y)"))
+
+    I = Ideal(S, [phi(g) for g in ("x^10", "y^5", "x*y^4", "x^8*y")])
+    result, bounds, certified = closure_via_colon_powers(I, k=3)
+    want = Ideal(S, [phi(g) for g in ("x^10", "y^5", "x*y^4", "x^7*y^2", "x^6*y^3", "x^8*y")])
+    assert not certified
+    assert bounds.multiplicity == 45
+    assert result.equals(want)

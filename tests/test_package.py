@@ -1,5 +1,6 @@
 """The package surface: what ``from rrclosure import *`` exports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +32,23 @@ def test_version_matches_the_project_metadata():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml")) as fh:
         assert f'version = "{rrclosure.__version__}"\n' in fh.read()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples: the dataclasses module pulls inspect, ast,
+    # dis and tokenize into every start of the command
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rrclosure.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rrclosure.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = ast.literal_eval(proc.stdout)
+    assert "rrclosure.cli" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
