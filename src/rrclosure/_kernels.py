@@ -6,25 +6,22 @@ monomial ideals are lists of such tuples.  The divisor scan works on
 packed-int monomials (``orders.Packing``), where Python-int arithmetic is
 all the work.
 
-Every sum, product, colon by a monomial and intersection ends in
-``minimalize``.  The length of the exponent tuples picks its path.  In two
-variables a staircase is a chain: sorted by (x, y), a monomial is divisible
-by another exactly when its y is at least the least y before it, so one sort
-and one sweep give the minimal generators (Miller-Sturmfels, *Combinatorial
-Commutative Algebra*, ch. 3); ``monomial_intersection`` builds its lcms
-inline for it, and ``monomial_product`` packs x^a*y^b as the int
-a << 32 | b and sweeps the sorted sums of those ints.  In other dimensions
-each candidate is checked against the generators kept so far.  Both paths
-return the minimal generators in the canonical order of ``_canonical_key``
-(degrevlex ascending), in two variables by sorting ints, which reports and
-cache entries keep, so ``Ideal`` wraps their output without minimalizing it
-again.
-``staircase_colon`` (the chain colon of a monomial ideal) picks its path the
-same way; in two variables it returns its corners in x order instead.  The
-Newton-polyhedron kernels split the same way too: in two variables the lower
-convex hull of the staircase is one more sort and sweep, which gives the
-vertices exactly and e0 as a shoelace sum; in other dimensions vertices are
-found by minimizing random positive weights.
+Every sum, product, colon by a monomial and intersection returns minimal
+generators in the canonical order of ``_canonical_key`` (degrevlex
+ascending), which reports and cache entries keep, so ``Ideal`` wraps them
+without minimalizing again.  The length of the exponent tuples picks the
+path.  In two variables a staircase is its corner chain, x up and y down
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 3): sorted by
+(x, y), a monomial is divisible by another exactly when its y is at least
+the least y before it, so one sort and one sweep (``_chain``) give the
+minimal generators; an intersection is one merge of two chains by x
+(``_meet``), and ``monomial_product`` packs x^a*y^b as the int a << 32 | b
+and sweeps the sorted sums of those ints.  The chain colon
+``staircase_colon`` meets shifted chains and keeps their x order; the lower
+convex hull of a chain gives the Newton polygon's vertices and e0 as a
+shoelace sum.  In other dimensions each candidate is checked against the
+generators kept so far, and Newton vertices are found by minimizing random
+positive weights.
 
 The scan is memoised per engine basis: a query answered before returns its
 stored first divisor at once, and a stored miss resumes the scan at the
@@ -66,13 +63,7 @@ def minimalize(monomials):
     """
     cands = set(monomials)
     if _two_vars(cands):
-        # the sweep of the module docstring: the last kept monomial has the
-        # least y so far
-        kept = []
-        for m in sorted(cands):
-            if not kept or m[1] < kept[-1][1]:
-                kept.append(m)
-        return _canonical_pairs(kept)
+        return _canonical_pairs(_chain(sorted(cands)))
     kept = []
     for m in sorted(cands, key=_canonical_key):
         if not monomial_contains(kept, m):
@@ -86,6 +77,42 @@ def _two_vars(monomials):
     return False
 
 
+def _chain(points):
+    """The corner chain (x up, y down) of the staircase of two-variable
+    ``points`` in ascending x order: each point whose y is below every
+    earlier y, one with the same x as the last kept one replacing it."""
+    kept = []
+    for p in points:
+        if not kept or p[1] < kept[-1][1]:
+            if kept and p[0] == kept[-1][0]:
+                kept.pop()
+            kept.append(p)
+    return kept
+
+
+def _meet(a, b):
+    """The corner chain of the intersection of the ideals with the corner
+    chains ``a`` and ``b`` (empty for the zero ideal): one merge by x, where
+    the height over x, the least y there, is the larger of the two heights,
+    and a corner is emitted where it drops."""
+    out, na, nb, i, j = [], len(a), len(b), 0, 0
+    ha = hb = last = inf = float("inf")
+    while i < na or j < nb:
+        xa = a[i][0] if i < na else inf
+        xb = b[j][0] if j < nb else inf
+        if xa <= xb:
+            ha = a[i][1]
+            i += 1
+        if xb <= xa:
+            hb = b[j][1]
+            j += 1
+        h = ha if ha > hb else hb
+        if h < last:
+            out.append((xa if xa < xb else xb, h))
+            last = h
+    return out
+
+
 def monomial_product(gens_a, gens_b):
     """Minimal generators of the product of two monomial ideals.  In two
     variables x^a*y^b packs as a << 32 | b, which holds a sum of exponents up
@@ -94,7 +121,7 @@ def monomial_product(gens_a, gens_b):
         packed_b = [b0 << 32 | b1 for b0, b1 in gens_b]
         kept, least = [], 1 << 32
         for m in sorted({(a0 << 32 | a1) + b for a0, a1 in gens_a for b in packed_b}):
-            if m & _LOW < least:  # the sweep of minimalize
+            if m & _LOW < least:  # the sweep of _chain
                 least = m & _LOW
                 kept.append((m >> 32, least))
         return _canonical_pairs(kept)
@@ -114,8 +141,7 @@ def monomial_colon_single(gens, b):
 def monomial_intersection(gens_a, gens_b):
     """Minimal generators of the intersection of two monomial ideals."""
     if _two_vars(gens_b):
-        return minimalize([(a0 if a0 > b0 else b0, a1 if a1 > b1 else b1)
-                           for a0, a1 in gens_a for b0, b1 in gens_b])
+        return _canonical_pairs(_meet(_chain(sorted(gens_a)), _chain(sorted(gens_b))))
     return minimalize(tuple(x if x > y else y for x, y in zip(a, b))
                       for a in gens_a for b in gens_b)
 
@@ -162,12 +188,13 @@ def _colength_rec(gens, nvars):
         return total
     # slice on the last variable: monomials with last exponent e are standard
     # iff their projection avoids the ideal generated by gens with last
-    # exponent <= e
+    # exponent <= e, which changes only at the generators' levels
     cap = min(g[-1] for g in gens if sum(g) == g[-1])
+    levels = sorted({g[-1] for g in gens if g[-1] < cap})
     total = 0
-    for e in range(cap):
+    for e, top in zip(levels, levels[1:] + [cap]):
         slice_gens = minimalize(g[:-1] for g in gens if g[-1] <= e)
-        total += _colength_rec(slice_gens, nvars - 1)
+        total += (top - e) * _colength_rec(slice_gens, nvars - 1)
     return total
 
 
@@ -178,12 +205,10 @@ def staircase_colon(gens, supports):
     ``gens``; ``supports`` are exponent tuples of the same length.  No
     supports give the unit ideal.
 
-    In two variables the work is done on J's height list: h[i] is the least
-    j with x^i*y^j in J (0 from J's pure power of x on).  A colon by x^p*y^q
-    shifts it to max(h[i+p] - q, 0), an intersection is a pointwise max, and
-    the corners of the result are its minimal generators, in x order.  In
-    other dimensions the colons (J : t) are intersected one by one, over the
-    minimal supports only: t | t' gives (J : t) in (J : t').
+    The colons (J : t) are intersected one by one, over the minimal supports
+    only: t | t' gives (J : t) in (J : t').  In two variables (J : x^p*y^q)
+    is J's corner chain shifted to (max(x - p, 0), max(y - q, 0)) and swept
+    again, the intersection is ``_meet``, and the corners come in x order.
     """
     if not _two_vars(gens):
         out = [(0,) * len(gens[0])]
@@ -191,22 +216,10 @@ def staircase_colon(gens, supports):
             out = monomial_intersection(out, monomial_colon_single(gens, t))
         return out
     seq = sorted(gens)
-    h = []
-    for (x0, y0), (x1, _) in zip(seq, seq[1:]):
-        h.extend([y0] * (x1 - x0))
-    # heights of the result; entries past its end are 0, and starting from
-    # the empty list (the unit ideal) makes every entry at least 0
-    out = []
-    for p, q in supports:
-        seg = h[p:]
-        if len(seg) > len(out):
-            out.extend([0] * (len(seg) - len(out)))
-        out[: len(seg)] = map(max, out, [v - q for v in seg])
-    # heights never increase, so the result's pure power of x is its first 0
-    n = out.index(0) if 0 in out else len(out)
-    corners = [(i, v) for i, v in enumerate(out[:n]) if i == 0 or v < out[i - 1]]
-    corners.append((n, 0))
-    return corners
+    out = [(0, 0)]
+    for p, q in _chain(sorted(supports)):
+        out = _meet(out, _chain([(x - p if x > p else 0, y - q if y > q else 0) for x, y in seq]))
+    return out
 
 
 _WEIGHTS_PER_VARIABLE = 4  # weight vectors for the Newton vertices in d != 2
@@ -217,15 +230,12 @@ def _lower_hull(gens):
     """Vertices of the Newton polygon of a two-variable monomial ideal, in x
     order: the lower convex hull of its minimal generators.
 
-    One sort and one monotone-chain sweep.  A point whose y is not below the
-    last kept one is divisible by an earlier point and skipped; a kept point
-    on or above the segment from its predecessor to the next point is popped,
-    so collinear points are not vertices.
+    One sort and one monotone-chain sweep over the corner chain
+    (``_chain``): a kept point on or above the segment from its predecessor
+    to the next point is popped, so collinear points are not vertices.
     """
     hull = []
-    for p in sorted(set(gens)):
-        if hull and p[1] >= hull[-1][1]:
-            continue
+    for p in _chain(sorted(gens)):
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) > 0:

@@ -301,8 +301,6 @@ def _engine_groebner(polys, ring: PolyRing) -> _Basis:
 
     monomials, inputs = [], []
     for f in polys:
-        if f.ring != ring:
-            raise RingMismatchError("generator from a different ring")
         if f.is_zero():
             continue
         if len(f.terms) == 1:
@@ -656,7 +654,7 @@ class Ideal:
     def from_exponents(cls, ring: PolyRing, exponents) -> "Ideal":
         exps = list(exponents)
         for e in exps:  # the two-variable kernels pack exponents below 2^32
-            if not all(0 <= v <= MAX_EXPONENT for v in e):
+            if len(e) != ring.dim or not all(isinstance(v, int) and 0 <= v <= MAX_EXPONENT for v in e):
                 ring.monomial(e)  # raises the error that names e
         return cls._from_minimal(ring, _kernels.minimalize(exps))
 
@@ -852,39 +850,32 @@ class Ideal:
             self._colength = INFINITE if count < 0 else count
         return self._colength
 
-    def colength_at_origin(self, expect=None, cap: int = 65536, by: "Ideal | None" = None):
+    def colength_at_origin(self, expect=None, cap: int = 65536, *, by: "Ideal"):
         """Length of R_m/(I R_m), the localization at the origin.
 
         For an m-primary ideal this equals :meth:`colength`; in general the
         ideal may have components away from the origin, so the local length
-        is read off the truncations I + Q^t by the powers of an m-primary
-        ideal Q: ``by`` when given, else the maximal ideal m.  Their
-        colengths never pass the local length, and they rise strictly with t
-        until two consecutive ones agree: then Q^t lies in I + Q*Q^t, so
-        Q^t lies in I R_m by Nakayama and the value at t is the local length
-        exactly.  They never pass the plain colength either, so reaching it
-        also ends the scan.  The scan steps t by one from 1 (from the
-        largest generator degree plus one for m), one truncation per step,
-        and raises :class:`RRClosureError` past the power ``cap``.  With
-        ``expect`` given it stops early once the rising lower bound exceeds
-        ``expect``, and returns that bound.
+        is read off the truncations I + Q^t by the powers of the m-primary
+        ideal Q = ``by``.  Their colengths never pass the local length, and
+        they rise strictly with t until two consecutive ones agree: then Q^t
+        lies in I + Q*Q^t, so Q^t lies in I R_m by Nakayama and the value at
+        t is the local length exactly.  They never pass the plain colength
+        either, so reaching it also ends the scan.  The scan steps t by one
+        from 1, one truncation per step, and raises :class:`RRClosureError`
+        past the power ``cap``.  With ``expect`` given it stops early once
+        the rising lower bound exceeds ``expect``, and returns that bound.
 
         A Q that contains the ideal and sits close to it stops the scan
-        early on small truncations: the searched candidate reduction J of
-        ex110 stabilizes at I^2 (checked at I^3), but at m^17 (checked at
-        m^18).
+        early: the searched candidate reduction J of ex110 stabilizes at I^2
+        (checked at I^3).
         """
+        by.require_m_primary()
         if self.is_zero_ideal():
             return INFINITE
         total = self.colength()
         if total == 0:
             return 0
-        if by is None:
-            by = Ideal(self.ring, [self.ring.var(i) for i in range(self.ring.dim)])
-            t = max(g.total_degree() for g in self.generators) + 1
-        else:
-            by.require_m_primary()
-            t = 1
+        t = 1
         here = (self + by.power(t)).colength()
         while here != total and (expect is None or here <= expect):
             if t >= cap:

@@ -49,7 +49,7 @@ class PolyRing:
         clean = {}
         for exps, coeff in dict(terms).items():
             exps = tuple(exps)
-            if len(exps) != self.dim or any(e < 0 for e in exps):
+            if len(exps) != self.dim or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {self!r}")
             if any(e > MAX_EXPONENT for e in exps):
                 raise ExponentOverflowError(f"exponent in {exps!r} exceeds {MAX_EXPONENT}")

@@ -98,6 +98,16 @@ def test_closure_of_regular_ideal():
     assert report.k_used == 1  # pn(m;xs)+1 clamps at 1
 
 
+def test_closure_of_a_staircase_with_a_huge_pure_power():
+    # (x^n, y) is a complete intersection, so closed; the chain colon works on
+    # its two corners, not on n heights
+    n = 10**6
+    I = Ideal.from_exponents(R, [(n, 0), (0, 1)])
+    report = closure(I, seed=0)
+    assert report.is_closed
+    assert report.closure_ideal.monomial_generators() == [(0, 1), (n, 0)]
+
+
 def test_closure_example_33_closed():
     assert is_ratliff_rush_closed(ideal_of(R, *EX33), seed=0)
 

@@ -212,7 +212,11 @@ def test_exponents_out_of_range_are_rejected_before_any_kernel():
     # exponent past the cap must raise, even when another generator divides it
     for exps, error in (([(3, 0), (0, 1 << 32)], rrclosure.ExponentOverflowError),
                         ([(1, 0), (1 << 40, 1)], rrclosure.ExponentOverflowError),
-                        ([(2, 0), (-1, 3)], ValueError)):
+                        ([(2, 0), (-1, 3)], ValueError),
+                        # a vector of the wrong length, or with an entry that is no int
+                        ([(2, 0, 0), (0, 2, 1)], ValueError),
+                        ([(3,), (1,)], ValueError),
+                        ([(2.5, 0), (0, 2)], ValueError)):
         with pytest.raises(error):
             Ideal.from_exponents(R, exps)
     top = Ideal.from_exponents(R, [(MAX_EXPONENT, 0), (0, MAX_EXPONENT)])
@@ -252,28 +256,32 @@ def test_intersection_mixed_paths():
 def test_colength_at_origin():
     # supported only at the origin: agrees with colength
     I = ideal_of(R, "x^2", "y^2")
-    assert I.colength_at_origin() == 4
+    assert I.colength_at_origin(by=ideal_of(R, "x", "y")) == 4
     # a point away from the origin inflates the plain colength only
     S = PolyRing(QQ, ("x",))
+    m = ideal_of(S, "x")
     K = ideal_of(S, "x^2 - x")
     assert K.colength() == 2
-    assert K.colength_at_origin() == 1
+    assert K.colength_at_origin(by=m) == 1
     L = ideal_of(S, "x^3 - x^2")
     assert L.colength() == 3
-    assert L.colength_at_origin() == 2
+    assert L.colength_at_origin(by=m) == 2
     # truncating by the powers of another m-primary ideal gives the same
     cube = ideal_of(S, "x^3")
     assert K.colength_at_origin(by=cube) == 1
     assert L.colength_at_origin(by=cube) == 2
     with pytest.raises(NotMPrimaryError):
         I.colength_at_origin(by=ideal_of(R, "x^2"))
+    # the truncating ideal has no default
+    with pytest.raises(TypeError):
+        I.colength_at_origin()
 
 
 def test_colength_at_origin_cap_stops_an_infinite_local_length():
     # (x + y) * m vanishes on the line x + y = 0 through the origin, so the
     # truncations rise for ever; with no expect the cap ends the scan
     J = ideal_of(R, "x^2 + x*y", "x*y + y^2")
-    for by in (None, ideal_of(R, "x^2", "x*y", "y^2")):
+    for by in (ideal_of(R, "x", "y"), ideal_of(R, "x^2", "x*y", "y^2")):
         with pytest.raises(RRClosureError, match="did not stabilize"):
             J.colength_at_origin(cap=6, by=by)
 
@@ -321,13 +329,14 @@ def test_i_adic_and_m_adic_local_lengths_agree(monkeypatch, field, variables, ge
     e0 = rrclosure.poincare_series(I).multiplicity
     tried = _searched_candidates(monkeypatch, I, e0, coeff_bound)
     assert any(ok for _, ok in tried) and not all(ok for _, ok in tried)
+    m = Ideal(S, [S.var(i) for i in range(S.dim)])
     for elements, accepted in tried:
         J = Ideal(S, elements)
-        by_m = J.colength_at_origin(expect=e0)
+        by_m = J.colength_at_origin(expect=e0, by=m)
         by_i = J.colength_at_origin(expect=e0, by=I)
         assert (by_m == e0) == (by_i == e0) == accepted
         if J.colength() is not INFINITE:  # the local length is finite too
-            assert J.colength_at_origin() == J.colength_at_origin(by=I)
+            assert J.colength_at_origin(by=m) == J.colength_at_origin(by=I)
 
 
 def test_product_generator_order_does_not_depend_on_hashing():

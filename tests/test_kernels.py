@@ -255,6 +255,42 @@ def test_staircase_colon_edge_cases():
         assert K.staircase_colon(gens, []) == [(0,) * len(gens[0])]
 
 
+def test_meet_edge_cases():
+    J = [(0, 3), (2, 1), (5, 0)]
+    # the zero ideal has the empty chain, the unit ideal the chain of 1
+    for a, b in (([], J), (J, []), ([], [])):
+        assert K._meet(a, b) == []
+    assert K._meet([(0, 0)], J) == J == K._meet(J, [(0, 0)])
+    # chains that do not start at x = 0: x^2*y^3 meets (y^5, x^4)
+    assert K._meet([(2, 3)], [(0, 5), (4, 0)]) == [(2, 5), (4, 3)]
+    # chains that do not end at y = 0: (y^2, x^3*y) meets (x)
+    assert K._meet([(0, 2), (3, 1)], [(1, 0)]) == [(1, 2), (3, 1)]
+    # corners with equal x in both chains, where the height drops or stays
+    assert K._meet(J, [(0, 4), (2, 0)]) == [(0, 4), (2, 1), (5, 0)]
+    assert K._meet(J, J) == J
+    for a, b in (([(2, 3)], [(0, 5), (4, 0)]), (J, [(0, 4), (2, 0)])):
+        assert_generators(K._meet(a, b), generators_in_box(
+            lambda m: in_ideal(a, m) and in_ideal(b, m), (6, 6)), key=None)
+
+
+def test_kernels_follow_the_corners_not_the_exponents():
+    # exponents in the millions, and up to the exponent cap, with a handful
+    # of generators: the work grows with the corners only
+    n = 10**6
+    assert K.staircase_colon([(0, 3), (2, 1), (n, 0)], [(1, 0), (0, 1)]) == [
+        (0, 3), (1, 2), (2, 1), (n - 1, 0)]
+    # (x, y, z^n) in three variables, with a step at z^2 on the way
+    assert K.staircase_colength([(1, 0, 0), (0, 1, 0), (0, 0, n)], 3) == n
+    assert K.staircase_colength(K.minimalize([(2, 0, 0), (0, 1, 0), (1, 0, 2), (0, 0, n)]), 3) \
+        == 2 * 2 + (n - 2)
+    assert K.staircase_colength([(1, 0, 0), (0, 1, 0), (0, 0, MAX_EXPONENT)], 3) == MAX_EXPONENT
+    top = MAX_EXPONENT
+    assert K.monomial_intersection([(top, 0), (0, 1)], [(1, 0), (0, top)]) == [
+        (1, 1), (0, top), (top, 0)]
+    assert K.monomial_intersection([(top - 1, 1), (top, 0)], [(0, top), (top, top - 2)]) == [
+        (top, top - 2), (top - 1, top)]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_newton_vertices_match_the_oracle_in_two_variables(seed):
     # staircases, and point sets whose non-minimal points must be dropped

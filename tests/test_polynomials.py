@@ -73,6 +73,10 @@ def test_scalar_and_power_arithmetic():
 def test_exponent_overflow_guard():
     with pytest.raises(ExponentOverflowError):
         X ** (1 << 31)
+    # an exponent that is no int is a bad vector, whatever its value
+    for exps in ((2.5, 0), (2.0, 0), ("2", 0)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            R.monomial(exps)
 
 
 def test_prime_field_coefficients():
