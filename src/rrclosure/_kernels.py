@@ -6,20 +6,20 @@ monomial ideals are lists of such tuples.  The divisor scan works on
 packed-int monomials (``orders.Packing``), where Python-int arithmetic is
 all the work.
 
-Every sum, product, colon by a monomial and intersection returns minimal
-generators in the canonical order of ``_canonical_key`` (degrevlex
-ascending), which reports and cache entries keep, so ``Ideal`` wraps them
-without minimalizing again.  The length of the exponent tuples picks the
-path.  In two variables a staircase is its corner chain, x up and y down
-(Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 3): sorted by
-(x, y), a monomial is divisible by another exactly when its y is at least
-the least y before it, so one sort and one sweep (``_chain``) give the
-minimal generators; an intersection is one merge of two chains by x
-(``_meet``), and ``monomial_product`` packs x^a*y^b as the int a << 32 | b
-and sweeps the sorted sums of those ints.  The chain colon
-``staircase_colon`` meets shifted chains and keeps their x order; the lower
-convex hull of a chain gives the Newton polygon's vertices and e0 as a
-shoelace sum.  In other dimensions each candidate is checked against the
+Every sum, product, colon and intersection returns minimal generators in
+the canonical order of ``_canonical_key`` (degrevlex ascending), which
+reports and cache entries keep, so ``Ideal`` wraps them without minimalizing
+again.  The length of the exponent tuples picks the path.  In two variables
+a staircase is its corner chain, x up and y down (Miller-Sturmfels,
+*Combinatorial Commutative Algebra*, ch. 3): sorted by (x, y), a monomial is
+divisible by another exactly when its y is at least the least y before it,
+so one sort and one sweep (``_chain``) give the minimal generators; an
+intersection is one merge of two chains by x (``_meet``), and
+``monomial_product`` packs x^a*y^b as the int a << 32 | b and sweeps the
+sorted sums of those ints.  The chain colon ``staircase_colon``, behind
+every colon of a monomial ideal by monomials, meets shifted chains; the
+lower convex hull of a chain gives the Newton polygon's vertices and e0 as
+a shoelace sum.  In other dimensions each candidate is checked against the
 generators kept so far, and Newton vertices are found by minimizing random
 positive weights.
 
@@ -32,14 +32,14 @@ and every call returns the same index an unmemoised scan would.
 
 import random
 
+from .orders import degrevlex
+
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _canonical_key(e):
-    # degrevlex-ascending; used only to present generator lists canonically
-    return (sum(e), tuple(-v for v in reversed(e)))
+_canonical_key = degrevlex().key  # the order generator lists are presented in
 
 
 _LOW = (1 << 32) - 1  # the low half of a packed two-variable monomial
@@ -201,25 +201,28 @@ def _colength_rec(gens, nvars):
 def staircase_colon(gens, supports):
     """Minimal generators of {m : m*t in J for every t in ``supports``}.
 
-    J is the m-primary monomial ideal with the minimalized generators
-    ``gens``; ``supports`` are exponent tuples of the same length.  No
-    supports give the unit ideal.
+    J is the monomial ideal with the minimalized generators ``gens``;
+    ``supports`` are exponent tuples of the same length.  No supports give
+    the unit ideal.
 
     The colons (J : t) are intersected one by one, over the minimal supports
     only: t | t' gives (J : t) in (J : t').  In two variables (J : x^p*y^q)
     is J's corner chain shifted to (max(x - p, 0), max(y - q, 0)) and swept
-    again, the intersection is ``_meet``, and the corners come in x order.
+    again, and the intersection is ``_meet``.
     """
     if not _two_vars(gens):
-        out = [(0,) * len(gens[0])]
-        for t in minimalize(supports):
+        if not supports:
+            return [(0,) * len(gens[0])]
+        first, *rest = minimalize(supports)
+        out = monomial_colon_single(gens, first)
+        for t in rest:
             out = monomial_intersection(out, monomial_colon_single(gens, t))
         return out
     seq = sorted(gens)
     out = [(0, 0)]
     for p, q in _chain(sorted(supports)):
         out = _meet(out, _chain([(x - p if x > p else 0, y - q if y > q else 0) for x, y in seq]))
-    return out
+    return _canonical_pairs(out)
 
 
 _WEIGHTS_PER_VARIABLE = 4  # weight vectors for the Newton vertices in d != 2

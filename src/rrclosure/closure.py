@@ -94,7 +94,7 @@ def _monomial_chain_term(I: Ideal, powers, k: int) -> Ideal:
     """
     supports = [t for f in powers for t in f.terms]
     exps = _kernels.staircase_colon(I.power(k + 1).monomial_generators(), supports)
-    return Ideal.from_exponents(I.ring, exps)
+    return Ideal._from_minimal(I.ring, exps)
 
 
 class ClosureReport(NamedTuple):

@@ -99,14 +99,13 @@ class _Basis:
     divides leaves it (``_update_pairs``), but still reduces.
     """
 
-    _COLUMNS = ("lms", "lcs", "tails", "monos", "terms")
+    _COLUMNS = ("lms", "lcs", "tails", "terms")
     __slots__ = _COLUMNS + ("memo", "live")
 
     def __init__(self):
         self.lms = []
         self.lcs = []
         self.tails = []
-        self.monos = []
         self.terms = []
         self.memo = {}
         self.live = []
@@ -116,7 +115,6 @@ class _Basis:
         self.lms.append(lm)
         self.lcs.append(terms[lm])
         self.tails.append([(e, c) for e, c in terms.items() if e != lm])
-        self.monos.append(len(terms) == 1)
         self.terms.append(terms)
 
     def select(self, idxs) -> "_Basis":
@@ -133,16 +131,16 @@ class _Basis:
         return len(self.lms)
 
 
-def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None, stop_early: bool = False):
+def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None):
     """Full normal form of a packed integer term dict against ``basis``.
 
     Returns ``(remainder, scale)``.  Over the rationals the reduction is
     fraction-free, so the remainder is ``scale`` (a positive rational) times
-    the true remainder; over F_p it is exact and ``scale`` is 1.  With
-    ``stop_early`` the return value is just the is-zero boolean.
+    the true remainder; over F_p it is exact and ``scale`` is 1.  A reducer
+    with an empty tail is a monomial, which removes the term and adds none.
     """
     find_div = _kernels.find_divisor_index
-    lms, lcs, tails, monos, memo = basis.lms, basis.lcs, basis.tails, basis.monos, basis.memo
+    lms, lcs, tails, memo = basis.lms, basis.lcs, basis.tails, basis.memo
     heappush, heappop = heapq.heappush, heapq.heappop
 
     work = dict(fterms)
@@ -158,12 +156,10 @@ def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None, stop_earl
             continue
         j = find_div(lms, e, guard, memo)
         if j < 0:
-            if stop_early:
-                return False
             out[e] = c
             continue
         steps += 1
-        if monos[j]:
+        if not tails[j]:
             continue
         q = e - lms[j]
         if p is None:
@@ -204,8 +200,6 @@ def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None, stop_earl
                     work[k2] //= g
                 for k2 in out:
                     out[k2] //= g
-    if stop_early:
-        return not out
     return out, scale
 
 
@@ -323,14 +317,14 @@ def _engine_groebner(polys, ring: PolyRing) -> _Basis:
         nonlocal pairs
         pairs, added = _update_pairs(basis, pairs, lm, packing)
         basis.append(terms, lm)
-        for (i, j), L in added:
-            heapq.heappush(heap, (packing.degree(L), L, i, j))
+        for (i, j), L in added:  # the normal strategy: the least lcm first
+            heapq.heappush(heap, (L, i, j))
 
     for terms, lm in inputs:
         push(terms, lm)
 
     while heap:
-        _, L, i, j = heapq.heappop(heap)
+        L, i, j = heapq.heappop(heap)
         if (i, j) not in pairs:
             continue
         del pairs[(i, j)]
@@ -365,7 +359,7 @@ def _interreduce(basis: _Basis, ring: PolyRing) -> _Basis:
     everyone = range(len(basis))
     for i in everyone:
         terms, lm = basis.terms[i], basis.lms[i]
-        if not basis.monos[i]:
+        if basis.tails[i]:
             others = basis.select([k for k in everyone if k != i])
             r, _ = _nf_engine(terms, others, guard, p)
             terms = _normalize(r, lm, p)
@@ -442,8 +436,9 @@ class ReducedBasis:
             return False
         p = self.ring.field.characteristic or None
         packing = _packing(self.ring)
-        return _nf_engine(_engine_terms(f, p, packing.pack), self._engine_basis(),
-                          packing.guard, p, stop_early=True)
+        r, _ = _nf_engine(_engine_terms(f, p, packing.pack), self._engine_basis(),
+                          packing.guard, p)
+        return not r
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Exact tail-reduced remainder of f modulo the basis."""
@@ -652,7 +647,7 @@ class Ideal:
 
     @classmethod
     def from_exponents(cls, ring: PolyRing, exponents) -> "Ideal":
-        exps = list(exponents)
+        exps = [tuple(e) for e in exponents]
         for e in exps:  # the two-variable kernels pack exponents below 2^32
             if len(e) != ring.dim or not all(isinstance(v, int) and 0 <= v <= MAX_EXPONENT for v in e):
                 ring.monomial(e)  # raises the error that names e
@@ -809,33 +804,36 @@ class Ideal:
         return Ideal(self.ring, polys, basis=ReducedBasis(polys, self.ring))
 
     def colon(self, other) -> "Ideal":
-        """(self : other) for an ideal, polynomial or polynomial list."""
-        if isinstance(other, Polynomial):
-            divisors = [other]
-        elif isinstance(other, Ideal):
+        """(self : other) for an ideal, polynomial or polynomial list.
+
+        A monomial ideal takes all its monomial divisors in one
+        ``_kernels.staircase_colon``.  Every other divisor g, and every
+        divisor of a non-monomial ideal, gives (self ∩ (g)) / g by tag
+        elimination, and the colons by the divisors are intersected.
+        """
+        if isinstance(other, Ideal):
             if other.ring != self.ring:
                 raise RingMismatchError("ideals from different rings")
-            divisors = list(other.generators)
+            divisors = other.generators
         else:
-            divisors = list(other)
+            divisors = [other] if isinstance(other, Polynomial) else list(other)
+            if any(g.ring != self.ring for g in divisors):
+                raise RingMismatchError("polynomial from a different ring")
         divisors = [g for g in divisors if not g.is_zero()]
         if not divisors:
             raise ZeroPolynomialError("colon by the zero ideal")
         result = None
+        mono = self.monomial_generators()
+        if mono is not None:
+            supports = [g.leading_monomial() for g in divisors if len(g.terms) == 1]
+            if supports:
+                result = Ideal._from_minimal(self.ring, _kernels.staircase_colon(mono, supports))
+            divisors = [g for g in divisors if len(g.terms) > 1]
         for g in divisors:
-            single = self._colon_single(g)
+            inter = self.intersection(Ideal(self.ring, [g]))
+            single = Ideal(self.ring, [exact_divide(h, g) for h in inter.generators])
             result = single if result is None else result.intersection(single)
         return result
-
-    def _colon_single(self, g: Polynomial) -> "Ideal":
-        if g.ring != self.ring:
-            raise RingMismatchError("polynomial from a different ring")
-        mono = self.monomial_generators()
-        if mono is not None and len(g.terms) == 1:
-            exps = _kernels.monomial_colon_single(mono, g.leading_monomial())
-            return Ideal._from_minimal(self.ring, exps)
-        inter = self.intersection(Ideal(self.ring, [g]))
-        return Ideal(self.ring, [exact_divide(h, g) for h in inter.generators])
 
     def _best_generators(self):
         return self._basis.polys if self._basis is not None else self.generators

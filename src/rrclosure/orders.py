@@ -75,7 +75,7 @@ class Packing:
     """
 
     __slots__ = ("bits", "guard", "max_degree", "_shifts", "_field", "_low", "_low_guard",
-                 "_rest_shift", "_spread", "_order_mask", "_tag_shift", "_ones", "_sum_shift")
+                 "_rest_shift", "_spread", "_order_mask", "_tag_shift")
 
     def __init__(self, kind: str, nvars: int):
         n = nvars
@@ -97,9 +97,6 @@ class Packing:
         self._spread = sum(1 << (B * j) for j in range(n, n + block))
         self._order_mask = sum(self._field << (B * j) for j in range(n, n + block))
         self._tag_shift = B * (2 * n - 1) if tagged else 0
-        # the degree is field n-1 of (exponent fields) * ones
-        self._ones = sum(1 << (B * j) for j in range(n))
-        self._sum_shift = B * (n - 1)
 
     def _with_order_fields(self, x: int) -> int:
         """The packed monomial whose exponent fields are ``x``."""
@@ -120,9 +117,6 @@ class Packing:
     def unpack(self, m: int) -> tuple:
         field = self._field
         return tuple((m >> s) & field for s in self._shifts)
-
-    def degree(self, m: int) -> int:
-        return (((m & self._low) * self._ones) >> self._sum_shift) & self._field
 
     def lcm(self, a: int, b: int) -> int:
         """Least common multiple: field-wise max of the exponents, order fields rebuilt."""

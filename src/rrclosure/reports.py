@@ -65,15 +65,6 @@ def certificate_payload(cert: ReductionCertificate) -> dict:
     }
 
 
-def bounds_payload(bounds: BoundParams) -> dict:
-    return {
-        "multiplicity": bounds.multiplicity,
-        "dim": bounds.dim,
-        "regularity_bound": bounds.regularity_bound,
-        "colon_powers_k": bounds.colon_powers_k,
-    }
-
-
 def closure_document(report: ClosureReport, options: dict, operation: str = "closure") -> dict:
     doc = _envelope(operation, report.input_ideal.ring, report.input_ideal.generators, options)
     doc["result"] = {
@@ -121,7 +112,7 @@ def colon_powers_document(I: Ideal, result: Ideal, bounds: BoundParams, k: int,
     doc["result"] = {
         "k": k,
         "certified": certified,
-        "bounds": bounds_payload(bounds),
+        "bounds": bounds._asdict(),
         "closure": ideal_payload(result),
     }
     return doc

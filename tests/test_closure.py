@@ -329,6 +329,15 @@ def test_monomial_input_never_takes_the_tag_elimination_colon(monkeypatch):
     T = PolyRing(QQ, ("x", "y", "z"))
     rep = closure(Ideal(T, [T.parse(s) for s in ("x^2", "x*y", "y^2", "z^2")]), seed=0)
     assert rep.multiplicity == 8
+    # (I^{k+1} : I^k) and every colon of a monomial ideal by monomials take
+    # the staircase kernel, whether the divisors come as an ideal, a list or
+    # one monomial
+    I = ideal_of(R, *EX110)
+    A, _, _ = closure_via_colon_powers(I, k=3)
+    assert A.equals(ideal_of(R, *EX110_CLOSURE))
+    J = Ideal(T, [T.parse(s) for s in ("x^3", "y^3", "z^3", "x^2*y", "y^2*z")])
+    for divisors in (J.power(2), list(J.generators), T.parse("x*y*z")):
+        assert J.power(3).colon(divisors).monomial_generators() is not None
 
 
 def assert_staircase_certificate(J, rep):

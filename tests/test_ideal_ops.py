@@ -129,14 +129,84 @@ def test_colength_matches_brute_force():
         assert I.colength() == brute_colength(exps, 2)
 
 
-def test_monomial_colon_matches_brute_force():
+def random_monomial_ideal(rng, d, hi, m_primary):
+    """Exponents of a monomial ideal of k[x_1..x_d] other than the unit
+    ideal: random generators, plus a pure power of every variable when
+    ``m_primary``."""
+    gens = [m for m in (tuple(rng.randint(0, hi) for _ in range(d))
+                        for _ in range(rng.randint(1, 4))) if any(m)]
+    if m_primary or not gens:
+        gens += [tuple(rng.randint(1, hi) if j == i else 0 for j in range(d)) for i in range(d)]
+    return gens
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monomial_colon_matches_brute_force(d):
+    # m-primary ideals, and from two variables on ideals that miss pure
+    # powers, by divisors given as an Ideal, a list and a single monomial;
+    # the answer lists its generators canonically (degrevlex ascending)
+    ring = qq_ring(*"xyz"[:d])
     rng = random.Random(7)
-    for _ in range(12):
-        a = random_monomial_mprimary(rng, max_pure=6, max_extra=3)
-        b = random_monomial_mprimary(rng, max_pure=4, max_extra=1)
-        A, B = Ideal.from_exponents(R, a), Ideal.from_exponents(R, b)
-        got = set(A.colon(B).monomial_generators())
-        assert got == brute_monomial_colon(a, b, 2)
+    for trial in range(12):
+        a = random_monomial_ideal(rng, d, 6 if d < 3 else 4, m_primary=d == 1 or trial % 2 == 0)
+        b = random_monomial_ideal(rng, d, 4 if d < 3 else 3, m_primary=trial % 3 == 0)
+        A, B = Ideal.from_exponents(ring, a), Ideal.from_exponents(ring, b)
+        want = brute_monomial_colon(a, b, d)
+        for divisors in (B, list(B.generators)):
+            assert A.colon(divisors).monomial_generators() == sorted(want, key=ring.order.key)
+        single = A.colon(ring.monomial(b[0])).monomial_generators()
+        assert single == sorted(brute_monomial_colon(a, [b[0]], d), key=ring.order.key)
+
+
+def test_a_monomial_colon_is_one_staircase_colon(monkeypatch):
+    # all monomial divisors go to one kernel call, with no intersection of
+    # per-divisor ideals after it
+    from rrclosure import _kernels
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a monomial colon intersected ideals")
+
+    calls = []
+    kernel = _kernels.staircase_colon
+    monkeypatch.setattr(_kernels, "staircase_colon",
+                        lambda gens, supports: calls.append(supports) or kernel(gens, supports))
+    monkeypatch.setattr(Ideal, "intersection", forbidden)
+    I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
+    divisors = I.power(3)
+    assert I.power(4).colon(divisors).equals(
+        ideal_of(R, "x^10", "y^5", "x*y^4", "x^7*y^2", "x^6*y^3", "x^8*y"))
+    assert calls == [divisors.monomial_generators()]
+
+
+def test_mixed_divisors_of_a_monomial_ideal_match_the_tag_route():
+    # the monomial divisors go through the staircase kernel, the polynomial
+    # ones through tag elimination; the same ideal with a redundant
+    # polynomial generator is not known monomial, so every divisor takes
+    # the tag route
+    T = qq_ring("x", "y", "z")
+    cases = [
+        (ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y").power(2),
+         [R.parse("y^5 + x^10 + x^8*y"), R.parse("x*y^4")]),
+        (ideal_of(R, "x^3", "x*y^2", "y^4"), [R.parse("x*y"), R.parse("x^2 - y^3")]),
+        (ideal_of(R, "x^2*y", "x*y^3"), [R.parse("y^2"), R.parse("x + y")]),
+        (ideal_of(T, "x^2", "y^2", "z^3", "x*y*z"), [T.parse("x*z"), T.parse("y + z")]),
+    ]
+    for A, divisors in cases:
+        gens = list(A.generators)
+        tagged = Ideal(A.ring, gens + [gens[0] + gens[-1]])
+        assert A.monomial_generators() is not None and tagged.monomial_generators() is None
+        assert A.colon(divisors).equals(tagged.colon(divisors))
+        for g in divisors:
+            assert A.colon(g).equals(tagged.colon(g))
+
+
+def test_colon_by_a_divisor_from_another_ring_is_rejected():
+    S = qq_ring("x", "y", "z")
+    for A in (ideal_of(R, "x^2", "y^3"), ideal_of(R, "x^2 + y", "y^3")):
+        for divisors in (S.parse("x"), [R.parse("y"), S.parse("x")], ideal_of(S, "x"),
+                         Ideal(S)):
+            with pytest.raises(rrclosure.RingMismatchError):
+                A.colon(divisors)
 
 
 def test_colon_laws_random():
@@ -216,9 +286,14 @@ def test_exponents_out_of_range_are_rejected_before_any_kernel():
                         # a vector of the wrong length, or with an entry that is no int
                         ([(2, 0, 0), (0, 2, 1)], ValueError),
                         ([(3,), (1,)], ValueError),
-                        ([(2.5, 0), (0, 2)], ValueError)):
+                        ([(2.5, 0), (0, 2)], ValueError),
+                        # vectors given as lists, as ``ring.monomial`` takes them
+                        ([[3, 0], [0, 1 << 32]], rrclosure.ExponentOverflowError),
+                        ([[2, 0], [-1, 3]], ValueError)):
         with pytest.raises(error):
             Ideal.from_exponents(R, exps)
+    listed = Ideal.from_exponents(R, [[2, 0], [0, 2], [2, 1]])
+    assert listed.monomial_generators() == [(0, 2), (2, 0)]
     top = Ideal.from_exponents(R, [(MAX_EXPONENT, 0), (0, MAX_EXPONENT)])
     assert top.colength() == MAX_EXPONENT * MAX_EXPONENT
 

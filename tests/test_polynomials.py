@@ -176,7 +176,6 @@ def test_packing_is_the_term_order_and_multiplicative(kind, triple):
     assert (not (pv - pu) & packing.guard) == divides(u, v)
     assert (not (pw - pu) & packing.guard) == divides(u, w)
     assert packing.lcm(pu, pw) == packing.pack(tuple(map(max, u, w)))
-    assert packing.degree(pw) == sum(w)
 
 
 def test_packing_rejects_a_degree_that_does_not_fit():

@@ -87,10 +87,13 @@ def brute_colength(exps, nvars) -> int | None:
 
 
 def brute_monomial_colon(a_exps, b_exps, nvars, pad=2):
-    """Minimal generators of (A : B) for monomial ideals by box search."""
-    box = pure_power_box(a_exps, nvars)
-    assert box is not None, "brute colon needs an m-primary A"
-    box = [c + pad for c in box]
+    """Minimal generators of (A : B) for monomial ideals by box search.
+
+    No minimal generator of (A : B) has an exponent above the largest of A's
+    generators in that variable (lowering it to that keeps every product in
+    A), so the box needs no pure powers and A need not be m-primary.
+    """
+    box = [max(e[i] for e in a_exps) + pad for i in range(nvars)]
     members = []
 
     def walk(prefix):
