@@ -282,6 +282,28 @@ def newton_polygon_e0(gens):
     return sum((x1 - x0) * (y0 + y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
 
 
+def affinely_independent(points):
+    """Whether the exponent tuples ``points`` are affinely independent: their
+    differences from the first point are linearly independent.
+
+    Fraction-free integer elimination on those differences.  More than
+    d + 1 points in d variables never are, and a repeated point gives a
+    zero difference.
+    """
+    first, *rest = points
+    if len(rest) > len(first):
+        return False
+    rows = [[a - b for a, b in zip(p, first)] for p in rest]
+    for col in range(len(first)):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[pivot[col] * a - r[col] * b for a, b in zip(r, pivot)] for r in rows]
+    # every row became a pivot exactly when none was left to vanish
+    return not rows
+
+
 def find_divisor_index(lms, m, guard, memo):
     """Index of the first packed monomial in lms dividing the packed m, or -1.
 

@@ -104,7 +104,8 @@ def _run(args) -> dict:
 
     mode = _effective(args, problem, "mode", "heuristic")
     seed = _effective(args, problem, "seed", 0)
-    k = _effective(args, problem, "k", None)
+    # a file's k: entry is for the subcommands that take --k, and no other
+    k = _effective(args, problem, "k", None) if "k" in vars(args) else None
 
     reduction = None
     if getattr(args, "reduction_from_file", False):

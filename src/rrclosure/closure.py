@@ -13,9 +13,11 @@ exact colon by tag elimination (``chain_term``).  For d = 2 each quotient
 series of step (3) stops exactly where its first difference reaches the
 certified local length of R/(x_1, x_2), recorded as ``quotient-i-exact`` in
 ``checks_passed``; the sampling window (heuristic) or the regularity bound
-(certified) is only the fallback.  In heuristic mode the run additionally
-verifies that the colon chain has stabilized at k and retries with a doubled
-sampling window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
+(certified) is only the fallback.  For a monomial I, elements of step (2)
+with one affinely independent support lie in one torus orbit and share one
+quotient series (``hilbert._quotient_series``).  In heuristic mode the run
+additionally verifies that the colon chain has stabilized at k and retries
+with a doubled sampling window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
 exposed for cross-validation at its certified threshold.
 """
 
@@ -34,6 +36,7 @@ from .errors import (
 from .hilbert import (
     HEURISTIC,
     SeriesData,
+    _quotient_series,
     poincare_series,
     poincare_series_quotient,
     regularity_bound,
@@ -201,10 +204,8 @@ def closure(
 
         if k_override is None:
             t0 = time.perf_counter()
-            quotients = tuple(
-                poincare_series_quotient(I, x, mode=mode, window=win, reduction=cert)
-                for x in cert.elements
-            )
+            quotients = _quotient_series(I, cert, poincare_series_quotient, mode=mode,
+                                         window=win)
             add_time("quotient-poincare", t0)
             for i, q in enumerate(quotients):
                 _series_checks(q, f"quotient-{i}", failures, passed)

@@ -17,6 +17,18 @@ q(n) - q(n-1) = length(Ibar^n / Ibar^{n+1}) is at most l, with equality iff
 Ibar^{n+1} = y*Ibar^n, which then holds for all later n (Northcott 1960;
 Huneke-Swanson, ch. 8 and 11).  The first n with difference l fixes the
 numerator; the window or the bound remains the fallback.
+
+A reduction's quotient series are sampled once per torus orbit.  The torus
+(k*)^d acts by x_j -> t_j*x_j and fixes every monomial ideal
+(Miller-Sturmfels, ch. 3).  Let f and g have the same term support S and
+let S be affinely independent.  Fix a_s in S.  The characters
+t -> t^(a - a_s), a in S, are then independent, so the torus maps onto
+(kbar*)^(|S|-1) and g = c*t(f) for some t and some nonzero c over the
+algebraic closure.  For a monomial I, t maps I^{n+1} + (f) onto
+I^{n+1} + (g).  Colengths do not change under this automorphism or under
+the field extension, so the samples, the numerator and the exact stop of
+f and g agree.  The Newton-vertex search gives every element of a
+monomial I's first candidate reduction the same support.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import NamedTuple
 
+from . import _kernels
 from .errors import (
     BoundTooLargeError,
     CertifiedBoundViolation,
@@ -275,5 +288,29 @@ def postulation_with_reduction(I: Ideal, elements, **opts) -> int:
 
     main = poincare_series(I, **opts)
     cert = certify_sequence(I, elements, main.multiplicity)
-    quotients = [poincare_series_quotient(I, x, reduction=cert, **opts) for x in cert.elements]
+    quotients = _quotient_series(I, cert, poincare_series_quotient, **opts)
     return max(main.postulation, *(q.postulation for q in quotients))
+
+
+def _quotient_series(I: Ideal, reduction, series, **opts) -> tuple[SeriesData, ...]:
+    """The quotient series of I for every element of the certified
+    ``reduction``, one ``series`` call per torus orbit (see the module
+    docstring): for a monomial I, elements whose term supports are equal
+    and affinely independent share one; every other element, and every
+    element for any other I, gets its own.
+
+    ``series`` is ``poincare_series_quotient`` under the caller's own name,
+    so that a wrapper on that name (a phase timer) sees every call.
+    """
+    monomial = I.monomial_generators() is not None
+    by_support: dict = {}
+    out = []
+    for x in reduction.elements:
+        support = frozenset(x.terms)
+        q = by_support.get(support)
+        if q is None:
+            q = series(I, x, reduction=reduction, **opts)
+            if monomial and _kernels.affinely_independent(support):
+                by_support[support] = q
+        out.append(q)
+    return tuple(out)

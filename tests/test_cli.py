@@ -145,6 +145,33 @@ def test_out_of_range_k_and_n_are_usage_errors(capsys, ex33_file, argv):
     assert "must be >=" in capsys.readouterr().err
 
 
+def test_a_file_k_entry_reaches_only_the_subcommands_that_take_k(capsys, tmp_path):
+    # k: 1 lies below ex110's stable chain index 3
+    with_k = tmp_path / "ex110k.ideal"
+    with_k.write_text(EX110 + "k: 1\n")
+    code, out, err = run(capsys, "closure", str(with_k), "--reduction-from-file")
+    assert code == 1
+    assert "CHAIN_UNSTABLE" in err
+    code, out, err = run(capsys, "check-closed", str(with_k), "--reduction-from-file",
+                         "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["result"]["closed"] is False
+    assert doc["result"]["k_used"] == 3
+    assert "k" not in doc["options"]
+    # the entry is not echoed and does not split the cache
+    without_k = tmp_path / "ex110.ideal"
+    without_k.write_text(EX110)
+    cache_dir = tmp_path / "cache"
+    for argv in (["poincare"], ["hilbert", "--n", "1"], ["reduction", "--reduction-from-file"]):
+        for path in (without_k, with_k):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--format", "json",
+                                 "--cache", str(cache_dir))
+            assert code == 0, err
+            assert "k" not in json.loads(out)["options"]
+    assert len(os.listdir(cache_dir)) == 3
+
+
 def test_cache_serves_identical_bytes(capsys, ex33_file, tmp_path):
     cache_dir = str(tmp_path / "cache")
     code1, out1, _ = run(capsys, "check-closed", ex33_file, "--format", "json",

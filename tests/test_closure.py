@@ -449,3 +449,58 @@ def test_reports_are_pinned_in_order(case):
     assert tuple(q.samples for q in rep.quotient_series) == want_quotients
     assert rep.k_used == want_k
     assert rep.checks_passed == EXACT_CHECKS
+
+
+
+SKEW44 = ("x^4", "x^3*y", "x*y^3", "y^4")
+
+
+def _orbit_case(case):
+    from rrclosure import PolyRing, QQ, find_superficial_sequence, postulation_with_reduction
+
+    if case == "ex14":
+        closure(ideal_of(R, *EX14), seed=0)
+    elif case == "ex14-squared":
+        closure_power(ideal_of(R, *EX14), 2, seed=0)
+    elif case == "dimension-three":
+        T = PolyRing(QQ, ("x", "y", "z"))
+        I = Ideal(T, [T.parse(s) for s in ("x^3", "y^3", "z^3", "x^2*y", "y^2*z")])
+        assert len(closure(I, seed=0).quotient_series) == 3
+    elif case == "postulation-with-reduction":
+        I = ideal_of(R, *EX14)
+        xs = find_superficial_sequence(I, poincare_series(I).multiplicity, seed=0).elements
+        postulation_with_reduction(I, xs)
+    elif case == "ex110-paper-reduction":
+        xs = (R.parse("y^5+x^10+x^8*y"), R.parse("x*y^4"))
+        closure(ideal_of(R, *EX110), reduction=xs)
+    elif case == "phi-skew":
+        closure(ideal_of(R, "(x+y)^4", "(x+y)^3*y", "(x+y)*y^3", "y^4"), seed=0)
+    else:
+        xs = (R.parse("x^4 + 2*x^3*y + 3*x*y^3 + 5*y^4"),
+              R.parse("2*x^4 - x^3*y + x*y^3 - 3*y^4"))
+        closure(ideal_of(R, *SKEW44), reduction=xs)
+
+
+@pytest.mark.parametrize("case, calls", [
+    ("ex14", 1),
+    ("ex14-squared", 1),
+    ("dimension-three", 1),
+    ("postulation-with-reduction", 1),
+    ("ex110-paper-reduction", 2),  # the two elements have different supports
+    ("phi-skew", 2),  # not monomial
+    ("skew-four-term-reduction", 2),  # four points in the plane: affinely dependent
+])
+def test_one_quotient_series_per_torus_orbit(monkeypatch, case, calls):
+    # the elements of a monomial ideal's reduction that share an affinely
+    # independent support are one torus orbit, sampled once
+    made = []
+    for name in ("rrclosure.closure", "rrclosure.hilbert"):
+        module = importlib.import_module(name)
+
+        def counted(*args, original=module.poincare_series_quotient, **kwargs):
+            made.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "poincare_series_quotient", counted)
+    _orbit_case(case)
+    assert len(made) == calls

@@ -1,5 +1,7 @@
 """hilbert-series: length sampling, numerators, coefficients, postulation."""
 
+import random
+
 import pytest
 
 from rrclosure import (
@@ -246,3 +248,63 @@ def test_quotient_series_ignore_certificates_that_do_not_apply():
 def test_postulation_with_reduction_certifies_its_sequence():
     with pytest.raises(NotSuperficialError):
         postulation_with_reduction(ex110(), (R.parse("x^10"), R.parse("y^5")))
+
+
+# -- one quotient series per torus orbit ----------------------------------------
+
+
+def random_monomial_ideal(rng, ring, max_pure):
+    """Random m-primary monomial ideal: every pure power and up to two more."""
+    d = ring.dim
+    exps = {tuple(rng.randint(1, max_pure) if j == i else 0 for j in range(d)) for i in range(d)}
+    for _ in range(rng.randint(0, 2)):
+        exps.add(tuple(rng.randint(0, max_pure - 1) for _ in range(d)))
+    return Ideal.from_exponents(ring, exps - {(0,) * d})
+
+
+def random_coefficient(rng, ring):
+    p = ring.field.characteristic
+    return rng.randrange(1, p) if p else rng.choice((-1, 1)) * rng.randint(1, 9)
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_affinely_independent_support_gives_one_quotient_series(d, field):
+    # for a monomial I, f and g with one affinely independent support are one
+    # orbit of the torus up to a scalar, so R/(I^{n+1} + (f)) and
+    # R/(I^{n+1} + (g)) have the same length for every n
+    from rrclosure import GF
+    from rrclosure import _kernels as K
+
+    ring = PolyRing(QQ if field == "QQ" else GF(32003), "xyz"[:d])
+    rng = random.Random(31 * d + len(field))
+    trials = 0
+    while trials < (20 if d == 2 else 8):
+        I = random_monomial_ideal(rng, ring, 4 if d == 2 else 3)
+        gens = I.monomial_generators()
+        shifts = [tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(3)]
+        pool = sorted({tuple(a + b for a, b in zip(g, s)) for g in gens for s in shifts})
+        support = rng.sample(pool, rng.randint(1, min(d + 1, len(pool))))
+        if not K.affinely_independent(support):
+            continue
+        trials += 1
+        f, g = (ring.poly({a: random_coefficient(rng, ring) for a in support}) for _ in "fg")
+        qf, qg = (poincare_series_quotient(I, x) for x in (f, g))
+        assert (qf.numerator, qf.samples, qf.exact) == (qg.numerator, qg.samples, qg.exact)
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+def test_one_orbit_of_a_reduction_shares_the_exact_stop(field):
+    # two elements on ex110's Newton vertices (10,0), (1,4), (0,5): with a
+    # certificate both stop exactly, at the same sample
+    from rrclosure import GF
+
+    ring = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y"))
+    I = Ideal(ring, [ring.parse(s) for s in EX110])
+    rng = random.Random(5)
+    xs = tuple(ring.poly({a: random_coefficient(rng, ring) for a in ((10, 0), (1, 4), (0, 5))})
+               for _ in range(2))
+    cert = certify_sequence(I, xs, 45)
+    q1, q2 = (poincare_series_quotient(I, x, reduction=cert) for x in xs)
+    assert q1.exact and q2.exact
+    assert (q1.numerator, q1.samples) == (q2.numerator, q2.samples)

@@ -5,6 +5,7 @@ and the engine's memoised packed divisor scan against brute force."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -353,6 +354,50 @@ def test_newton_polygon_e0_examples():
     assert K.newton_polygon_e0([(0, 22), (11, 11), (22, 0)]) == 484
     assert K.newton_polygon_e0([(0, 8), (2, 4), (3, 2), (8, 0)]) == 40
     assert K.newton_polygon_e0([(1, 0), (0, 1)]) == 1
+
+
+@pytest.mark.parametrize("points, independent", [
+    ([(3, 4)], True),
+    ([(5, 0), (0, 5)], True),
+    ([(2, 0), (1, 1), (0, 2)], False),  # collinear
+    ([(10, 0), (1, 4), (0, 5)], True),  # ex110's Newton vertices
+    ([(4, 0), (3, 1), (1, 3), (0, 4)], False),  # more than d + 1 points
+    ([(3, 0, 0), (0, 3, 0), (0, 0, 3)], True),
+    ([(3, 0, 0), (0, 3, 0), (0, 0, 3), (0, 0, 0)], True),
+    ([(2, 1, 0), (3, 0, 0), (0, 3, 0)], False),  # x^2y on the segment x^3 -- y^3
+    ([(1, 1), (2, 0), (1, 1)], False),  # a repeated point
+    ([(1, 2, 3), (1, 2, 3)], False),
+])
+def test_affinely_independent(points, independent):
+    # the answer does not depend on the order of the points
+    for perm in itertools.permutations(points):
+        assert K.affinely_independent(perm) is independent
+
+
+def rational_rank(rows):
+    """Rank of an integer matrix by elimination over the rationals."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_affinely_independent_matches_the_rational_rank(d):
+    rng = random.Random(77 + d)
+    for _ in range(200):
+        pts = random_monos(rng, rng.randint(1, d + 2), d, hi=3)
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        assert K.affinely_independent(pts) == (rational_rank(diffs) == len(diffs))
 
 
 @pytest.mark.parametrize("kind", ["degrevlex", "eliminate-first"])
