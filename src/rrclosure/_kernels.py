@@ -164,28 +164,37 @@ def staircase_colength(gens, nvars):
 
     ``gens`` must be minimalized.  Returns -1 when the count is infinite
     (some variable has no pure power among the generators); 0 when the ideal
-    is the unit ideal.
+    is the unit ideal.  In two variables the corner chain, sorted by x,
+    starts at the pure power of y and ends at that of x exactly when both
+    exist, and the count is the area under the chain.
     """
+    if not gens:
+        return -1
+    if nvars == 2:
+        seq = sorted(gens)
+        if seq[0][0] or seq[-1][1]:
+            return -1
+        return _area(seq)
     for g in gens:
         if not any(g):
             return 0
-    if not gens:
-        return -1
     for i in range(nvars):
         if not any(g[i] > 0 and sum(g) == g[i] for g in gens):
             return -1
     return _colength_rec(gens, nvars)
 
 
+def _area(seq):
+    """The number of monomials under a two-variable corner chain in x order
+    that runs from a pure power of y to one of x."""
+    return sum((b[0] - a[0]) * a[1] for a, b in zip(seq, seq[1:]))
+
+
 def _colength_rec(gens, nvars):
     if nvars == 1:
         return min(g[0] for g in gens)
     if nvars == 2:
-        seq = sorted(gens)
-        total = 0
-        for i in range(len(seq) - 1):
-            total += (seq[i + 1][0] - seq[i][0]) * seq[i][1]
-        return total
+        return _area(sorted(gens))
     # slice on the last variable: monomials with last exponent e are standard
     # iff their projection avoids the ideal generated by gens with last
     # exponent <= e, which changes only at the generators' levels

@@ -102,10 +102,12 @@ def _run(args) -> dict:
     ring = problem.ring
     ideal = Ideal(ring, problem.generators)
 
-    mode = _effective(args, problem, "mode", "heuristic")
-    seed = _effective(args, problem, "seed", 0)
-    # a file's k: entry is for the subcommands that take --k, and no other
-    k = _effective(args, problem, "k", None) if "k" in vars(args) else None
+    # a file's mode:, seed: and k: entries are for the subcommands that take
+    # --mode, --seed and --k, and no other
+    taken = vars(args)
+    mode = _effective(args, problem, "mode", "heuristic") if "mode" in taken else "heuristic"
+    seed = _effective(args, problem, "seed", 0) if "seed" in taken else 0
+    k = _effective(args, problem, "k", None) if "k" in taken else None
 
     reduction = None
     if getattr(args, "reduction_from_file", False):

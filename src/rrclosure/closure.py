@@ -1,24 +1,30 @@
 """Ratliff-Rush closure of an m-primary ideal.
 
-The pipeline: (1) Poincare series of I gives e0 and pn(I), which for a
-monomial I in two variables must equal 2 * covol of its Newton polygon
-(``e0-newton-polygon`` in ``checks_passed``; a mismatch fails the round);
-(2) a certified superficial sequence x_1..x_d, whose search starts from the
-Newton polyhedron's vertices for a monomial I; (3) quotient Poincare series
-give pn(I; x_1..x_d); (4) the closure is the colon
-(I^{k+1} : (x_1^k..x_d^k)) at k = max(pn(I;xs)+1, 1).  For a monomial I, in any number of variables,
+The pipeline: (1) Poincare series of I, sampled from the colengths of
+its powers, gives e0 and pn(I); for a monomial I in two variables e0 must
+equal 2 * covol of its Newton polygon (``e0-newton-polygon`` in
+``checks_passed``; a mismatch fails the round), and the powers are
+multiplied by the Newton-vertex generators alone once those give the next
+power (``Ideal._next_power``); (2) a certified superficial sequence
+x_1..x_d, whose search starts from the Newton polyhedron's vertices for a
+monomial I; (3) quotient Poincare series give pn(I; x_1..x_d); (4) the
+closure is the colon (I^{k+1} : (x_1^k..x_d^k)) at
+k = max(pn(I;xs)+1, 1).  For a monomial I, in any number of variables,
 step (4) takes only the monomial part of that colon, on the staircase of
-I^{k+1}, since the closure is monomial there; every other input takes the
-exact colon by tag elimination (``chain_term``).  For d = 2 each quotient
-series of step (3) stops exactly where its first difference reaches the
-certified local length of R/(x_1, x_2), recorded as ``quotient-i-exact`` in
+I^{k+1}, since the closure is monomial there; it needs only the term
+supports of the x_i^k and x_i^{k+1}, which ``ideals.power_supports`` finds
+with no polynomial built.  Every other input takes the exact colon by tag
+elimination (``chain_term``).  For d = 2 each quotient series of step (3)
+stops exactly where its first difference reaches the certified local
+length of R/(x_1, x_2), recorded as ``quotient-i-exact`` in
 ``checks_passed``; the sampling window (heuristic) or the regularity bound
 (certified) is only the fallback.  For a monomial I, elements of step (2)
 with one affinely independent support lie in one torus orbit and share one
 quotient series (``hilbert._quotient_series``).  In heuristic mode the run
 additionally verifies that the colon chain has stabilized at k and retries
-with a doubled sampling window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
-exposed for cross-validation at its certified threshold.
+with a doubled sampling window otherwise.  The alternative colon-powers
+route (I^{k+1} : I^k) is exposed for cross-validation at its certified
+threshold.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .hilbert import (
     poincare_series_quotient,
     regularity_bound,
 )
-from .ideals import Ideal
+from .ideals import Ideal, power_supports
 from .reductions import (
     ReductionCertificate,
     certify_sequence,
@@ -82,9 +88,9 @@ def chain_term(I: Ideal, elements, k: int) -> Ideal:
     return I.power(k + 1).colon([x**k for x in elements])
 
 
-def _monomial_chain_term(I: Ideal, powers, k: int) -> Ideal:
+def _monomial_chain_term(I: Ideal, supports, k: int) -> Ideal:
     """M_k, the monomial part of L_k = (I^{k+1} : (x_1^k, ..., x_d^k)), for
-    a monomial I, given the powers x_i^k.
+    a monomial I, given the term supports of the powers x_i^k.
 
     A monomial m has m*f in the monomial ideal I^{k+1} iff m*t does for
     every term t of f, so M_k is the intersection of (I^{k+1} : t) over the
@@ -95,7 +101,6 @@ def _monomial_chain_term(I: Ideal, powers, k: int) -> Ideal:
     x_i-exponent >= k, so (x)^n is in (x_1^k, ..., x_d^k)(x)^{(d-1)(k-1)},
     and m in L_k gives m*I^{n+r} = m*(x)^n*I^r in I^{n+r+1}.
     """
-    supports = [t for f in powers for t in f.terms]
     exps = _kernels.staircase_colon(I.power(k + 1).monomial_generators(), supports)
     return Ideal._from_minimal(I.ring, exps)
 
@@ -220,8 +225,9 @@ def closure(
 
         t0 = time.perf_counter()
         if monomial:
-            powers = [x**k for x in cert.elements]
-            result = _monomial_chain_term(I, powers, k)
+            # one generator per element: the supports of x_i^k, then of x_i^(k+1)
+            supports = [power_supports(x, k) for x in cert.elements]
+            result = _monomial_chain_term(I, [t for s in supports for t in next(s)], k)
         else:
             result = chain_term(I, cert.elements, k)
         add_time("chain-colon", t0)
@@ -229,8 +235,8 @@ def closure(
         if mode == HEURISTIC:
             t0 = time.perf_counter()
             if monomial:
-                powers = [p * x for p, x in zip(powers, cert.elements)]
-                following = _monomial_chain_term(I, powers, k + 1)
+                following = _monomial_chain_term(I, [t for s in supports for t in next(s)],
+                                                 k + 1)
             else:
                 following = chain_term(I, cert.elements, k + 1)
             stable = result.equals(following)

@@ -2,8 +2,12 @@
 intersections, powers, colength and m-primary certification.
 
 Monomial ideals take combinatorial fast paths through the kernel layer and
-never touch Buchberger; everything else runs through a Buchberger engine
-with the normal selection strategy and the coprimality/chain criteria.
+never touch Buchberger.  They hold only their minimal exponents and build
+polynomials from them when first asked.  A two-variable monomial ideal
+multiplies each power by its Newton-vertex generators alone once that
+gives the next power (``Ideal._next_power``).  Everything else runs through
+a Buchberger engine with the normal selection strategy and the
+coprimality/chain criteria.
 Most engine inputs are a staircase M plus a few polynomials (I^{n+1} + (x),
 J + I^t).  The generators of M enter as they are, with no pair update: the
 S-polynomial of two monomials is zero.  The update of each later polynomial
@@ -20,6 +24,7 @@ packed-int monomials; the public reduced bases are always monic.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -594,6 +599,49 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(ring, {unpack(d): t for d, t in quotient.items()})
 
 
+def power_supports(f: Polynomial, k: int):
+    """Yield the term supports of f^k, f^(k+1), f^(k+2), ..., each a list of
+    exponent tuples, with no polynomial built.
+
+    f is multiplied in the engine's form: packed monomials, coefficients
+    integer-primitive over QQ and residues mod p.  That form is f times a
+    nonzero constant, which leaves every support as it is, so each support
+    is exact, cancellations mod p included.  ExponentOverflowError comes
+    where f**k, and each further product by f, would raise it.
+    """
+    if f.total_degree() * k > MAX_EXPONENT:
+        raise ExponentOverflowError(f"degree {f.total_degree()}^{k} exceeds the exponent width")
+    ring = f.ring
+    p = ring.field.characteristic or None
+    packing = _packing(ring)
+    factor = list(_engine_terms(f, p, packing.pack).items())
+    guard = packing.guard
+    power = {0: 1}  # the monomial 1 packs to 0
+    for n in itertools.count():
+        if n >= k:
+            exps = list(map(packing.unpack, power))
+            if n > k and any(v > MAX_EXPONENT for e in exps for v in e):
+                raise ExponentOverflowError("product exceeds the exponent width")
+            yield exps
+        out: dict = {}
+        for e, c in power.items():
+            for e2, c2 in factor:
+                en = e + e2
+                v = out.get(en)
+                if v is None:
+                    if en & guard:
+                        raise _overflow()
+                    v = 0
+                v += c * c2
+                if p is not None:
+                    v %= p
+                if v:
+                    out[en] = v
+                else:
+                    out.pop(en, None)
+        power = out
+
+
 # ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------
@@ -605,19 +653,22 @@ class Ideal:
     Instances are immutable apart from single-assignment caches; semantic
     comparisons go through :meth:`equals` (generator lists are not
     canonical).  An ideal that knows its minimal monomial generators
-    (``monomial_generators``) also holds their reduced basis, built once
-    from them when the ideal is made: monic monomials in canonical order.
+    (``monomial_generators``) stores only their exponents; its reduced
+    basis, monic monomials in canonical order, is built from them the first
+    time ``reduced_basis`` or, for an ideal made from exponents,
+    ``generators`` is read.
     """
 
     __slots__ = (
         "ring",
-        "generators",
+        "_generators",
         "_basis",
         "_minimal",
         "_mono_exps",
         "_witness",
         "_colength",
         "_powers",
+        "_power_factor",
     )
 
     def __init__(self, ring: PolyRing, generators=(), *, basis: ReducedBasis | None = None):
@@ -630,18 +681,18 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.ring = ring
-        self.generators = tuple(gens)
+        self._generators = tuple(gens)  # None: the reduced basis, built on demand
         self._basis = basis
         self._minimal = None  # the engine's minimal basis, for a non-monomial ideal
         self._mono_exps = None
         self._witness = None  # (m_primary_witness(),) once computed
         self._colength = None
         self._powers = None
+        self._power_factor = None  # I_V, once it alone multiplies I^n into I^{n+1}
         if basis is not None and basis.is_monomial():
             self._mono_exps = basis.leading_monomials
         elif gens and all(len(g.terms) == 1 for g in gens):
             self._mono_exps = _kernels.minimalize([g.leading_monomial() for g in gens])
-            self._basis = _monomial_basis(self._mono_exps, ring)
 
     # -- construction helpers ---------------------------------------------
 
@@ -658,12 +709,11 @@ class Ideal:
         """The monomial ideal of ``exps``, which must be minimal and in
         canonical order, as ``_kernels.minimalize`` returns them.
 
-        The generators are the reduced basis, built here from ``ring``, so
-        the per-generator checks of ``__init__`` are skipped.
+        Its generators are its reduced basis, built from ``exps`` when first
+        read, so the per-generator checks of ``__init__`` are skipped.
         """
         ideal = cls(ring)
-        ideal._basis = _monomial_basis(exps, ring)
-        ideal.generators = ideal._basis.polys
+        ideal._generators = None
         ideal._mono_exps = exps
         return ideal
 
@@ -673,8 +723,16 @@ class Ideal:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        if self._generators is None:
+            self._generators = self.reduced_basis().polys
+        return self._generators
+
     def is_zero_ideal(self) -> bool:
-        return not self.generators
+        if self._generators is None:
+            return not self._mono_exps
+        return not self._generators
 
     def monomial_generators(self):
         """Minimal exponent vectors when the ideal is known monomial, else None.
@@ -687,7 +745,9 @@ class Ideal:
 
     def reduced_basis(self) -> ReducedBasis:
         if self._basis is None:
-            if self.is_zero_ideal():
+            if self._mono_exps is not None:
+                self._basis = _monomial_basis(self._mono_exps, self.ring)
+            elif self.is_zero_ideal():
                 self._basis = ReducedBasis((), self.ring)
             else:
                 self._basis = ReducedBasis._from_engine(self._minimal_basis(), self.ring)
@@ -767,30 +827,59 @@ class Ideal:
         return self.multiply(other)
 
     def power(self, n: int) -> "Ideal":
-        """I^n, computed incrementally with interreduction and cached."""
+        """I^n, computed incrementally (``_next_power``) and cached."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("ideal powers need a nonnegative integer exponent")
         if n == 0:
             return Ideal.unit(self.ring)
         if n == 1:
             return self
-        if self.generators:
-            degree = max(g.total_degree() for g in self.generators)
-            if degree * n > MAX_EXPONENT:
-                raise ExponentOverflowError(f"I^{n} exceeds the exponent width")
+        mono = self._mono_exps
+        if mono is not None:
+            degree = max(map(sum, mono), default=0)
+        else:
+            degree = max((g.total_degree() for g in self.generators), default=0)
+        if degree * n > MAX_EXPONENT:
+            raise ExponentOverflowError(f"I^{n} exceeds the exponent width")
         if self._powers is None:
             self._powers = {1: self}
         cache = self._powers
         top = max(cache)
         while top < n:
-            nxt = cache[top].multiply(self)
-            if nxt.monomial_generators() is None:
-                # interreduce: keep the reduced basis as the generating set
-                basis = nxt.reduced_basis()
-                nxt = Ideal(self.ring, basis.polys, basis=basis)
+            cache[top + 1] = self._next_power(cache[top])
             top += 1
-            cache[top] = nxt
         return cache[n]
+
+    def _next_power(self, power: "Ideal") -> "Ideal":
+        """I^{n+1} from ``power`` = I^n.
+
+        A monomial I in two variables has the generators I_V at the vertices
+        of its Newton polygon (``_kernels.newton_vertices``), which generate
+        a reduction of I (Huneke-Swanson 1.4).  I^{n+1} is I^n*I_V plus
+        I^n times the other generators; once the second part adds nothing,
+        I^{n+1} = I_V*I^n, and then I^{m+1} = I_V*I^m for every m >= n
+        (Northcott-Rees), so from there I_V alone multiplies.  A monomial I
+        in other dimensions multiplies by all its generators; any other I
+        by its generators, keeping the reduced basis of the product as the
+        generating set.
+        """
+        mono = self._mono_exps
+        if mono is None:
+            basis = power.multiply(self).reduced_basis()
+            return Ideal(self.ring, basis.polys, basis=basis)
+        exps = power._mono_exps
+        factor = self._power_factor if self.ring.dim == 2 else mono
+        if factor is not None:
+            return Ideal._from_minimal(self.ring, _kernels.monomial_product(exps, factor))
+        vertices = _kernels.newton_vertices(mono)
+        by_vertices = _kernels.monomial_product(exps, vertices)
+        others = [g for g in mono if g not in vertices]
+        nxt = by_vertices
+        if others:
+            nxt = _kernels.monomial_sum(by_vertices, _kernels.monomial_product(exps, others))
+        if nxt == by_vertices:
+            self._power_factor = vertices
+        return Ideal._from_minimal(self.ring, nxt)
 
     def intersection(self, other: "Ideal") -> "Ideal":
         if self.ring != other.ring:
@@ -836,7 +925,9 @@ class Ideal:
         return result
 
     def _best_generators(self):
-        return self._basis.polys if self._basis is not None else self.generators
+        if self._basis is None and self._mono_exps is None:
+            return self.generators
+        return self.reduced_basis().polys
 
     # -- numeric invariants ---------------------------------------------------
 
@@ -935,7 +1026,7 @@ class Ideal:
         if mono is not None:
             if mono and not any(mono[0]):
                 raise ValueError("the unit ideal is not contained in the maximal ideal")
-            return self._basis.polys
+            return self.reduced_basis().polys
         basis = self.reduced_basis()
         if self.colength() == 0:
             raise ValueError("the unit ideal is not contained in the maximal ideal")

@@ -172,6 +172,37 @@ def test_a_file_k_entry_reaches_only_the_subcommands_that_take_k(capsys, tmp_pat
     assert len(os.listdir(cache_dir)) == 3
 
 
+def test_file_mode_and_seed_entries_reach_only_the_subcommands_that_take_them(capsys, tmp_path):
+    plain = tmp_path / "ex110.ideal"
+    plain.write_text(EX110)
+    entries = {"mode": "mode: certified\n", "seed": "seed: 5\n"}
+    # (argv, the entries the subcommand does not take)
+    calls = [(["hilbert", "--n", "1"], ("mode", "seed")),
+             (["colon-powers", "--k", "3"], ("mode", "seed")),
+             (["poincare"], ("seed",)),
+             (["reduction", "--reduction-from-file"], ("mode",))]
+    cache_dir = tmp_path / "cache"
+    for argv, ignored in calls:
+        with_entries = tmp_path / f"ex110-{argv[0]}.ideal"
+        with_entries.write_text(EX110 + "".join(entries[name] for name in ignored))
+        docs = []
+        for path in (plain, with_entries):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--format", "json",
+                                 "--cache", str(cache_dir))
+            assert code == 0, err
+            docs.append(json.loads(out))
+        # the entries are neither echoed nor used, and do not split the cache
+        assert docs[0]["options"] == docs[1]["options"], argv
+        assert docs[0]["result"] == docs[1]["result"], argv
+    assert len(os.listdir(cache_dir)) == len(calls)
+    # a subcommand that takes the option still reads the file's entry
+    seeded = tmp_path / "ex110-seeded.ideal"
+    seeded.write_text(EX110 + entries["seed"])
+    code, out, err = run(capsys, "reduction", str(seeded), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["options"]["seed"] == 5
+
+
 def test_cache_serves_identical_bytes(capsys, ex33_file, tmp_path):
     cache_dir = str(tmp_path / "cache")
     code1, out1, _ = run(capsys, "check-closed", ex33_file, "--format", "json",

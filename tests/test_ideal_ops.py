@@ -26,9 +26,13 @@ from rrclosure.polynomials import MAX_EXPONENT
 from util_algebra import (
     brute_colength,
     brute_monomial_colon,
+    brute_newton_vertices,
+    counter_multiply,
     ideal_of,
+    minimal_set,
     qq_ring,
     random_monomial_mprimary,
+    random_polynomial,
 )
 
 R = qq_ring("x", "y")
@@ -119,6 +123,115 @@ def test_power_consistency_small_random():
         for a in range(3):
             for b in range(3):
                 assert I.power(a + b).equals(I.power(a).multiply(I.power(b)))
+
+
+def _two_variable_staircases(kind, rng, count=12):
+    for _ in range(count):
+        if kind == "skew":
+            yield random_monomial_mprimary(rng, max_pure=7, skew_prob=1.0)
+        elif kind == "vertices":
+            # generators that are all vertices of their Newton polygon
+            yield sorted(brute_newton_vertices(random_monomial_mprimary(rng, 9, 5)))
+        else:
+            yield random_monomial_mprimary(rng, max_pure=9, max_extra=5)
+
+
+@pytest.mark.parametrize("kind", ["plain", "skew", "vertices"])
+def test_powers_match_the_pairwise_products(kind):
+    # degrevlex ascending in two variables: degree up, then y down
+    def canonical(exps):
+        return sorted(exps, key=lambda e: (sum(e), -e[1]))
+
+    rng = random.Random({"plain": 21, "skew": 22, "vertices": 23}[kind])
+    for exps in _two_variable_staircases(kind, rng):
+        I = Ideal.from_exponents(R, exps)
+        want = minimal_set(exps)
+        for n in range(2, 9):
+            want = minimal_set(tuple(a + b for a, b in zip(g, h)) for g in want for h in exps)
+            assert I.power(n).monomial_generators() == canonical(want), (exps, n)
+
+
+def test_powers_switch_to_the_newton_vertices_in_two_variables_only(monkeypatch):
+    from rrclosure import _kernels
+
+    factors = []
+    real = _kernels.monomial_product
+
+    def recorded(gens_a, gens_b):
+        factors.append(sorted(gens_b))
+        return real(gens_a, gens_b)
+
+    monkeypatch.setattr(_kernels, "monomial_product", recorded)
+    # ex14: nine generators of degree 22, whose Newton polygon is one edge
+    ex14 = [(0, 22), (4, 18), (7, 15), (8, 14), (11, 11), (14, 8), (15, 7), (18, 4), (22, 0)]
+    I = Ideal.from_exponents(R, ex14)
+    vertices = sorted(brute_newton_vertices(ex14))
+    assert vertices == [(0, 22), (22, 0)]
+    others = sorted(set(ex14) - set(vertices))
+    I.power(8)
+    # I^n*I_V and I^n*(the others) until the others add nothing; I_V alone after
+    switch = factors.count(others)
+    assert 1 <= switch < 7
+    assert factors == [vertices, others] * switch + [vertices] * (7 - switch)
+
+    # three variables keep the plain product by every generator
+    factors.clear()
+    S = qq_ring("x", "y", "z")
+    J = ideal_of(S, "x^3", "y^3", "z^3", "x^2*y", "y^2*z")
+    J.power(5)
+    assert factors == [sorted(J.monomial_generators())] * 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_power_supports_match_the_products(field):
+    from rrclosure.ideals import power_supports
+
+    S = PolyRing(field, ("x", "y"))
+    p = field.characteristic
+
+    def times(a, b):
+        out = counter_multiply(a, b)
+        return {e: c % p for e, c in out.items() if c % p} if p else out
+
+    rng = random.Random(31)
+    for _ in range(30):
+        f = random_polynomial(rng, S, max_terms=4, max_exp=3)
+        if f.is_zero():
+            continue
+        k = rng.randint(1, 5)
+        power = {(0, 0): 1}
+        for _ in range(k):
+            power = times(power, f.terms)
+        supports = power_supports(f, k)
+        assert sorted(next(supports)) == sorted(power), (f, k)
+        assert sorted(next(supports)) == sorted(times(power, f.terms)), (f, k)
+
+
+def test_power_supports_keep_cancellations_mod_p():
+    from rrclosure.ideals import power_supports
+
+    S = PolyRing(GF(5), ("x", "y"))
+    f = S.parse("x + y")
+    supports = power_supports(f, 5)
+    assert sorted(next(supports)) == [(0, 5), (5, 0)]  # (x + y)^5 = x^5 + y^5 mod 5
+    assert sorted(next(supports)) == [(0, 6), (1, 5), (5, 1), (6, 0)]
+    assert sorted(next(power_supports(f, 4))) == sorted((f**4).terms)
+
+
+def test_a_power_builds_its_polynomials_only_when_read():
+    I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
+    P = I.power(3)
+    # sampling reads only the exponents
+    assert not P.is_zero_ideal()
+    assert P.colength() == brute_colength(P.monomial_generators(), 2)
+    I.power(5)
+    assert P._generators is None and P._basis is None
+    built = Ideal(R, [R.monomial(e) for e in P.monomial_generators()])
+    assert P.generators == built.generators
+    assert P.reduced_basis() == built.reduced_basis()
+    assert P.minimal_generators() == built.minimal_generators()
+    assert repr(P) == repr(built)
+    assert P.generators is P.reduced_basis().polys
 
 
 def test_colength_matches_brute_force():
