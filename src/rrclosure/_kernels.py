@@ -19,9 +19,10 @@ intersection is one merge of two chains by x (``_meet``), and
 sorted sums of those ints.  The chain colon ``staircase_colon``, behind
 every colon of a monomial ideal by monomials, meets shifted chains; the
 lower convex hull of a chain gives the Newton polygon's vertices and e0 as
-a shoelace sum.  In other dimensions each candidate is checked against the
-generators kept so far, and Newton vertices are found by minimizing random
-positive weights.
+a shoelace sum; the colength of a staircase plus a binomial is read off the
+corners of one chain colon.  In other dimensions each candidate is checked
+against the generators kept so far, and Newton vertices are found by
+minimizing random positive weights.
 
 The scan is memoised per engine basis: a query answered before returns its
 stored first divisor at once, and a stored miss resumes the scan at the
@@ -31,6 +32,7 @@ and every call returns the same index an unmemoised scan would.
 """
 
 import random
+from itertools import accumulate
 
 from .orders import degrevlex
 
@@ -232,6 +234,41 @@ def staircase_colon(gens, supports):
     for p, q in _chain(sorted(supports)):
         out = _meet(out, _chain([(x - p if x > p else 0, y - q if y > q else 0) for x, y in seq]))
     return _canonical_pairs(out)
+
+
+def binomial_quotient_colength(gens, a, b):
+    """Colength of J + (f) for the m-primary two-variable monomial ideal J
+    with the minimalized generators ``gens`` and a binomial f with the terms
+    x^a and x^b, whatever its two nonzero coefficients; None when one term
+    divides the other.
+
+    With a_x < b_x and a_y > b_y, f = c*u*g for a unit c, u = x^a_x*y^b_y
+    and g = y^q + c'*x^p, p = b_x - a_x and q = a_y - b_y.  The length is
+    that of R/(J + (u)) plus that of R/(K + (g)) for K = (J : u), and the
+    second is the sum over r < q of e_r, the least i + p*(j // q) +
+    p*[r < j % q] over K's corners (i, j) (``hilbert`` has the proof).  One
+    sort of the corners' residues j % q and prefix and suffix minima give
+    that sum in runs of equal e_r, with no loop over q or any exponent.
+    """
+    if (a[0] - b[0]) * (a[1] - b[1]) >= 0:
+        return None
+    if a[0] > b[0]:
+        a, b = b, a
+    u = (a[0], b[1])
+    p, q = b[0] - a[0], a[1] - b[1]
+    least = {}  # residue j % q -> least i + p*(j // q) over the corners with it
+    for i, j in staircase_colon(gens, [u]):
+        s, base = j % q, i + p * (j // q)
+        least[s] = min(base, least.get(s, base))
+    residues = sorted(least)  # residues[0] is 0: K holds a pure power of x
+    bases = [least[s] for s in residues]
+    # for the run of r from residues[k] to the next residue: the least base
+    # up to k, and the least base after k
+    before = accumulate(bases, min)
+    after = list(accumulate(reversed(bases), min))[-2::-1] + [float("inf")]
+    runs = zip(residues, residues[1:] + [q], before, after)
+    return (staircase_colength(monomial_sum(gens, [u]), 2)
+            + sum((end - r) * min(low, high + p) for r, end, low, high in runs))
 
 
 _WEIGHTS_PER_VARIABLE = 4  # weight vectors for the Newton vertices in d != 2

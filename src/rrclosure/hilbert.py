@@ -29,6 +29,24 @@ I^{n+1} + (g).  Colengths do not change under this automorphism or under
 the field extension, so the samples, the numerator and the exact stop of
 f and g agree.  The Newton-vertex search gives every element of a
 monomial I's first candidate reduction the same support.
+
+A binomial x needs no Groebner basis when I is monomial in two variables
+(binomial normal forms, Eisenbud-Sturmfels 1996; the corner chains of
+Miller-Sturmfels, ch. 3).  Let J = I^{n+1} and let x have the terms
+x^a and x^b, neither dividing the other, ordered so that a_x < b_x and
+a_y > b_y.  Then x = c*u*g with c a unit, u = x^a_x*y^b_y and
+g = y^q + c'*x^p, where p = b_x - a_x, q = a_y - b_y and c' != 0.  Since
+(J + (u*g)) : u = (J : u) + (g), multiplication by u maps R/(K + (g)),
+K = J : u, onto (J + (u))/(J + (x)), so
+colength(J + (x)) = colength(J + (u)) + colength(K + (g)).  R/(g) is free
+over k[x] on 1, y, ..., y^{q-1}, and there x^i*y^j is a unit times
+x^{i + p*(j // q)}*y^{j % q}.  K is spanned by monomials, so its image is
+the sum over r < q of x^{e_r}*k[x]*y^r, with e_r the least exponent of x
+over K's monomials with j % q = r.  The least such monomial above K's
+corner (i, j) keeps i and moves j up to the residue r, which gives
+e_r = min over corners of i + p*(j // q) + p*[r < j % q], and
+colength(K + (g)) = sum over r < q of e_r, which
+``_kernels.binomial_quotient_colength`` counts in runs of equal e_r.
 """
 
 from __future__ import annotations
@@ -150,12 +168,26 @@ def hilbert_samuel(I: Ideal, n: int) -> int:
     return I.power(n + 1).colength()
 
 
+def _quotient_length(I: Ideal, x: Polynomial):
+    """The function n -> colength(I^{n+1} + (x)) that both quotient
+    functions sample.  For a monomial I in two variables and a binomial x
+    whose terms do not divide each other it is counted on the staircase of
+    I^{n+1} (``_kernels.binomial_quotient_colength``, see the module
+    docstring); every other x goes through the ideal sum."""
+    if I.ring.dim == 2 and len(x.terms) == 2 and I.monomial_generators() is not None:
+        a, b = x.terms
+        if (a[0] - b[0]) * (a[1] - b[1]) < 0:
+            return lambda n: _kernels.binomial_quotient_colength(
+                I.power(n + 1).monomial_generators(), a, b)
+    return lambda n: (I.power(n + 1) + x).colength()
+
+
 def hilbert_samuel_quotient(I: Ideal, x: Polynomial, n: int) -> int:
     """Hilbert-Samuel function of the image of I in R/(x): colength(I^{n+1} + (x))."""
     _require_quotient_element(I, x)
     if n < 0:
         raise ValueError("the Hilbert-Samuel function is indexed by n >= 0")
-    return (I.power(n + 1) + x).colength()
+    return _quotient_length(I, x)(n)
 
 
 def _trimmed(diffs) -> list[int]:
@@ -272,8 +304,7 @@ def poincare_series_quotient(
     if reduction is not None and d == 2 and x in reduction.elements:
         step_bound = reduction.colength
     return _series_from_lengths(
-        lambda n: (I.power(n + 1) + x).colength(), d, d - 1, mode, window, max_samples,
-        step_bound,
+        _quotient_length(I, x), d, d - 1, mode, window, max_samples, step_bound,
     )
 
 

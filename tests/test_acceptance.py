@@ -157,6 +157,13 @@ def criterion_5():
 
         assert rep.closure_ideal.equals(chain[rep.k_used])
 
+        # binomial quotient samples, counted on the staircase, against the
+        # Groebner engine's colength of the ideal sum
+        for x, q in zip(rep.certificate.elements, rep.quotient_series):
+            if len(x.terms) == 2:
+                for n, sample in enumerate(q.samples):
+                    assert sample == (I.power(n + 1) + x).colength(), f"quotient sample at n={n}"
+
         # extensivity and idempotence
         assert rep.closure_ideal.contains_ideal(I)
         assert b["idempotent"].is_closed
@@ -169,7 +176,7 @@ def criterion_5():
         assert b["other"].closure_ideal.equals(rep.closure_ideal)
 
     elapsed = time.perf_counter() - started
-    return f"6 property suites x {len(bundles)} instances ({elapsed:.1f}s)"
+    return f"6 property suites and a sample cross-check x {len(bundles)} instances ({elapsed:.1f}s)"
 
 
 def criterion_6():

@@ -30,6 +30,7 @@ EX110_CLOSURE = ("x^10", "y^5", "x*y^4", "x^7*y^2", "x^6*y^3", "x^8*y")
 EX33 = ("x^8", "x^3*y^2", "x^2*y^4", "y^8")
 EX14 = ("y^22", "x^4*y^18", "x^7*y^15", "x^8*y^14", "x^11*y^11", "x^14*y^8", "x^15*y^7",
         "x^18*y^4", "x^22")
+SKEW44 = ("x^4", "x^3*y", "x*y^3", "y^4")
 
 
 def test_bound_params_invariants():
@@ -340,6 +341,34 @@ def test_monomial_input_never_takes_the_tag_elimination_colon(monkeypatch):
         assert J.power(3).colon(divisors).monomial_generators() is not None
 
 
+@pytest.mark.parametrize("case, binomial", [
+    ("ex14", True),
+    ("ex14-squared", True),
+    ("skew44", True),
+    ("ex110", False),  # the searched elements are trinomials
+])
+def test_binomial_quotient_samples_never_reach_the_engine(monkeypatch, case, binomial):
+    gens = {"ex110": EX110, "ex14": EX14, "ex14-squared": EX14, "skew44": SKEW44}[case]
+    I = ideal_of(R, *gens)
+    rep = closure_power(I, 2, seed=0) if case == "ex14-squared" else closure(I, seed=0)
+    I, cert = rep.input_ideal, rep.certificate
+    assert all(len(x.terms) == (2 if binomial else 3) for x in cert.elements)
+    ideals = importlib.import_module("rrclosure.ideals")
+    calls = []
+
+    def counted(*args, original=ideals._engine_groebner):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_engine_groebner", counted)
+    for x, q in zip(cert.elements, rep.quotient_series):
+        samples = poincare_series_quotient(I, x, reduction=cert).samples
+        assert bool(calls) is not binomial
+        assert samples == q.samples
+        assert samples == tuple((I.power(n + 1) + x).colength() for n in range(len(samples)))
+        calls.clear()
+
+
 def assert_staircase_certificate(J, rep):
     # A contains J and A * J^k lies in J^{k+1}, so J <= A <= the closure
     A, k = rep.closure_ideal, rep.k_used
@@ -449,10 +478,6 @@ def test_reports_are_pinned_in_order(case):
     assert tuple(q.samples for q in rep.quotient_series) == want_quotients
     assert rep.k_used == want_k
     assert rep.checks_passed == EXACT_CHECKS
-
-
-
-SKEW44 = ("x^4", "x^3*y", "x*y^3", "y^4")
 
 
 def _orbit_case(case):

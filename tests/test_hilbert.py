@@ -27,6 +27,8 @@ from util_algebra import brute_colength, ideal_of, qq_ring
 
 R = qq_ring("x", "y")
 EX110 = ("x^10", "y^5", "x*y^4", "x^8*y")
+EX14 = ("y^22", "x^4*y^18", "x^7*y^15", "x^8*y^14", "x^11*y^11", "x^14*y^8", "x^15*y^7",
+        "x^18*y^4", "x^22")
 
 
 def ex110():
@@ -57,6 +59,15 @@ def test_quotient_lengths():
     assert hilbert_samuel_quotient(I, R.parse("x*y^4"), 2) == 119
     with pytest.raises(ElementNotInIdealError):
         hilbert_samuel_quotient(I, R.parse("x"), 0)
+    # a binomial element, counted on the staircase, against the engine's
+    # colength of the ideal sum; the series samples the same function
+    J = ideal_of(R, *EX14)
+    for text in ("-5*x^22 + 7*y^22", "x^4*y^18 - 3*x^18*y^4"):
+        f = R.parse(text)
+        series = poincare_series_quotient(J, f)
+        for n in range(4):
+            want = (J.power(n + 1) + f).colength()
+            assert hilbert_samuel_quotient(J, f, n) == want == series.samples[n]
 
 
 def test_poincare_regular_maximal_ideal():

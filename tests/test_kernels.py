@@ -5,11 +5,12 @@ and the engine's memoised packed divisor scan against brute force."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from rrclosure import QQ, PolyRing, TermOrder
+from rrclosure import GF, QQ, Ideal, PolyRing, TermOrder
 from rrclosure import _kernels as K
 from rrclosure._kernels import find_divisor_index
 from rrclosure.ideals import _Basis, _engine_terms, _nf_engine
@@ -289,6 +290,72 @@ def test_kernels_follow_the_corners_not_the_exponents():
         (1, 1), (0, top), (top, 0)]
     assert K.monomial_intersection([(top - 1, 1), (top, 0)], [(0, top), (top, top - 2)]) == [
         (top, top - 2), (top - 1, top)]
+
+
+def incomparable(a, b):
+    return not divides(a, b) and not divides(b, a)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+def test_binomial_quotient_colength_matches_the_engine(field):
+    # the oracle (J + f).colength() runs the Groebner engine on J and f
+    ring = PolyRing(field, ("x", "y"))
+    rng = random.Random(31)
+    coeffs = [c for c in range(-6, 7) if c]
+    checked = 0
+    for _ in range(25):
+        base = Ideal.from_exponents(ring, random_monomial_mprimary(rng, max_pure=6, max_extra=3,
+                                                                   skew_prob=0.4))
+        for e in (1, 2, 3):
+            J = base.power(e)
+            gens = J.monomial_generators()
+            members = [(g[0] + rng.randint(0, 3), g[1] + rng.randint(0, 3)) for g in gens]
+            pairs = [(a, b) for a, b in itertools.combinations(members, 2) if incomparable(a, b)]
+            for a, b in rng.sample(pairs, min(3, len(pairs))):
+                f = ring.poly({a: rng.choice(coeffs), b: rng.choice(coeffs)})
+                assert K.binomial_quotient_colength(gens, a, b) == (J + f).colength()
+                checked += 1
+    assert checked > 100
+
+
+def test_binomial_quotient_colength_edge_cases():
+    ring = PolyRing(QQ, ("x", "y"))
+
+    def engine(gens, a, b, ca=1, cb=1):
+        return (Ideal.from_exponents(ring, gens) + ring.poly({a: ca, b: cb})).colength()
+
+    J = [(0, 4), (1, 3), (3, 1), (4, 0)]
+    # one term, or both, outside J
+    for a, b in (((0, 4), (2, 0)), ((1, 1), (3, 0)), ((0, 2), (1, 0))):
+        assert K.binomial_quotient_colength(J, a, b) == engine(J, a, b, 3, -2)
+    # q = 1 and p = 1: x*y^4 - x^2*y^3, and x + y, which cuts J down to k[x]/(x^4)
+    assert K.binomial_quotient_colength(J, (1, 4), (2, 3)) == engine(J, (1, 4), (2, 3), 1, -1)
+    assert K.binomial_quotient_colength(J, (1, 0), (0, 1)) == engine(J, (1, 0), (0, 1)) == 4
+    # the unit ideal, and J = (x, y)
+    assert K.binomial_quotient_colength([(0, 0)], (1, 0), (0, 2)) == 0
+    assert K.binomial_quotient_colength([(0, 1), (1, 0)], (2, 0), (0, 2)) == 1
+    # comparable terms return None, whatever the order; the caller falls back
+    for a, b in (((1, 2), (3, 4)), ((3, 4), (1, 2)), ((2, 0), (2, 5)), ((0, 3), (4, 3))):
+        assert K.binomial_quotient_colength(J, a, b) is None
+
+
+def test_binomial_quotient_colength_follows_the_corners_not_the_exponents():
+    # y = -x^N turns (x^N, y)^3 into (x^{3N}): the colength is 3N, checked on
+    # the engine at small N; at N = 10**6 and at the exponent cap it is the
+    # same handful of corners
+    def staircase(N):
+        return Ideal.from_exponents(PolyRing(QQ, ("x", "y")), [(N, 0), (0, 1)]).power(3)
+
+    for N in range(1, 6):
+        J = staircase(N)
+        f = J.ring.poly({(N, 0): 1, (0, 1): 1})
+        assert (J + f).colength() == 3 * N
+        assert K.binomial_quotient_colength(J.monomial_generators(), (N, 0), (0, 1)) == 3 * N
+    for N in (10**6, MAX_EXPONENT // 3):
+        gens = staircase(N).monomial_generators()
+        started = time.perf_counter()
+        assert K.binomial_quotient_colength(gens, (N, 0), (0, 1)) == 3 * N
+        assert time.perf_counter() - started < 0.05
 
 
 @pytest.mark.parametrize("seed", range(10))
