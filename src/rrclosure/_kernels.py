@@ -7,10 +7,11 @@ packed-int monomials (``orders.Packing``), where Python-int arithmetic is
 all the work.
 
 Every sum, product, colon and intersection returns minimal generators in
-the canonical order of ``_canonical_key`` (degrevlex ascending), which
-reports and cache entries keep, so ``Ideal`` wraps them without minimalizing
-again.  The length of the exponent tuples picks the path.  In two variables
-a staircase is its corner chain, x up and y down (Miller-Sturmfels,
+ascending tuple order, so ``Ideal`` wraps them without minimalizing again.
+The kernels know no term order: a generator list takes the ring's order
+only where it is shown or compared (``ideals._monomial_basis``).  The
+length of the exponent tuples picks the path.  In two variables a staircase
+is its corner chain, x up and y down, which is tuple order (Miller-Sturmfels,
 *Combinatorial Commutative Algebra*, ch. 3): sorted by (x, y), a monomial is
 divisible by another exactly when its y is at least the least y before it,
 so one sort and one sweep (``_chain``) give the minimal generators; an
@@ -21,8 +22,9 @@ every colon of a monomial ideal by monomials, meets shifted chains; the
 lower convex hull of a chain gives the Newton polygon's vertices and e0 as
 a shoelace sum; the colength of a staircase plus a binomial is read off the
 corners of one chain colon.  In other dimensions each candidate is checked
-against the generators kept so far, and Newton vertices are found by
-minimizing random positive weights.
+against the generators kept so far, in tuple order, where a divisor comes
+before its multiples, and Newton vertices are found by minimizing random
+positive weights.
 
 The scan is memoised per engine basis: a query answered before returns its
 stored first divisor at once, and a stored miss resumes the scan at the
@@ -34,40 +36,25 @@ and every call returns the same index an unmemoised scan would.
 import random
 from itertools import accumulate
 
-from .orders import degrevlex
-
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-_canonical_key = degrevlex().key  # the order generator lists are presented in
-
-
 _LOW = (1 << 32) - 1  # the low half of a packed two-variable monomial
-
-
-def _canonical_pairs(pairs):
-    """Two-variable monomials, each exponent below 2^32, in canonical order:
-    degree ascending, then y descending.  Sorts ints rather than keys."""
-    out = []
-    for k in sorted([(x + y) << 32 | (_LOW - y) for x, y in pairs]):
-        y = _LOW - (k & _LOW)
-        out.append(((k >> 32) - y, y))
-    return out
 
 
 def minimalize(monomials):
     """Minimal generators of the monomial ideal spanned by ``monomials``.
 
     Removes duplicates and every monomial divisible by another; the result is
-    sorted canonically (degrevlex ascending).
+    in ascending tuple order, where a divisor comes before its multiples.
     """
     cands = set(monomials)
     if _two_vars(cands):
-        return _canonical_pairs(_chain(sorted(cands)))
+        return _chain(sorted(cands))
     kept = []
-    for m in sorted(cands, key=_canonical_key):
+    for m in sorted(cands):
         if not monomial_contains(kept, m):
             kept.append(m)
     return kept
@@ -126,7 +113,7 @@ def monomial_product(gens_a, gens_b):
             if m & _LOW < least:  # the sweep of _chain
                 least = m & _LOW
                 kept.append((m >> 32, least))
-        return _canonical_pairs(kept)
+        return kept
     prods = {mono_mul(a, b) for a in gens_a for b in gens_b}
     return minimalize(prods)
 
@@ -143,7 +130,7 @@ def monomial_colon_single(gens, b):
 def monomial_intersection(gens_a, gens_b):
     """Minimal generators of the intersection of two monomial ideals."""
     if _two_vars(gens_b):
-        return _canonical_pairs(_meet(_chain(sorted(gens_a)), _chain(sorted(gens_b))))
+        return _meet(_chain(sorted(gens_a)), _chain(sorted(gens_b)))
     return minimalize(tuple(x if x > y else y for x, y in zip(a, b))
                       for a in gens_a for b in gens_b)
 
@@ -233,7 +220,7 @@ def staircase_colon(gens, supports):
     out = [(0, 0)]
     for p, q in _chain(sorted(supports)):
         out = _meet(out, _chain([(x - p if x > p else 0, y - q if y > q else 0) for x, y in seq]))
-    return _canonical_pairs(out)
+    return out
 
 
 def binomial_quotient_colength(gens, a, b):
@@ -296,8 +283,8 @@ def _lower_hull(gens):
 
 def newton_vertices(gens, seed=0):
     """Generators of a monomial ideal at vertices of its Newton polyhedron,
-    canonically ordered.  They generate a reduction with the same integral
-    closure when every vertex is found (Huneke-Swanson 1.4).
+    in ascending tuple order.  They generate a reduction with the same
+    integral closure when every vertex is found (Huneke-Swanson 1.4).
 
     In two variables these are exactly the vertices (``_lower_hull``).  In
     other dimensions they are the minimizers of <w, g> over the minimal
@@ -307,7 +294,7 @@ def newton_vertices(gens, seed=0):
     hits is missed.
     """
     if _two_vars(gens):
-        return _canonical_pairs(_lower_hull(gens))
+        return _lower_hull(gens)
     gens = minimalize(gens)
     if not gens:
         return []
@@ -317,7 +304,7 @@ def newton_vertices(gens, seed=0):
     for _ in range(_WEIGHTS_PER_VARIABLE * d):
         w = [rng.randint(1, _WEIGHT_MAX) for _ in range(d)]
         found.add(min(gens, key=lambda g: (sum(a * b for a, b in zip(w, g)), g)))
-    return sorted(found, key=_canonical_key)
+    return sorted(found)
 
 
 def newton_polygon_e0(gens):

@@ -499,9 +499,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def _monomial_basis(exps, ring: PolyRing) -> ReducedBasis:
-    """The reduced basis of the monomial ideal of ``exps``, which must be
-    minimal and in canonical order, as ``_kernels.minimalize`` returns them."""
+    """The reduced basis of the monomial ideal of the minimal ``exps``, sorted
+    by the ring's order: the one order every shown or compared generator list
+    (reports, cache keys, ``ReducedBasis ==``) takes."""
     one = ring.field.one
+    exps = sorted(exps, key=ring.order.key)
     return ReducedBasis([Polynomial(ring, {e: one}) for e in exps], ring)
 
 
@@ -653,10 +655,11 @@ class Ideal:
     Instances are immutable apart from single-assignment caches; semantic
     comparisons go through :meth:`equals` (generator lists are not
     canonical).  An ideal that knows its minimal monomial generators
-    (``monomial_generators``) stores only their exponents; its reduced
-    basis, monic monomials in canonical order, is built from them the first
-    time ``reduced_basis`` or, for an ideal made from exponents,
-    ``generators`` is read.
+    (``monomial_generators``) stores only their exponents, in ascending
+    tuple order as the kernels return them; its reduced basis, monic
+    monomials in the ring's order, is built from them the first time
+    ``reduced_basis`` or, for an ideal made from exponents, ``generators``
+    is read.
     """
 
     __slots__ = (
@@ -690,7 +693,7 @@ class Ideal:
         self._powers = None
         self._power_factor = None  # I_V, once it alone multiplies I^n into I^{n+1}
         if basis is not None and basis.is_monomial():
-            self._mono_exps = basis.leading_monomials
+            self._mono_exps = sorted(basis.leading_monomials)
         elif gens and all(len(g.terms) == 1 for g in gens):
             self._mono_exps = _kernels.minimalize([g.leading_monomial() for g in gens])
 
@@ -707,7 +710,7 @@ class Ideal:
     @classmethod
     def _from_minimal(cls, ring: PolyRing, exps) -> "Ideal":
         """The monomial ideal of ``exps``, which must be minimal and in
-        canonical order, as ``_kernels.minimalize`` returns them.
+        ascending tuple order, as the kernels return them.
 
         Its generators are its reduced basis, built from ``exps`` when first
         read, so the per-generator checks of ``__init__`` are skipped.
@@ -752,7 +755,7 @@ class Ideal:
             else:
                 self._basis = ReducedBasis._from_engine(self._minimal_basis(), self.ring)
                 if self._basis.is_monomial():
-                    self._mono_exps = self._basis.leading_monomials
+                    self._mono_exps = sorted(self._basis.leading_monomials)
         return self._basis
 
     def _minimal_basis(self) -> _Basis:
@@ -792,9 +795,9 @@ class Ideal:
             raise RingMismatchError("ideals from different rings")
         a, b = self.monomial_generators(), other.monomial_generators()
         if a is not None and b is not None:
-            # minimal monomial generators are canonical as a set; the list
-            # order depends on which path produced them
-            return set(a) == set(b)
+            # minimal monomial generators, in ascending tuple order whichever
+            # path produced them
+            return a == b
         return self.reduced_basis().polys == other.reduced_basis().polys
 
     # -- arithmetic ----------------------------------------------------------

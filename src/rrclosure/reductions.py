@@ -104,7 +104,8 @@ def find_superficial_sequence(
     from F_p* over a prime field.
 
     For a monomial I the first attempt's pool is the generators at the
-    vertices of the Newton polyhedron (``_kernels.newton_vertices``).  They
+    vertices of the Newton polyhedron (``_kernels.newton_vertices``), listed
+    in the ring's order like the minimal generators of later attempts.  They
     generate a reduction I_V of I, since both have the same integral closure
     (Huneke-Swanson 1.4), and generic elements of a reduction are
     superficial for I, d of them generating a minimal reduction
@@ -123,7 +124,8 @@ def find_superficial_sequence(
     for attempt in range(1, max_attempts + 1):
         pool = gens
         if attempt == 1 and mono is not None:
-            pool = [I.ring.monomial(v) for v in _kernels.newton_vertices(mono, seed)]
+            vertices = sorted(_kernels.newton_vertices(mono, seed), key=I.ring.order.key)
+            pool = [I.ring.monomial(v) for v in vertices]
         candidates = []
         for _ in range(d):
             combo = I.ring.zero

@@ -102,6 +102,16 @@ def test_colon_powers_bound_too_large_exit_code(capsys, ex110_file):
     assert "BOUND_TOO_LARGE" in err
 
 
+def test_a_reduction_from_file_that_never_certifies_exits_1(capsys, tmp_path):
+    path = tmp_path / "bad-reduction.ideal"
+    path.write_text(EX110.replace("y^5+x^10+x^8*y, x*y^4", "x^10, y^5"))
+    code, out, err = run(capsys, "closure", str(path), "--reduction-from-file")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[NOT_SUPERFICIAL]")
+    assert "at least 50, expected e0 = 45" in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.ideal"
     bad.write_text("ideal: x + \n")
@@ -296,6 +306,38 @@ def test_text_and_json_numeric_agreement(capsys, ex110_file):
     doc = json.loads(json_out)
     assert f"e0: {doc['result']['series']['multiplicity']}" in text_out
     assert f"k used: {doc['result']['k_used']}" in text_out
+
+
+def text_and_json(capsys, *argv):
+    code, text_out, err = run(capsys, *argv)
+    assert code == 0, err
+    code, json_out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    fields = dict(line.split(": ", 1) for line in text_out.splitlines())
+    return fields, json.loads(json_out)["result"]
+
+
+def test_reduction_text_agrees_with_json(capsys, ex110_file):
+    fields, result = text_and_json(capsys, "reduction", ex110_file, "--reduction-from-file")
+    red = result["reduction"]
+    assert fields["reduction"] == "; ".join(red["elements"])
+    assert fields["colength"] == str(red["colength"]) == "45"
+    assert fields["e0"] == str(red["multiplicity"]) == "45"
+    assert fields["attempts"] == str(red["attempts"]) == "0"
+    assert fields["seed"] == str(red["seed"]) == "0"
+
+
+def test_colon_powers_text_agrees_with_json(capsys, ex110_file):
+    fields, result = text_and_json(capsys, "colon-powers", ex110_file, "--k", "4")
+    bounds = result["bounds"]
+    assert fields["k"] == str(result["k"]) == "4"
+    assert fields["certified"] == str(result["certified"]).lower() == "false"
+    assert fields["bounds"] == (f"e0 {bounds['multiplicity']}, regularity bound "
+                                f"{bounds['regularity_bound']}, certified k "
+                                f"{bounds['colon_powers_k']}")
+    assert fields["bounds"] == "e0 45, regularity bound 1980, certified k 5946"
+    closure_line = ", ".join(result["closure"]["minimal_generators"])
+    assert fields["closure"] == closure_line == "y^5, x*y^4, x^6*y^3, x^7*y^2, x^8*y, x^10"
 
 
 def test_closure_power_of_a_shipped_problem_in_a_fresh_process():

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from rrclosure import (
     BoundTooLargeError,
     Ideal,
     NotMPrimaryError,
+    NotSuperficialError,
     chain_term,
     closure,
     closure_power,
@@ -203,6 +205,23 @@ def test_e0_mismatch_with_the_newton_polygon_is_a_failed_check(monkeypatch):
     monkeypatch.setattr(_kernels, "newton_polygon_e0", lambda gens: 44)
     with pytest.raises(ChainUnstableError, match="e0-newton-polygon"):
         closure(ideal_of(R, *EX110), seed=0)
+
+
+def test_a_reduction_that_never_certifies_fails_after_every_round(monkeypatch):
+    # (x^10, y^5) is no reduction of ex110: its colength 50 exceeds e0 = 45 in
+    # each of the three rounds, which double the Poincare window from 10
+    closure_module = sys.modules["rrclosure.closure"]
+    windows = []
+    real = closure_module.poincare_series
+
+    def recorded(I, **kwargs):
+        windows.append(kwargs["window"])
+        return real(I, **kwargs)
+
+    monkeypatch.setattr(closure_module, "poincare_series", recorded)
+    with pytest.raises(NotSuperficialError, match="at least 50, expected e0 = 45"):
+        closure(ideal_of(R, *EX110), reduction=(R.parse("x^10"), R.parse("y^5")))
+    assert windows == [None, 10, 20]
 
 
 def test_phase_times_add_up_over_retry_rounds(monkeypatch):

@@ -52,3 +52,20 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert "rrclosure.cli" in added
     assert "dataclasses" not in added
     assert "inspect" not in added
+
+
+def test_the_kernels_import_nothing_from_the_package():
+    # the kernels know no term order: the ring's order reaches a generator
+    # list only where it is shown (ideals._monomial_basis), so nothing of the
+    # package, orders included, may be imported into them
+    path = os.path.join(os.path.dirname(rrclosure.__file__), "_kernels.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert imported  # the walk sees the standard-library imports
+    assert not [m for m in imported if m.startswith((".", "rrclosure"))], imported
