@@ -122,6 +122,26 @@ def test_product_and_intersection_match_the_oracle(seed, d):
 
 
 @pytest.mark.parametrize("seed", range(10))
+def test_canonical_order_of_two_variable_staircases_sorts_ints(seed):
+    # whole staircases of one degree or a few, so that many monomials tie in
+    # degree, plus scattered ones with exponents up to MAX_EXPONENT: the
+    # kernels list the corner chain in tuple order, the packed product by a
+    # sort of ints, and a shown basis takes the ring's order (degrevlex here)
+    rng = random.Random(700 + seed)
+    ring = PolyRing(QQ, ("x", "y"))
+    for _ in range(10):
+        degrees = [rng.randint(0, 12) for _ in range(rng.randint(1, 3))]
+        pairs = {(i, deg - i) for deg in degrees for i in range(deg + 1) if rng.random() < 0.7}
+        pairs |= {(rng.randint(0, MAX_EXPONENT), rng.randint(0, MAX_EXPONENT)) for _ in range(3)}
+        want = minimal_set(pairs)
+        assert_generators(K.minimalize(pairs), want)
+        assert_generators(K.monomial_product(sorted(pairs), [(0, 0)]), want)
+        shown = Ideal.from_exponents(ring, pairs).reduced_basis().leading_monomials
+        assert shown == sorted(want, key=ring.order.key)
+    assert K.minimalize([]) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_packed_two_variable_product_matches_pair_sums(seed):
     # exponents up to MAX_EXPONENT, so that the pair sums reach 2^31; ideals
     # with one generator, and the unit ideal on either side
