@@ -19,6 +19,7 @@ from .closure import (
     closure_via_colon_powers,
     colon_powers_threshold,
     is_ratliff_rush_closed,
+    postulation_with_reduction,
 )
 from .errors import (
     BoundTooLargeError,
@@ -41,7 +42,6 @@ from .hilbert import (
     hilbert_samuel_quotient,
     poincare_series,
     poincare_series_quotient,
-    postulation_with_reduction,
     regularity_bound,
 )
 from .ideals import INFINITE, Ideal, ReducedBasis, exact_divide, groebner_basis, normal_form

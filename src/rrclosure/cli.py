@@ -87,27 +87,14 @@ def _load_problem(path: str):
     return parse_problem(text)
 
 
-def _effective(args, problem, name, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    file_value = getattr(problem, name, None)
-    if file_value is not None:
-        return file_value
-    return default
-
-
 def _run(args) -> dict:
     problem = _load_problem(args.problem)
     ring = problem.ring
     ideal = Ideal(ring, problem.generators)
 
-    # a file's mode:, seed: and k: entries are for the subcommands that take
-    # --mode, --seed and --k, and no other
-    taken = vars(args)
-    mode = _effective(args, problem, "mode", "heuristic") if "mode" in taken else "heuristic"
-    seed = _effective(args, problem, "seed", 0) if "seed" in taken else 0
-    k = _effective(args, problem, "k", None) if "k" in taken else None
+    mode = getattr(args, "mode", None) or "heuristic"
+    seed = getattr(args, "seed", None) or 0
+    k = getattr(args, "k", None)
 
     reduction = None
     if getattr(args, "reduction_from_file", False):
@@ -115,23 +102,20 @@ def _run(args) -> dict:
             raise ParseError("--reduction-from-file given but the file has no 'reduction:' entry")
         reduction = problem.reduction
 
-    options = {"mode": mode, "seed": seed, "format": args.format}
-    params = {"mode": mode, "seed": seed}
-    if reduction is not None:
-        params["reduction"] = [str(x) for x in reduction]
-    if k is not None:
-        params["k"] = k
-        options["k"] = k
-
     command = args.command
+    options = {"mode": mode, "seed": seed, "format": args.format}
+    if k is not None:
+        options["k"] = k
     if command in ("hilbert", "closure-power"):
-        params["n"] = args.n
         options["n"] = args.n
 
     cache_dir = args.cache or cache_mod.default_cache_dir()
     key = None
     if cache_dir is not None:
         basis_strings = [str(p) for p in ideal.reduced_basis().polys]
+        params = {name: value for name, value in options.items() if name != "format"}
+        if reduction is not None:
+            params["reduction"] = [str(x) for x in reduction]
         key = cache_mod.cache_key(ring.field.name, ring.variables, basis_strings,
                                   command, params)
         hit = cache_mod.lookup(cache_dir, key)

@@ -23,11 +23,11 @@ length of R/(x_1, x_2), recorded as ``quotient-i-exact`` in
 ``checks_passed``; the sampling window (heuristic) or the regularity bound
 (certified) is only the fallback.  For a monomial I, elements of step (2)
 with one affinely independent support lie in one torus orbit and share one
-quotient series (``hilbert._quotient_series``).  In heuristic mode the run
-additionally verifies that the colon chain has stabilized at k and retries
-with a doubled sampling window otherwise.  The alternative colon-powers
-route (I^{k+1} : I^k) is exposed for cross-validation at its certified
-threshold.
+quotient series (``_quotient_series``; the proof is in the ``hilbert``
+module docstring).  In heuristic mode the run additionally verifies that
+the colon chain has stabilized at k and retries with a doubled sampling
+window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
+exposed for cross-validation at its certified threshold.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .errors import (
 from .hilbert import (
     HEURISTIC,
     SeriesData,
-    _quotient_series,
     poincare_series,
     poincare_series_quotient,
     regularity_bound,
@@ -106,6 +105,40 @@ def _monomial_chain_term(I: Ideal, supports, k: int) -> Ideal:
     """
     exps = _kernels.staircase_colon(I.power(k + 1).monomial_generators(), supports)
     return Ideal._from_minimal(I.ring, exps)
+
+
+def _quotient_series(I: Ideal, reduction, **opts) -> tuple[SeriesData, ...]:
+    """The quotient series of I for every element of the certified
+    ``reduction``, one ``poincare_series_quotient`` call per torus orbit
+    (see the ``hilbert`` module docstring): for a monomial I, elements whose
+    term supports are equal and affinely independent share one; every other
+    element, and every element for any other I, gets its own.
+    """
+    monomial = I.monomial_generators() is not None
+    by_support: dict = {}
+    out = []
+    for x in reduction.elements:
+        support = frozenset(x.terms)
+        q = by_support.get(support)
+        if q is None:
+            q = poincare_series_quotient(I, x, reduction=reduction, **opts)
+            if monomial and _kernels.affinely_independent(support):
+                by_support[support] = q
+        out.append(q)
+    return tuple(out)
+
+
+def postulation_with_reduction(I: Ideal, elements, **opts) -> int:
+    """max of pn(I) and pn(I/(x_i)) over a certified superficial sequence.
+
+    The sequence is certified against e0 first (NotSuperficialError
+    otherwise), and its certificate gives the quotient series their exact
+    stop.
+    """
+    main = poincare_series(I, **opts)
+    cert = certify_sequence(I, elements, main.multiplicity)
+    quotients = _quotient_series(I, cert, **opts)
+    return max(main.postulation, *(q.postulation for q in quotients))
 
 
 class ClosureReport(NamedTuple):
@@ -212,8 +245,7 @@ def closure(
 
         if k_override is None:
             t0 = time.perf_counter()
-            quotients = _quotient_series(I, cert, poincare_series_quotient, mode=mode,
-                                         window=win)
+            quotients = _quotient_series(I, cert, mode=mode, window=win)
             add_time("quotient-poincare", t0)
             for i, q in enumerate(quotients):
                 _series_checks(q, f"quotient-{i}", failures, passed)

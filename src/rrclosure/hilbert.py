@@ -18,9 +18,10 @@ Ibar^{n+1} = y*Ibar^n, which then holds for all later n (Northcott 1960;
 Huneke-Swanson, ch. 8 and 11).  The first n with difference l fixes the
 numerator; the window or the bound remains the fallback.
 
-A reduction's quotient series are sampled once per torus orbit.  The torus
-(k*)^d acts by x_j -> t_j*x_j and fixes every monomial ideal
-(Miller-Sturmfels, ch. 3).  Let f and g have the same term support S and
+The closure pipeline (``closure._quotient_series``) samples a reduction's
+quotient series once per torus orbit, by this argument.  The torus (k*)^d
+acts by x_j -> t_j*x_j and fixes every monomial ideal (Miller-Sturmfels,
+ch. 3).  Let f and g have the same term support S and
 let S be affinely independent.  Fix a_s in S.  The characters
 t -> t^(a - a_s), a in S, are then independent, so the torus maps onto
 (kbar*)^(|S|-1) and g = c*t(f) for some t and some nonzero c over the
@@ -307,41 +308,3 @@ def poincare_series_quotient(
         _quotient_length(I, x), d, d - 1, mode, window, max_samples, step_bound,
     )
 
-
-def postulation_with_reduction(I: Ideal, elements, **opts) -> int:
-    """max of pn(I) and pn(I/(x_i)) over a certified superficial sequence.
-
-    The sequence is certified against e0 first (NotSuperficialError
-    otherwise), and its certificate gives the quotient series their exact
-    stop.
-    """
-    from .reductions import certify_sequence  # reductions imports this module
-
-    main = poincare_series(I, **opts)
-    cert = certify_sequence(I, elements, main.multiplicity)
-    quotients = _quotient_series(I, cert, poincare_series_quotient, **opts)
-    return max(main.postulation, *(q.postulation for q in quotients))
-
-
-def _quotient_series(I: Ideal, reduction, series, **opts) -> tuple[SeriesData, ...]:
-    """The quotient series of I for every element of the certified
-    ``reduction``, one ``series`` call per torus orbit (see the module
-    docstring): for a monomial I, elements whose term supports are equal
-    and affinely independent share one; every other element, and every
-    element for any other I, gets its own.
-
-    ``series`` is ``poincare_series_quotient`` under the caller's own name,
-    so that a wrapper on that name (a phase timer) sees every call.
-    """
-    monomial = I.monomial_generators() is not None
-    by_support: dict = {}
-    out = []
-    for x in reduction.elements:
-        support = frozenset(x.terms)
-        q = by_support.get(support)
-        if q is None:
-            q = series(I, x, reduction=reduction, **opts)
-            if monomial and _kernels.affinely_independent(support):
-                by_support[support] = q
-        out.append(q)
-    return tuple(out)

@@ -7,13 +7,11 @@ parentheses, with integer (or `a/b` rational) coefficients, e.g.
     ring: QQ[x,y]            # or Fp:<prime>[x,y]; optional, defaults to QQ
     ideal: x^10, y^5, x*y^4, x^8*y
     reduction: y^5+x^10+x^8*y, x*y^4   # optional
-    mode: heuristic                    # optional: heuristic | certified
-    seed: 0                            # optional
-    k: 3                               # optional override
 
 `#` starts a comment.  When the ring line is missing, the field defaults to
 QQ and the variables are inferred from the expressions in alphabetical
-order.
+order.  A file states the problem only: the mode, seed and chain index of
+a run are command-line flags.
 """
 
 from __future__ import annotations
@@ -22,9 +20,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import FieldError, ParseError
 from .polynomials import Polynomial, PolyRing
-from .scalars import field_from_descriptor
+from .scalars import QQ, PrimeField
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"
@@ -147,18 +145,15 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     return _ExprParser(_tokenize(text), ring).parse()
 
 
-_RING_LINE = re.compile(r"^\s*(?P<field>QQ|Fp:\d+)\s*\[\s*(?P<vars>[^\]]*)\]\s*$")
+_RING_LINE = re.compile(r"^\s*(?:QQ|Fp:(?P<p>\d+))\s*\[\s*(?P<vars>[^\]]*)\]\s*$")
 
 
 class ProblemFile(NamedTuple):
-    """Parsed problem: ring, generators and optional reduction/overrides."""
+    """Parsed problem: ring, generators and an optional reduction."""
 
     ring: PolyRing
     generators: tuple[Polynomial, ...]
     reduction: tuple[Polynomial, ...] | None = None
-    mode: str | None = None
-    seed: int | None = None
-    k: int | None = None
 
     def render(self) -> str:
         lines = [
@@ -167,12 +162,6 @@ class ProblemFile(NamedTuple):
         ]
         if self.reduction is not None:
             lines.append("reduction: " + ", ".join(str(g) for g in self.reduction))
-        if self.mode is not None:
-            lines.append(f"mode: {self.mode}")
-        if self.seed is not None:
-            lines.append(f"seed: {self.seed}")
-        if self.k is not None:
-            lines.append(f"k: {self.k}")
         return "\n".join(lines) + "\n"
 
 
@@ -211,7 +200,7 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError(f"line {lineno}: expected 'key: value'")
         key, _, value = line.partition(":")
         key = key.strip().lower()
-        if key not in ("ring", "ideal", "reduction", "mode", "seed", "k"):
+        if key not in ("ring", "ideal", "reduction"):
             raise ParseError(f"line {lineno}: unknown entry {key!r}")
         if key in entries:
             raise ParseError(f"line {lineno}: duplicate entry {key!r}")
@@ -220,16 +209,20 @@ def parse_problem(text: str) -> ProblemFile:
     if "ideal" not in entries or not entries["ideal"]:
         raise ParseError("problem file must declare a nonempty 'ideal:' entry")
 
+    field = QQ
     if "ring" in entries:
         m = _RING_LINE.match(entries["ring"])
         if m is None:
             raise ParseError(f"bad ring descriptor {entries['ring']!r}")
-        field = field_from_descriptor(m.group("field"))
+        if m.group("p") is not None:
+            try:
+                field = PrimeField(int(m.group("p")))
+            except FieldError as exc:
+                raise ParseError(f"bad ring declaration: {exc}") from None
         variables = tuple(v.strip() for v in m.group("vars").split(",") if v.strip())
         if not variables:
             raise ParseError("ring declares no variables")
     else:
-        field = field_from_descriptor("QQ")
         names = set()
         for chunk in (entries["ideal"], entries.get("reduction", "")):
             for kind, value, _ in _tokenize(chunk.replace(",", "+")):
@@ -257,23 +250,4 @@ def parse_problem(text: str) -> ProblemFile:
 
     generators = parse_list(entries["ideal"], "ideal")
     reduction = parse_list(entries["reduction"], "reduction") if "reduction" in entries else None
-
-    mode = entries.get("mode")
-    if mode is not None and mode not in ("heuristic", "certified"):
-        raise ParseError(f"mode must be 'heuristic' or 'certified', got {mode!r}")
-
-    seed = k = None
-    if "seed" in entries:
-        try:
-            seed = int(entries["seed"])
-        except ValueError:
-            raise ParseError(f"bad seed {entries['seed']!r}") from None
-    if "k" in entries:
-        try:
-            k = int(entries["k"])
-        except ValueError:
-            raise ParseError(f"bad k {entries['k']!r}") from None
-        if k < 1:
-            raise ParseError("k must be >= 1")
-
-    return ProblemFile(ring, generators, reduction, mode, seed, k)
+    return ProblemFile(ring, generators, reduction)

@@ -34,9 +34,13 @@ def _envelope(operation: str, ring, generators, options: dict) -> dict:
     }
 
 
-def ideal_payload(I: Ideal) -> dict:
+def ideal_payload(I: Ideal, minimal_generators=None) -> dict:
+    """Minimal generators and reduced basis; pass the minimal generators
+    when they are known, since finding them costs Groebner bases."""
+    if minimal_generators is None:
+        minimal_generators = I.minimal_generators()
     return {
-        "minimal_generators": [str(g) for g in I.minimal_generators()],
+        "minimal_generators": [str(g) for g in minimal_generators],
         "reduced_basis": [str(g) for g in I.reduced_basis().polys],
     }
 
@@ -73,7 +77,7 @@ def closure_document(report: ClosureReport, options: dict, operation: str = "clo
         "quotient_series": [series_payload(q) for q in report.quotient_series],
         "postulation_joint": report.postulation_joint,
         "k_used": report.k_used,
-        "closure": ideal_payload(report.closure_ideal),
+        "closure": ideal_payload(report.closure_ideal, report.closure_generators),
         "is_closed": report.is_closed,
         "mode": report.mode,
         "checks_passed": list(report.checks_passed),

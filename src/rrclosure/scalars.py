@@ -139,15 +139,3 @@ def GF(p: int) -> PrimeField:
     """The prime field with p elements."""
     return PrimeField(p)
 
-
-def field_from_descriptor(text: str):
-    """Build a field from a descriptor string: "QQ" or "Fp:<prime>"."""
-    if text == "QQ":
-        return QQ
-    if text.startswith("Fp:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise FieldError(f"bad prime field descriptor {text!r}") from None
-        return PrimeField(p)
-    raise FieldError(f"unknown field descriptor {text!r}")

@@ -147,70 +147,35 @@ def test_usage_error_exit_code(capsys):
     ["closure", "--k", "-3"],
 ])
 def test_out_of_range_k_and_n_are_usage_errors(capsys, ex33_file, argv):
-    # --k >= 1 as in a problem file's k: entry, closure-power --n >= 1,
-    # hilbert --n >= 0
+    # --k >= 1 (the chain index), closure-power --n >= 1, hilbert --n >= 0
     with pytest.raises(SystemExit) as exc:
         main([argv[0], ex33_file, *argv[1:]])
     assert exc.value.code == 2
     assert "must be >=" in capsys.readouterr().err
 
 
-def test_a_file_k_entry_reaches_only_the_subcommands_that_take_k(capsys, tmp_path):
-    # k: 1 lies below ex110's stable chain index 3
-    with_k = tmp_path / "ex110k.ideal"
-    with_k.write_text(EX110 + "k: 1\n")
-    code, out, err = run(capsys, "closure", str(with_k), "--reduction-from-file")
-    assert code == 1
-    assert "CHAIN_UNSTABLE" in err
-    code, out, err = run(capsys, "check-closed", str(with_k), "--reduction-from-file",
-                         "--format", "json")
-    assert code == 0, err
-    doc = json.loads(out)
-    assert doc["result"]["closed"] is False
-    assert doc["result"]["k_used"] == 3
-    assert "k" not in doc["options"]
-    # the entry is not echoed and does not split the cache
-    without_k = tmp_path / "ex110.ideal"
-    without_k.write_text(EX110)
-    cache_dir = tmp_path / "cache"
-    for argv in (["poincare"], ["hilbert", "--n", "1"], ["reduction", "--reduction-from-file"]):
-        for path in (without_k, with_k):
-            code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--format", "json",
-                                 "--cache", str(cache_dir))
-            assert code == 0, err
-            assert "k" not in json.loads(out)["options"]
-    assert len(os.listdir(cache_dir)) == 3
+@pytest.mark.parametrize("entry", ["mode: certified", "seed: 5", "k: 1"])
+@pytest.mark.parametrize("argv", [["closure"], ["hilbert", "--n", "1"], ["reduction"]])
+def test_a_run_option_in_a_problem_file_is_a_parse_error(capsys, tmp_path, argv, entry):
+    # mode, seed and k are flags only
+    path = tmp_path / "ex110.ideal"
+    path.write_text(EX110 + entry + "\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[PARSE_ERROR]")
+    assert "unknown entry" in err
 
 
-def test_file_mode_and_seed_entries_reach_only_the_subcommands_that_take_them(capsys, tmp_path):
-    plain = tmp_path / "ex110.ideal"
-    plain.write_text(EX110)
-    entries = {"mode": "mode: certified\n", "seed": "seed: 5\n"}
-    # (argv, the entries the subcommand does not take)
-    calls = [(["hilbert", "--n", "1"], ("mode", "seed")),
-             (["colon-powers", "--k", "3"], ("mode", "seed")),
-             (["poincare"], ("seed",)),
-             (["reduction", "--reduction-from-file"], ("mode",))]
-    cache_dir = tmp_path / "cache"
-    for argv, ignored in calls:
-        with_entries = tmp_path / f"ex110-{argv[0]}.ideal"
-        with_entries.write_text(EX110 + "".join(entries[name] for name in ignored))
-        docs = []
-        for path in (plain, with_entries):
-            code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--format", "json",
-                                 "--cache", str(cache_dir))
-            assert code == 0, err
-            docs.append(json.loads(out))
-        # the entries are neither echoed nor used, and do not split the cache
-        assert docs[0]["options"] == docs[1]["options"], argv
-        assert docs[0]["result"] == docs[1]["result"], argv
-    assert len(os.listdir(cache_dir)) == len(calls)
-    # a subcommand that takes the option still reads the file's entry
-    seeded = tmp_path / "ex110-seeded.ideal"
-    seeded.write_text(EX110 + entries["seed"])
-    code, out, err = run(capsys, "reduction", str(seeded), "--format", "json")
-    assert code == 0, err
-    assert json.loads(out)["options"]["seed"] == 5
+@pytest.mark.parametrize("modulus", ["4", "0"])
+def test_a_non_prime_modulus_is_a_parse_error(capsys, tmp_path, modulus):
+    path = tmp_path / "bad-field.ideal"
+    path.write_text(f"ring: Fp:{modulus}[x,y]\nideal: x^2, y^2\n")
+    code, out, err = run(capsys, "poincare", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[PARSE_ERROR]: bad ring declaration")
+    assert f"{modulus} is not prime" in err
 
 
 def test_cache_serves_identical_bytes(capsys, ex33_file, tmp_path):

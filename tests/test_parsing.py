@@ -1,8 +1,10 @@
 """cli-io: the problem-file grammar and polynomial syntax."""
 
+import argparse
+
 import pytest
 
-from rrclosure import GF, ParseError, PolyRing, QQ, parse_polynomial, parse_problem
+from rrclosure import GF, ParseError, PolyRing, ProblemFile, QQ, parse_polynomial, parse_problem
 
 R = PolyRing(QQ, ("x", "y"))
 
@@ -23,25 +25,35 @@ def test_parse_reduction_and_overrides():
         "ring: QQ[x,y]\n"
         "ideal: x^10, y^5, x*y^4, x^8*y\n"
         "reduction: y^5+x^10+x^8*y, x*y^4\n"
-        "mode: heuristic\n"
-        "seed: 7\n"
-        "k: 3\n"
     )
     pf = parse_problem(text)
     assert pf.reduction is not None and len(pf.reduction) == 2
-    assert pf.mode == "heuristic"
-    assert pf.seed == 7
-    assert pf.k == 3
+    assert [str(x) for x in pf.reduction] == ["x^10 + x^8*y + y^5", "x*y^4"]
+    # run options are flags, not problem entries
+    for entry in ("mode: heuristic", "seed: 7", "k: 3"):
+        with pytest.raises(ParseError, match="line 5: unknown entry"):
+            parse_problem(text + entry + "\n")
 
 
 def test_problem_round_trip():
-    text = "ring: QQ[x,y]\nideal: x^2, x*y, y^2\nreduction: x^2 - y^2, x*y\nseed: 3\n"
+    text = "ring: QQ[x,y]\nideal: x^2, x*y, y^2\nreduction: x^2 - y^2, x*y\n"
     pf = parse_problem(text)
     pf2 = parse_problem(pf.render())
     assert pf2.ring == pf.ring
     assert pf2.generators == pf.generators
     assert pf2.reduction == pf.reduction
-    assert pf2.seed == pf.seed
+
+
+def test_a_problem_file_holds_no_run_option():
+    # mode, seed and k are flags only: no value is settable in two places
+    from rrclosure.cli import build_parser
+
+    assert ProblemFile._fields == ("ring", "generators", "reduction")
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions}
+        assert not dests & set(ProblemFile._fields), name
 
 
 def test_syntax_error_positions():

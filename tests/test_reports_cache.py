@@ -68,6 +68,28 @@ def test_ideal_payload_uses_minimal_generators():
     assert payload["reduced_basis"] == ["y", "x"]
 
 
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+def test_closure_document_reuses_the_closures_minimal_generators(monkeypatch, field):
+    # phi(ex33) is not monomial: finding its closure's minimal generators
+    # again would take Groebner bases
+    from rrclosure import GF, PolyRing, QQ, ideals
+
+    ring = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y"))
+    I = ideal_of(ring, "(x+y)^8", "(x+y)^3*y^2", "(x+y)^2*y^4", "y^8")
+    report = closure(I, seed=0)
+    runs = []
+
+    def counted(*args, original=ideals._engine_groebner):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_engine_groebner", counted)
+    doc = reports.closure_document(report, OPTIONS)
+    assert runs == []
+    assert doc["result"]["closure"]["minimal_generators"] == [
+        str(g) for g in report.closure_ideal.minimal_generators()]
+
+
 def test_cache_roundtrip(tmp_path):
     doc = {"schema_version": "1", "result": {"value": 42}}
     key = cache.cache_key("QQ", ("x", "y"), ["x", "y"], "hilbert", {"n": 1})
