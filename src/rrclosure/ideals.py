@@ -959,7 +959,9 @@ class Ideal:
 
         A Q that contains the ideal and sits close to it stops the scan
         early: the searched candidate reduction J of ex110 stabilizes at I^2
-        (checked at I^3).
+        (checked at I^3), where powers of m take m^23.  Certification reads
+        this scan only in three or more variables; in two it counts the
+        intersection number of the candidate's two elements.
         """
         by.require_m_primary()
         if self.is_zero_ideal():

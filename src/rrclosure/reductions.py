@@ -9,16 +9,21 @@ generators at the vertices of the Newton polyhedron, which generate a
 reduction of I (see :func:`find_superficial_sequence`); the length test
 certifies it like any other.
 
-Lengths are taken at the origin.  Both local lengths here, of a candidate J
-and of J * I^r in :func:`reduction_number`, are read off truncations by
-powers of I rather than of m: the ideals lie inside I, so the truncations
-stabilize within a few powers of I, where powers of m have to climb well
-past the generator degrees (Nakayama; Huneke-Swanson, ch. 8).
+Lengths are taken at the origin.  In two variables the length of a
+candidate J = (f, g) is the intersection number I_0(f, g) of two plane
+curves, which Fulton's algorithm counts on f and g alone, with no Groebner
+basis (:func:`_intersection_number`).  The other local lengths, of a
+candidate in three or more variables and of J * I^r in
+:func:`reduction_number`, are read off truncations by powers of I rather
+than of m: the ideals lie inside I, so the truncations stabilize within a
+few powers of I, where powers of m have to climb well past the generator
+degrees (Nakayama; Huneke-Swanson, ch. 8).
 """
 
 from __future__ import annotations
 
 import random
+from math import gcd
 from typing import NamedTuple
 
 from . import _kernels
@@ -30,7 +35,7 @@ from .errors import (
     RMaxExceededError,
 )
 from .hilbert import regularity_bound
-from .ideals import Ideal
+from .ideals import Ideal, _engine_terms
 from .polynomials import Polynomial
 
 DEFAULT_MAX_ATTEMPTS = 25
@@ -55,13 +60,16 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
     """Certify a user-supplied sequence via the length test.
 
     The length that matters is the one at the origin (the ambient ring is the
-    localization there).  When the candidate ideal is supported only at the
-    origin its plain colength already equals the local length; random
-    candidates usually pick up extra zeros elsewhere, so the general path
-    reads the local length off the truncations J + I^t, t = 1, 2, 3, ...,
-    each colength computed once, until two agree
-    (:meth:`Ideal.colength_at_origin` with ``by=I``).  The scan stops as
-    soon as a colength passes e0, since they only rise from there.
+    localization there).  In two variables it is the intersection number of
+    the two curves at the origin, which :func:`_intersection_number`
+    computes by Fulton's algorithm, stopping once it passes e0.  In more
+    variables, when the candidate ideal is supported only at the origin its
+    plain colength already equals the local length; random candidates
+    usually pick up extra zeros elsewhere, so the general path reads the
+    local length off the truncations J + I^t, t = 1, 2, 3, ..., each
+    colength computed once, until two agree (:meth:`Ideal.colength_at_origin`
+    with ``by=I``).  The scan stops as soon as a colength passes e0, since
+    they only rise from there.
     """
     I.require_m_primary()
     elements = tuple(elements)
@@ -72,21 +80,125 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
     for x in elements:
         if x.is_zero() or not I.contains(x):
             raise ElementNotInIdealError(f"{x} does not lie in the ideal")
-    J = Ideal(I.ring, elements)
-    if J.colength() == e0:
-        # squeeze: local length <= total colength = e0, and a d-generated
-        # parameter ideal inside I has local length >= e(J) >= e(I) = e0
-        length = e0
+    if I.ring.dim == 2:
+        length = _intersection_number(*elements, e0)
     else:
-        length = J.colength_at_origin(expect=e0, by=I)
+        J = Ideal(I.ring, elements)
+        if J.colength() == e0:
+            # squeeze: local length <= total colength = e0, and a d-generated
+            # parameter ideal inside I has local length >= e(J) >= e(I) = e0
+            length = e0
+        else:
+            length = J.colength_at_origin(expect=e0, by=I)
     if length != e0:
-        # past e0 the scan stopped early, so the length is only a lower bound
+        # past e0 both routes stop early, so the length is only a lower bound
         bound = "at least " if length > e0 else ""
         raise NotSuperficialError(
             f"length of the candidate reduction at the origin is {bound}{length}, "
             f"expected e0 = {e0}"
         )
     return ReductionCertificate(elements, length, e0, seed, attempts)
+
+
+def _intersection_number(f: Polynomial, g: Polynomial, cap: int) -> int:
+    """I_0(f, g) for f and g in two variables, the length of R_m/(f, g) at
+    the origin, when it is at most ``cap``; otherwise a lower bound above
+    ``cap``: the count so far when the cut below never dropped a term, and
+    cap + 1 when it did.
+
+    Fulton's algorithm (Algebraic Curves, 1969, section 3.3), on the
+    engine's coefficients: integer-primitive over QQ, residues mod p.  A
+    unit at the origin gives 0.  While f(x, 0) and g(x, 0) are both
+    nonzero, g minus a multiple of x^k f (or the reverse) lowers the degree
+    of one of them and keeps the ideal.  Once g(x, 0) = 0, g = y^k h with
+    h(x, 0) != 0, and I_0(f, g) = k ord_x f(x, 0) + I_0(f, h).  A zero
+    polynomial, or y dividing both, is a common component through the
+    origin, so the length is infinite.  The length is at least the product
+    of the orders of f and g at the origin, which ends many runs early.
+
+    Every step drops the terms of total degree above the budget b, ``cap``
+    less the length counted so far.  If the length of J = (f, g) is at most
+    b, then m^b lies in J R_m (Nakayama), so terms in m^{b+1} = m m^b, which
+    lies in m J, change J R_m by nothing; by the same argument after the
+    cut, the length is at most b before the cut exactly when it is after.
+    Past b the lengths before and after a cut may differ, so only a count
+    made with no cut bounds the length.
+    """
+    p = f.ring.field.characteristic or None
+    F = _engine_terms(f, p, tuple)  # keyed by exponent tuples
+    G = _engine_terms(g, p, tuple)
+    total = 0
+    uncut = True
+    while total <= cap:
+        budget = cap - total
+        size = len(F) + len(G)
+        F = {e: c for e, c in F.items() if e[0] + e[1] <= budget}
+        G = {e: c for e, c in G.items() if e[0] + e[1] <= budget}
+        uncut = uncut and len(F) + len(G) == size
+        if (0, 0) in F or (0, 0) in G:
+            return total
+        if not F or not G:
+            return cap + 1
+        # I_0(F, G) >= ord F * ord G, the product of the multiplicities
+        least = min(map(sum, F)) * min(map(sum, G))
+        if least > budget:
+            return total + least if uncut else cap + 1
+        fx = [i for i, j in F if j == 0]
+        gx = [i for i, j in G if j == 0]
+        while fx and gx:
+            r, s = max(fx), max(gx)
+            if r > s:
+                F, G, fx, gx, r, s = G, F, gx, fx, s, r
+            G, cut = _cancel_top(F, G, r, s, budget, p)
+            uncut = uncut and not cut
+            if not G:  # F divides G
+                return cap + 1
+            shift = s - r
+            gx = [i for i in {*gx, *(i + shift for i in fx)} if (i, 0) in G]
+        if not fx and not gx:  # y divides both
+            return cap + 1
+        if not fx:
+            F, G, fx = G, F, gx
+        k = min(j for _, j in G)
+        total += k * min(fx)
+        G = {(i, j - k): c for (i, j), c in G.items()}
+    return total if uncut else cap + 1
+
+
+def _cancel_top(F: dict, G: dict, r: int, s: int, budget: int, p):
+    """G - (lc G(x, 0) / lc F(x, 0)) x^{s - r} F, in which the term x^s
+    cancels, for x^r and x^s the top pure-x terms of F and G; made primitive
+    again over QQ.  Terms of total degree above ``budget`` are dropped.
+    Returns the new G, which may be empty and may be G itself, changed in
+    place, and whether a term was dropped.
+    """
+    a, b = F[(r, 0)], G[(s, 0)]
+    if p is None:
+        h = gcd(a, b)
+        a, b = a // h, b // h
+        if a != 1:
+            G = {e: a * c for e, c in G.items()}
+    else:
+        b = b * pow(a, -1, p) % p
+    shift = s - r
+    cut = False
+    for (i, j), c in F.items():
+        if i + j + shift > budget:
+            cut = True
+            continue
+        e = (i + shift, j)
+        v = G.get(e, 0) - b * c
+        if p is not None:
+            v %= p
+        if v:
+            G[e] = v
+        else:
+            G.pop(e, None)
+    if G and p is None:
+        h = gcd(*G.values())
+        if h != 1:
+            G = {e: c // h for e, c in G.items()}
+    return G, cut
 
 
 def find_superficial_sequence(

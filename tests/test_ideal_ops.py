@@ -552,6 +552,13 @@ def test_i_adic_and_m_adic_local_lengths_agree(monkeypatch, field, variables, ge
         by_m = J.colength_at_origin(expect=e0, by=m)
         by_i = J.colength_at_origin(expect=e0, by=I)
         assert (by_m == e0) == (by_i == e0) == accepted
+        if S.dim == 2:
+            # the intersection number: exact up to e0, a bound above it
+            fulton = reductions._intersection_number(*elements, e0)
+            if by_m <= e0:
+                assert fulton == by_m
+            else:
+                assert fulton > e0
         if J.colength() is not INFINITE:  # the local length is finite too
             assert J.colength_at_origin(by=m) == J.colength_at_origin(by=I)
 

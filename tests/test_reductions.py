@@ -1,19 +1,25 @@
 """reductions: certification, random search, reduction numbers."""
 
+import itertools
+import random
+
 import pytest
 
 from rrclosure import (
+    GF,
+    QQ,
     ElementNotInIdealError,
     GenericityFailureError,
     Ideal,
     NotSuperficialError,
+    PolyRing,
     certify_sequence,
     find_superficial_sequence,
     poincare_series,
     reduction_number,
 )
-from rrclosure import ideals
-from util_algebra import ideal_of, qq_ring
+from rrclosure import ideals, reductions
+from util_algebra import ideal_of, qq_ring, random_polynomial
 
 R = qq_ring("x", "y")
 
@@ -39,29 +45,196 @@ def test_certify_rejections():
         certify_sequence(m2, (R.parse("x"), R.parse("y^2")), 4)
 
 
-def test_certifying_ex110_truncates_by_the_third_power_of_i(monkeypatch):
-    # the candidate's truncations J + I^t have colengths 35, 45, 45 at
-    # t = 1, 2, 3: four Buchberger runs with J's own; truncating by powers
-    # of m took m^11, m^12, m^22 and m^23
-    I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
-    elements = find_superficial_sequence(I, 45, seed=0).elements
+def _counted_certification(monkeypatch, I, elements, e0):
+    """Certify with the engine and Ideal.power counted; the ideal's own
+    m-primary witness and membership bases are built beforehand."""
+    I.require_m_primary()
+    assert all(I.contains(x) for x in elements)
     runs, powers = [], []
     engine, power = ideals._engine_groebner, Ideal.power
 
-    def counted_engine(polys, ring):
-        runs.append(len(polys))
-        return engine(polys, ring)
+    def counted_engine(*args):
+        runs.append(args)
+        return engine(*args)
 
     def counted_power(self, n):
         powers.append(n)
         return power(self, n)
 
-    monkeypatch.setattr(ideals, "_engine_groebner", counted_engine)
-    monkeypatch.setattr(Ideal, "power", counted_power)
-    cert = certify_sequence(I, elements, 45)
-    assert cert.colength == 45
-    assert len(runs) == 4
-    assert max(powers) == 3
+    with monkeypatch.context() as patch:
+        patch.setattr(ideals, "_engine_groebner", counted_engine)
+        patch.setattr(Ideal, "power", counted_power)
+        cert = certify_sequence(I, elements, e0)
+    return cert, runs, powers
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("case", ["ex110", "phi-ex33"])
+def test_two_variable_certification_runs_no_groebner_basis(monkeypatch, field, case):
+    # the searched candidate's local length is its intersection number at the
+    # origin, counted on the two elements: no truncation J + I^t is built
+    S = PolyRing(field, ("x", "y"))
+    if case == "ex110":
+        I, e0 = ideal_of(S, "x^10", "y^5", "x*y^4", "x^8*y"), 45
+    else:
+        I, e0 = ideal_of(S, "(x+y)^8", "(x+y)^3*y^2", "(x+y)^2*y^4", "y^8"), 40
+    assert poincare_series(I).multiplicity == e0
+    elements = find_superficial_sequence(I, e0, seed=0).elements
+    cert, runs, powers = _counted_certification(monkeypatch, I, elements, e0)
+    assert cert.colength == e0
+    assert runs == [] and powers == []
+
+
+def test_three_variable_certification_still_scans_truncations(monkeypatch):
+    # (1 + x) is a unit at the origin, so the candidate keeps its local length
+    # but gains zeros elsewhere: the colength squeeze fails and J + I^t runs
+    T = qq_ring("x", "y", "z")
+    I = ideal_of(T, "x^2", "y^2", "z^2", "x*y")
+    elements = find_superficial_sequence(I, 8, seed=0).elements
+    moved = (elements[0] * T.parse("1 + x"),) + elements[1:]
+    assert Ideal(T, moved).colength() > 8
+    cert, runs, powers = _counted_certification(monkeypatch, I, moved, 8)
+    assert cert.colength == 8
+    assert runs and powers
+
+
+def _through_origin(f):
+    return f - f.ring.const(f.terms.get((0,) * f.ring.dim, 0))
+
+
+def _random_element(rng, S, x_heavy):
+    # several pure-x terms in both elements make Fulton's count cancel the
+    # top x-term of one, then of the other, swapping the two back and forth
+    if not x_heavy:
+        return _through_origin(random_polynomial(rng, S, max_terms=4, max_exp=4))
+    pure_x = S.poly({(rng.randint(1, 6), 0): rng.randint(1, 5) for _ in range(rng.randint(2, 4))})
+    return _through_origin(random_polynomial(rng, S, max_terms=6, max_exp=4)) + pure_x
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+def test_intersection_number_agrees_with_the_m_adic_scan(field):
+    # the oracle truncates J by powers of m and takes colengths with the
+    # Groebner engine; Fulton's count shares none of that code
+    S = PolyRing(field, ("x", "y"))
+    m = ideal_of(S, "x", "y")
+    rng = random.Random(2025)
+    cap = 12
+    pairs = 0
+    finite = []
+    while pairs < 180:
+        x_heavy = pairs >= 120
+        f, g = _random_element(rng, S, x_heavy), _random_element(rng, S, x_heavy)
+        if f.is_zero() or g.is_zero():
+            continue
+        pairs += 1
+        got = reductions._intersection_number(f, g, cap)
+        J = Ideal(S, [f, g])
+        want = J.colength_at_origin(expect=cap, by=m)
+        if want <= cap:
+            assert got == want, (f, g)
+            finite.append((f, g, want))
+        else:
+            # above the cap only a lower bound is known, and it must hold
+            assert got > cap, (f, g)
+            assert J.colength_at_origin(expect=got - 1, by=m) >= got, (f, g)
+    assert len(finite) >= 50
+    # each cap set to the true length and to one less
+    for f, g, length in finite:
+        assert reductions._intersection_number(f, g, length) == length
+        if length:
+            assert reductions._intersection_number(f, g, length - 1) == length
+
+
+def test_intersection_number_bounds_a_length_past_the_cap_honestly():
+    # cut at degree 10, y^2 - x^11 loses x^11 and (y^2, xy + x^9) counts 18,
+    # but the length is 13: once a term is dropped only cap + 1 is a bound
+    f, g = R.parse("y^2 - x^11"), R.parse("x*y + x^9")
+    assert Ideal(R, [f, g]).colength_at_origin(by=ideal_of(R, "x", "y")) == 13
+    assert reductions._intersection_number(f, g, 13) == 13
+    assert reductions._intersection_number(f, g, 10) == 11
+    # with no term dropped the count itself is a bound: (x^10, y^5) has 50
+    assert reductions._intersection_number(R.parse("x^10"), R.parse("y^5"), 45) == 50
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+def test_intersection_number_of_common_components_and_units(field):
+    S = PolyRing(field, ("x", "y"))
+    rng = random.Random(7)
+    for h in ("x + y", "y", "x", "y - x^2", "x*y + y^2"):
+        h = S.parse(h)
+        for _ in range(10):
+            f = _through_origin(random_polynomial(rng, S, max_terms=3, max_exp=3)) + S.parse("x^2")
+            g = random_polynomial(rng, S, max_terms=3, max_exp=3) + S.parse("y^3")
+            assert reductions._intersection_number(h * f, h * g, 10) > 10
+    for _ in range(20):
+        f = random_polynomial(rng, S, max_terms=3, max_exp=3) + S.one
+        g = random_polynomial(rng, S, max_terms=3, max_exp=3)
+        if f.terms.get((0, 0)):  # a unit at the origin
+            assert reductions._intersection_number(f, g, 10) == 0
+            assert reductions._intersection_number(g, f, 0) == 0
+
+
+def test_intersection_number_keeps_the_x_parts_apart_when_it_swaps():
+    # f - g = x(1 + x^3): length 1.  Cancelling x^4, then x^3, swaps the two
+    # elements twice; each must keep its own pure-x exponents, or the count
+    # reads ord_x of the wrong element and comes out 2
+    f, g = R.parse("x + x^2 + x^3 + x^4 + y"), R.parse("x^2 + x^3 + y")
+    for cap in range(4, 13):
+        assert reductions._intersection_number(f, g, cap) == 1
+        assert reductions._intersection_number(g, f, cap) == 1
+    # the same pair with y^4 lies in (x, y^4), e0 = 4, and certifies
+    I = ideal_of(R, "x", "y^4")
+    f, g = R.parse("x + x^2 + x^3 + x^4 + y^4"), R.parse("x^2 + x^3 + y^4")
+    assert Ideal(R, [f, g]).colength_at_origin(by=ideal_of(R, "x", "y")) == 4
+    assert certify_sequence(I, (f, g), 4).colength == 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+def test_intersection_number_of_two_graphs_is_the_order_of_their_difference(field):
+    # on the smooth curve y = -p(x), g = q(x) + y restricts to q - p, so
+    # I_0(p + y, q + y) = ord_x(p - q), infinite when p = q.  Every pair of
+    # x-parts with coefficients 0, 1, 2 on x..x^4 runs the cancellations in
+    # every order, swaps included
+    S = PolyRing(field, ("x", "y"))
+    y = S.parse("y")
+    parts = [S.poly({(i, 0): c for i, c in enumerate(cs, 1) if c})
+             for cs in itertools.product((0, 1, 2), repeat=4)]
+    for p, q in itertools.product(parts, repeat=2):
+        got = reductions._intersection_number(p + y, q + y, 6)
+        if p == q:
+            assert got > 6
+        else:
+            assert got == min(i for i, _ in (p - q).terms), (p, q)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("gens, e0, elements, most_steps", [
+    (("x^40", "y^40"), 1600, ("x^40", "x*y^40"), 0),
+    (("x^20", "y^20"), 400, ("(x+y)*(x^20 + 2*y^20 + x^21*y)", "(x+y)*(3*x^20 - y^20 + x*y^20)"), 0),
+    (("x^5", "y^100"), 500, ("(x+y)*(x^5 + y^100 - x^6*y)", "(x+y)*(2*x^5 - y^100 + y^101)"), 50),
+], ids=["x40", "x20y20", "x5y100"])
+def test_common_components_are_rejected_with_bounded_work(
+        monkeypatch, field, gens, e0, elements, most_steps):
+    # the count stops once it, or the product of the two orders, passes e0,
+    # and drops every term of degree above what is left of e0: these common
+    # components end within a few cancellations of a few terms each, where
+    # J + I^t took Buchberger runs
+    S = PolyRing(field, ("x", "y"))
+    I = ideal_of(S, *gens)
+    elements = tuple(S.parse(x) for x in elements)
+    steps = []
+    cancel = reductions._cancel_top
+
+    def counted_cancel(F, G, *args):
+        steps.append(len(F) + len(G))
+        return cancel(F, G, *args)
+
+    monkeypatch.setattr(reductions, "_cancel_top", counted_cancel)
+    with pytest.raises(NotSuperficialError, match=rf"is at least \d+, expected e0 = {e0}"):
+        certify_sequence(I, elements, e0)
+    # x5y100 takes 39 cancellations of at most 86 terms
+    assert len(steps) <= most_steps
+    assert all(terms <= 100 for terms in steps)
 
 
 def test_find_for_regular_ideal():
