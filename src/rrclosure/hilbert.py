@@ -111,28 +111,6 @@ class SeriesData(NamedTuple):
         coeffs = hilbert_coefficients(self)
         return sum((-1) ** j * coeffs[j] * _binom(n + D - j, D - j) for j in range(D + 1))
 
-    def reconstructed_sample(self, n: int) -> int:
-        """h(n) rebuilt from the numerator alone."""
-        D = self.denominator_power
-        return sum(a * _binom(n - i + D, D) for i, a in enumerate(self.numerator) if i <= n)
-
-    def consistency_failures(self) -> list[str]:
-        """Names of failed internal checks (empty is healthy)."""
-        bad = []
-        if not all(self.reconstructed_sample(n) == h for n, h in enumerate(self.samples)):
-            bad.append("numerator-reconstruction")
-        pn = self.postulation
-        for n in range(max(pn, 0), len(self.samples)):
-            if self.samples[n] != self.polynomial_value(n):
-                bad.append("hilbert-polynomial-match")
-                break
-        if pn > 0 and pn - 1 < len(self.samples):
-            if self.samples[pn - 1] == self.polynomial_value(pn - 1):
-                bad.append("postulation-minimality")
-        if self.multiplicity <= 0:
-            bad.append("positive-multiplicity")
-        return bad
-
 
 def _binom(n: int, k: int) -> int:
     """Binomial coefficient as a polynomial in n (n may be negative)."""

@@ -12,11 +12,14 @@ from fractions import Fraction
 
 from .errors import FieldError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to all the bases above (Sorenson-Webster 2017)
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n < _PRIME_BOUND."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -88,6 +91,9 @@ class PrimeField:
     """Integers modulo a prime p; elements are ints in least-residue form."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= _PRIME_BOUND:
+            raise FieldError(f"{p} is too large to prove prime: the test is exact only "
+                             f"below {_PRIME_BOUND}")
         if not isinstance(p, int) or not is_prime(p):
             raise FieldError(f"{p!r} is not prime")
         self.p = p

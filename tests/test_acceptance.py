@@ -180,7 +180,9 @@ def criterion_5():
 
 
 def criterion_6():
-    """Internal-consistency certificates on every closure run."""
+    """On every closure run: the reduction's colength equals e0 > 0, every
+    series matches its Hilbert polynomial from pn on, and the chain has
+    stabilized."""
     started = time.perf_counter()
     bundles = _bundles()
     reports = [b["report"] for b in bundles] + [b["other"] for b in bundles]
@@ -190,17 +192,16 @@ def criterion_6():
         # e0 from the numerator equals the colength of the certified reduction
         assert rep.certificate.colength == rep.series.multiplicity
         assert "reduction-colength-equals-e0" in rep.checks_passed
-        # h(n) = p(n) for sampled n >= pn, and reconstruction of all samples
+        # a positive e0, and h(n) = p(n) for sampled n >= pn
         for series in (rep.series, *rep.quotient_series):
-            assert series.consistency_failures() == []
+            assert series.multiplicity > 0
             for n in range(max(series.postulation, 0), len(series.samples)):
                 assert series.samples[n] == series.polynomial_value(n)
-            for n, h in enumerate(series.samples):
-                assert series.reconstructed_sample(n) == h
         assert "series-consistent" in rep.checks_passed
         assert "chain-stabilization" in rep.checks_passed
     elapsed = time.perf_counter() - started
-    return f"{len(reports)} closure runs fully certified ({elapsed:.1f}s)"
+    return (f"{len(reports)} closure runs with colength = e0 > 0, h = p from pn on "
+            f"and a stabilized chain ({elapsed:.1f}s)")
 
 
 CRITERIA = [

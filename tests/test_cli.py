@@ -167,7 +167,8 @@ def test_a_run_option_in_a_problem_file_is_a_parse_error(capsys, tmp_path, argv,
     assert "unknown entry" in err
 
 
-@pytest.mark.parametrize("modulus", ["4", "0"])
+# 399165290221 * 798330580441, a strong pseudoprime to every prime base up to 37
+@pytest.mark.parametrize("modulus", ["4", "0", "318665857834031151167461"])
 def test_a_non_prime_modulus_is_a_parse_error(capsys, tmp_path, modulus):
     path = tmp_path / "bad-field.ideal"
     path.write_text(f"ring: Fp:{modulus}[x,y]\nideal: x^2, y^2\n")
@@ -176,6 +177,17 @@ def test_a_non_prime_modulus_is_a_parse_error(capsys, tmp_path, modulus):
     assert out == ""
     assert err.startswith("error[PARSE_ERROR]: bad ring declaration")
     assert f"{modulus} is not prime" in err
+
+
+def test_a_modulus_past_the_proved_range_is_a_parse_error(capsys, tmp_path):
+    # the least strong pseudoprime to every prime base up to 41
+    path = tmp_path / "big-field.ideal"
+    path.write_text("ring: Fp:3317044064679887385961981[x,y]\nideal: x^2, y^2\n")
+    code, out, err = run(capsys, "poincare", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[PARSE_ERROR]: bad ring declaration")
+    assert "too large to prove prime" in err
 
 
 def test_cache_serves_identical_bytes(capsys, ex33_file, tmp_path):

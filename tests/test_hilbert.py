@@ -1,6 +1,7 @@
 """hilbert-series: length sampling, numerators, coefficients, postulation."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from rrclosure import (
     regularity_bound,
 )
 from rrclosure.errors import CertifiedBoundViolation
+from rrclosure.hilbert import HEURISTIC, _series_from_lengths
 from util_algebra import brute_colength, ideal_of, qq_ring
 
 R = qq_ring("x", "y")
@@ -113,7 +115,6 @@ def test_hilbert_coefficients_by_exact_fit():
     # fit p(n) = e0*C(n+2,2) - e1*C(n+1,1) + e2 through exact h-values
     I = ex110()
     samples = {n: hilbert_samuel(I, n) for n in (3, 4, 5)}
-    from math import comb
 
     def p(n, e):
         return e[0] * comb(n + 2, 2) - e[1] * comb(n + 1, 1) + e[2]
@@ -131,12 +132,32 @@ def test_hilbert_coefficients_by_exact_fit():
 
 def test_series_internal_checks():
     data = poincare_series(ex110())
-    assert data.consistency_failures() == []
-    for n, h in enumerate(data.samples):
-        assert data.reconstructed_sample(n) == h
     pn = data.postulation
     assert data.samples[pn] == data.polynomial_value(pn)
     assert data.samples[pn - 1] != data.polynomial_value(pn - 1)
+
+
+@pytest.mark.parametrize("D", range(5))
+def test_the_difference_transform_inverts_the_binomial_sum(D):
+    # h(n) = sum_{i <= n} a_i C(n - i + D, D) has generating series
+    # f(X)/(1-X)^(D+1); the (D+1)-fold difference transform must give f back,
+    # and the Hilbert polynomial must agree with h exactly from pn on
+    rng = random.Random(D)
+    for _ in range(60):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
+        a.append(rng.choice([-1, 1]) * rng.randint(1, 9))
+
+        def h(n):
+            return sum(c * comb(n - i + D, D) for i, c in enumerate(a) if i <= n)
+
+        # a window longer than any inner run of zero coefficients
+        data = _series_from_lengths(h, D + 1, D, HEURISTIC, len(a) + 1, 64)
+        assert data.numerator == tuple(a)
+        pn = data.postulation
+        for n in range(max(pn, 0), len(data.samples)):
+            assert data.polynomial_value(n) == data.samples[n] == h(n)
+        if pn > 0:
+            assert data.polynomial_value(pn - 1) != h(pn - 1)
 
 
 def test_postulation_with_reduction_golden():
@@ -207,7 +228,7 @@ def test_quotient_series_stop_exactly_on_the_paper_reduction():
         assert not windowed.exact
         assert windowed.numerator == stopped.numerator
         assert len(windowed.samples) > len(stopped.samples)
-        assert stopped.consistency_failures() == []
+        assert stopped.multiplicity == cert.colength
         certified = poincare_series_quotient(I, x, mode="certified", reduction=cert)
         assert certified.samples == stopped.samples
         assert certified.exact
