@@ -5,10 +5,10 @@ internal block order that ranks a leading tag variable first and falls back
 to degrevlex on the remaining block.  The block order is what makes tag
 elimination work for ideal intersections and colons.
 
-``TermOrder.key`` maps an exponent tuple to a sort key (ascending = order
-ascending, usable with ``sorted``/``max``).  ``TermOrder.packing`` gives the
-Groebner engine's representation: each monomial is one int whose int order
-is the term order (see :class:`Packing`).
+``TermOrder.packing`` gives the Groebner engine's representation: each
+monomial is one int whose int order is the term order (see
+:class:`Packing`).  ``TermOrder.key`` is that int, a sort key for exponent
+tuples (ascending = order ascending, usable with ``sorted``/``max``).
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ class TermOrder:
             raise ValueError(f"unknown term order kind {kind!r}")
         self.kind = kind
 
-    def key(self, e):
-        if self.kind == DEGREVLEX:
-            return (sum(e), tuple(-v for v in reversed(e)))
-        rest = e[1:]
-        return (e[0], sum(rest), tuple(-v for v in reversed(rest)))
+    def key(self, e) -> int:
+        """The packed monomial of an exponent tuple, which sorts in the term order."""
+        return self.packing(len(e)).pack(e)
 
     def packing(self, nvars: int) -> "Packing":
         """The packed-int encoding of monomials in ``nvars`` variables."""
@@ -61,8 +59,9 @@ class Packing:
     degrevlex these are the prefix sums P_k = e_1 + .. + e_k, with the
     degree P_n on top; for the eliminate-first order they are the prefix
     sums of e_2..e_n, with the tag exponent e_1 on top.  Comparing the order
-    fields from the top down is exactly ``TermOrder.key``, so the exponent
-    fields below them never decide a comparison of distinct monomials.
+    fields from the top down is the term order (in a degree tie the larger
+    P_{n-1}, the smaller e_n, wins), so the exponent fields below them never
+    decide a comparison of distinct monomials.
 
     Every field is a sum of exponents, so packing is additive:
     ``pack(u*v) == pack(u) + pack(v)`` and ``pack(u/v) == pack(u) - pack(v)``.

@@ -20,8 +20,8 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import FieldError, ParseError
-from .polynomials import Polynomial, PolyRing
+from .errors import ExponentOverflowError, FieldError, ParseError
+from .polynomials import MAX_EXPONENT, Polynomial, PolyRing
 from .scalars import QQ, PrimeField
 
 _TOKEN = re.compile(
@@ -242,7 +242,11 @@ def parse_problem(text: str) -> ProblemFile:
         for chunk in _split_top_level(source):
             if not chunk.strip():
                 raise ParseError(f"empty expression in '{label}:'")
-            poly = parse_polynomial(chunk, ring)
+            try:
+                poly = parse_polynomial(chunk, ring)
+            except ExponentOverflowError:
+                raise ParseError(f"{chunk.strip()!r} in '{label}:' has an exponent "
+                                 f"above {MAX_EXPONENT}") from None
             if poly.is_zero():
                 raise ParseError(f"zero generator in '{label}:'")
             polys.append(poly)

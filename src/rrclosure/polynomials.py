@@ -132,7 +132,7 @@ class Polynomial:
         if not self.terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
         if self._lead is None:
-            self._lead = max(self.terms, key=self.ring.order.key)
+            self._lead = max(self.terms, key=self.ring.order.packing(self.ring.dim).pack)
         return self._lead, self.terms[self._lead]
 
     def leading_monomial(self):
@@ -142,7 +142,7 @@ class Polynomial:
         return self.leading_term()[1]
 
     def sorted_terms(self, reverse: bool = True):
-        key = self.ring.order.key
+        key = self.ring.order.packing(self.ring.dim).pack
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
 
     def coefficient(self, exps):

@@ -112,12 +112,23 @@ def test_a_reduction_from_file_that_never_certifies_exits_1(capsys, tmp_path):
     assert "at least 50, expected e0 = 45" in err
 
 
-def test_parse_error_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize("text, argv, message", [
+    ("ideal: x + \n", ["poincare"], "expected a number"),
+    # an exponent past MAX_EXPONENT is bad input, in either entry
+    ("ideal: x^1073741825, y\n", ["poincare"], "exponent above 1073741824"),
+    ("ideal: (x^536870912)^2*x, y\n", ["poincare"], "exponent above 1073741824"),
+    ("ideal: x^2, y^2\nreduction: x^1073741825, y\n", ["reduction", "--reduction-from-file"],
+     "'reduction:' has an exponent above 1073741824"),
+    ("ideal: x^2, y^2\n", ["closure", "--reduction-from-file"], "no 'reduction:' entry"),
+], ids=["syntax", "exponent", "product-exponent", "reduction-exponent", "no-reduction"])
+def test_parse_error_exit_code(capsys, tmp_path, text, argv, message):
     bad = tmp_path / "bad.ideal"
-    bad.write_text("ideal: x + \n")
-    code, out, err = run(capsys, "poincare", str(bad))
+    bad.write_text(text)
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
     assert code == 2
-    assert "PARSE_ERROR" in err
+    assert out == ""
+    assert err.startswith("error[PARSE_ERROR]")
+    assert message in err
 
 
 def test_missing_file_exit_code(capsys):

@@ -116,13 +116,13 @@ def test_buchberger_criterion_randomized(ring, seed):
     regenerated = groebner_basis(list(basis.polys), ring)
     assert regenerated.polys == basis.polys
     for p in polys:
-        assert basis.reduces_to_zero(p)
+        assert basis.normal_form(p).is_zero()
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_fast_zero_test_agrees_with_exact_normal_form(seed):
-    # the integer pseudo-reduction membership path must agree with the exact
-    # field-arithmetic remainder
+    # membership by integer pseudo-reduction against the engine's minimal
+    # basis must agree with the exact remainder modulo the reduced basis
     rng = random.Random(40 + seed)
     gens = []
     while len(gens) < 3:
@@ -130,14 +130,63 @@ def test_fast_zero_test_agrees_with_exact_normal_form(seed):
         if not p.is_zero():
             gens.append(p)
     basis = groebner_basis(gens, R)
+    ideal = Ideal(R, gens)
     for _ in range(25):
         f = random_polynomial(rng, R, max_terms=5, max_exp=5)
         exact = basis.normal_form(f)
-        assert basis.reduces_to_zero(f) == exact.is_zero()
+        assert ideal.contains(f) == exact.is_zero()
         # remainders are fully reduced: reducing again changes nothing
         assert basis.normal_form(exact) == exact
         # membership of f - NF(f) always holds
-        assert basis.reduces_to_zero(f - exact)
+        assert ideal.contains(f - exact)
+    assert ideal._basis is None  # membership built no reduced basis
+
+
+def test_membership_and_the_m_primary_check_interreduce_nothing(monkeypatch):
+    # any Groebner basis decides membership, so a non-monomial ideal reduces
+    # by the engine's minimal basis and never builds the reduced one
+    calls = []
+    interreduce = ideals._interreduce
+
+    def counted(basis, ring):
+        calls.append(len(basis))
+        return interreduce(basis, ring)
+
+    monkeypatch.setattr(ideals, "_interreduce", counted)
+    I = ideal_of(R, "x^2 + y^3", "y^4")
+    I.require_m_primary()
+    assert I.contains(R.parse("x^2*y")) and not I.contains(R.parse("x^2"))
+    # finite colength, but a zero at (1, 0): x^D fails the membership test
+    J = ideal_of(R, "x^2 - x", "y^2")
+    assert "x^4 does not lie in the ideal" in J.m_primary_witness()
+    # a minimal basis whose every term lies in the leading ideal spans a
+    # monomial ideal: phi((x, y)^3) for phi: x -> x + y is (x, y)^3
+    K = ideal_of(R, "(x + y)^3", "(x + y)^2*y", "(x + y)*y^2", "y^3")
+    K.require_m_primary()
+    assert K.monomial_generators() == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert I.monomial_generators() is None
+    assert calls == []
+    assert I._basis is None and J._basis is None and K._basis is None
+
+
+def test_tag_elimination_interreduces_only_the_tag_free_elements(monkeypatch):
+    seen = []
+    interreduce = ideals._interreduce
+
+    def recorded(basis, ring):
+        seen.append((ring, list(basis.lms)))
+        return interreduce(basis, ring)
+
+    monkeypatch.setattr(ideals, "_interreduce", recorded)
+    a = [R.parse("x^3 + x*y^2"), R.parse("y^4")]
+    b = [R.parse("x^2*y - y^3"), R.parse("x^5")]
+    polys = ideals._tag_intersection(R, a, b)
+    ((S, lms),) = seen
+    unpack = ideals._packing(S).unpack
+    assert all(unpack(lm)[0] == 0 for lm in lms)
+    assert len(lms) == len(polys) > 1
+    monkeypatch.undo()
+    assert Ideal(R, polys).reduced_basis().polys == tuple(polys)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -173,11 +222,12 @@ def test_normal_form_is_linear():
 
 def test_prime_field_basis():
     S = PolyRing(GF(32003), ("x", "y"))
-    basis = groebner_basis([S.parse("x^2 + y^2"), S.parse("x*y - 1")], S)
+    gens = [S.parse("x^2 + y^2"), S.parse("x*y - 1")]
+    basis = groebner_basis(gens, S)
     for p in basis.polys:
         assert p.leading_coefficient() == 1
-    assert basis.reduces_to_zero(S.parse("x^2 + y^2"))
-    assert not basis.reduces_to_zero(S.parse("x"))
+    assert Ideal(S, gens).contains(S.parse("x^2 + y^2"))
+    assert not Ideal(S, gens).contains(S.parse("x"))
 
 
 def test_unit_ideal_detection():
@@ -214,7 +264,7 @@ def test_monomial_generators_enter_without_a_pair_update(monkeypatch):
     assert sizes == list(range(len(monomials), len(monomials) + len(sizes)))
     assert 1 <= len(sizes) < len(monomials)
     basis = ideals.ReducedBasis._from_engine(engine, R)
-    assert all(basis.reduces_to_zero(g) for g in monomials + [binomial])
+    assert all(basis.normal_form(g).is_zero() for g in monomials + [binomial])
 
 
 def sympy_reduced_basis(polys, ring):
@@ -300,7 +350,7 @@ def test_a_new_leading_monomial_retires_the_live_elements_it_divides(monkeypatch
     engine = ideals._engine_groebner(monomials + [binomial], R)
     assert len(calls) < 755
     basis = ideals.ReducedBasis._from_engine(engine, R)
-    assert all(basis.reduces_to_zero(g) for g in monomials + [binomial])
+    assert all(basis.normal_form(g).is_zero() for g in monomials + [binomial])
 
 
 def staircase_plus_polynomials(ring, seed):
@@ -332,6 +382,7 @@ def test_colength_counts_the_leading_staircase_without_a_reduced_basis(ring, see
     want = brute_colength([degrevlex_max([e for e, _ in g]) for g in expected], ring.dim)
     assert I.colength() == (INFINITE if want is None else want)
     assert I._basis is None
+    known_monomial = I.monomial_generators() is not None
     runs = []
     engine = ideals._engine_groebner
 
@@ -342,5 +393,6 @@ def test_colength_counts_the_leading_staircase_without_a_reduced_basis(ring, see
     monkeypatch.setattr(ideals, "_engine_groebner", counted)
     basis = I.reduced_basis()
     assert not runs
+    assert known_monomial == basis.is_monomial()
     assert basis == Ideal(ring, I.generators).reduced_basis()
     assert {frozenset(g.terms.items()) for g in basis.polys} == expected

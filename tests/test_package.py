@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import rrclosure
 
 
@@ -27,11 +29,14 @@ def test_kernel_backend_is_pure():
     assert rrclosure.KERNEL_BACKEND == "pure"
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools calls its table beta
 def test_version_matches_the_project_metadata():
-    # the cache key carries the version, so both must move together
+    # the cache key carries the version: pyproject.toml reads it from the package
+    from setuptools.config.pyprojecttoml import read_configuration
+
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml")) as fh:
-        assert f'version = "{rrclosure.__version__}"\n' in fh.read()
+    config = read_configuration(os.path.join(root, "pyproject.toml"))
+    assert config["project"]["version"] == rrclosure.__version__
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

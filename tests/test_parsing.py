@@ -56,30 +56,45 @@ def test_a_problem_file_holds_no_run_option():
         assert not dests & set(ProblemFile._fields), name
 
 
-def test_syntax_error_positions():
+@pytest.mark.parametrize("text, message", [
+    ("x + ", "expected a number, variable or parenthesized expression"),
+    ("x ^ y", "exponent must be a nonnegative integer"),
+    ("x + z", "unknown variable 'z'"),
+    ("x $ y", "unexpected character '$'"),
+    ("(x", "expected ')'"),
+    ("x y", "unexpected trailing 'y'"),
+    ("1/0*x", "bad rational coefficient"),
+])
+def test_syntax_error_positions(text, message):
     with pytest.raises(ParseError) as err:
-        parse_polynomial("x + ", R)
+        parse_polynomial(text, R)
     assert err.value.position is not None
-    with pytest.raises(ParseError):
-        parse_polynomial("x ^ y", R)
-    with pytest.raises(ParseError) as err2:
-        parse_polynomial("x + z", R)
-    assert "unknown variable" in str(err2.value)
+    assert message in str(err.value)
 
 
-def test_problem_errors():
-    with pytest.raises(ParseError):
-        parse_problem("ideal: x - x\n")  # zero generator
-    with pytest.raises(ParseError):
-        parse_problem("ring: QQ[x,y]\n")  # no ideal entry
-    with pytest.raises(ParseError):
-        parse_problem("ring: QQ[x,x]\nideal: x\n")  # duplicate variable
-    with pytest.raises(ParseError):
-        parse_problem("ideal: x\nmode: quick\n")
-    with pytest.raises(ParseError):
-        parse_problem("ideal: x\nideal: y\n")  # duplicate key
-    with pytest.raises(ParseError):
-        parse_problem("stuff: x\n")
+def test_unary_minus_inside_a_product():
+    assert parse_polynomial("x*-y", R) == -R.parse("x*y")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ideal: x - x\n", "zero generator in 'ideal:'"),
+    ("ring: QQ[x,y]\n", "nonempty 'ideal:' entry"),
+    ("ring: QQ[x,x]\nideal: x\n", "variable names must be distinct"),
+    ("ideal: x\nmode: quick\n", "unknown entry 'mode'"),
+    ("ideal: x\nideal: y\n", "duplicate entry 'ideal'"),
+    ("stuff: x\n", "unknown entry 'stuff'"),
+    ("ideal: x), y\n", "unbalanced ')'"),
+    ("ideal: (x, y\n", "unbalanced '('"),
+    ("foo\n", "line 1: expected 'key: value'"),
+    ("ring: ZZ[x]\nideal: x\n", "bad ring descriptor 'ZZ[x]'"),
+    ("ring: QQ[]\nideal: x\n", "ring declares no variables"),
+    ("ideal: 3\n", "cannot infer variables"),
+    ("ideal: x, , y\n", "empty expression in 'ideal:'"),
+])
+def test_problem_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert message in str(err.value)
 
 
 def test_prime_field_ring_line():

@@ -123,3 +123,18 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     assert cache.lookup(str(tmp_path), key) is None
     cache.store(str(tmp_path), key, {"ok": True})
     assert cache.lookup(str(tmp_path), key) == {"ok": True}
+
+
+def test_a_failed_store_leaves_no_temporary_file_and_keeps_the_old_entry(tmp_path, monkeypatch):
+    key = cache.cache_key("QQ", ("x",), ["x"], "poincare", {})
+    cache.store(str(tmp_path), key, {"old": True})
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cache.os, "replace", refuse)
+    with pytest.raises(OSError, match="no space left"):
+        cache.store(str(tmp_path), key, {"new": True})
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == [key + ".json"]
+    assert cache.lookup(str(tmp_path), key) == {"old": True}
