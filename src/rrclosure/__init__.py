@@ -4,9 +4,11 @@ The public surface: polynomial rings over QQ or F_p (`PolyRing`, `QQ`,
 `GF`), the ideal calculus (`Ideal`, `groebner_basis`, `normal_form`),
 Hilbert/Poincare invariants (`poincare_series`, `hilbert_samuel`,
 `hilbert_coefficients`), certified reductions
-(`find_superficial_sequence`, `certify_sequence`, `reduction_number`) and
-the closure pipeline (`closure`, `closure_power`, `is_ratliff_rush_closed`,
-`closure_via_colon_powers`, `chain_term`).
+(`find_superficial_sequence`, `certify_sequence`) and the closure pipeline
+(`closure`, `closure_power`, `is_ratliff_rush_closed`,
+`closure_via_colon_powers`, `chain_term`).  The joint postulation number
+pn(I; x_1..x_d), which fixes the chain index, is reported by `closure` as
+`ClosureReport.postulation_joint`.
 """
 
 from ._version import __version__
@@ -19,7 +21,6 @@ from .closure import (
     closure_via_colon_powers,
     colon_powers_threshold,
     is_ratliff_rush_closed,
-    postulation_with_reduction,
 )
 from .errors import (
     BoundTooLargeError,
@@ -31,7 +32,6 @@ from .errors import (
     NotSuperficialError,
     ParseError,
     RingMismatchError,
-    RMaxExceededError,
     RRClosureError,
     ZeroPolynomialError,
 )
@@ -52,7 +52,6 @@ from .reductions import (
     ReductionCertificate,
     certify_sequence,
     find_superficial_sequence,
-    reduction_number,
 )
 from .scalars import GF, QQ, PrimeField, RationalField
 
@@ -79,7 +78,6 @@ __all__ = [
     "PrimeField",
     "ProblemFile",
     "QQ",
-    "RMaxExceededError",
     "RRClosureError",
     "RationalField",
     "ReducedBasis",
@@ -107,8 +105,6 @@ __all__ = [
     "parse_problem",
     "poincare_series",
     "poincare_series_quotient",
-    "postulation_with_reduction",
-    "reduction_number",
     "regularity_bound",
     "__version__",
 ]

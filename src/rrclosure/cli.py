@@ -63,9 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="use the problem file's reduction: entry instead of searching")
 
     common(sub.add_parser("closure", help="Ratliff-Rush closure with certificates"),
-           k=True, reduction=True)
-    common(sub.add_parser("closure-power", help="closure of I^n"), k=True, least_n=1,
            reduction=True)
+    common(sub.add_parser("closure-power", help="closure of I^n"), least_n=1, reduction=True)
     common(sub.add_parser("poincare", help="Poincare series numerator, e0 and pn"), seed=False)
     common(sub.add_parser("hilbert", help="Hilbert-Samuel value at n"),
            mode=False, seed=False, least_n=0)
@@ -124,14 +123,13 @@ def _run(args) -> dict:
             return hit
 
     if command == "closure":
-        report = closure(ideal, reduction=reduction, mode=mode, seed=seed, k_override=k)
+        report = closure(ideal, reduction=reduction, mode=mode, seed=seed)
         doc = reports.closure_document(report, options)
     elif command == "closure-power":
-        report = closure_power(ideal, args.n, reduction=reduction, mode=mode, seed=seed,
-                               k_override=k)
+        report = closure_power(ideal, args.n, reduction=reduction, mode=mode, seed=seed)
         doc = reports.closure_document(report, options, operation="closure-power")
     elif command == "check-closed":
-        report = closure(ideal, reduction=reduction, mode=mode, seed=seed, k_override=k)
+        report = closure(ideal, reduction=reduction, mode=mode, seed=seed)
         doc = reports.check_closed_document(report, options)
     elif command == "poincare":
         data = poincare_series(ideal, mode=mode)

@@ -128,19 +128,6 @@ def _quotient_series(I: Ideal, reduction, **opts) -> tuple[SeriesData, ...]:
     return tuple(out)
 
 
-def postulation_with_reduction(I: Ideal, elements, **opts) -> int:
-    """max of pn(I) and pn(I/(x_i)) over a certified superficial sequence.
-
-    The sequence is certified against e0 first (NotSuperficialError
-    otherwise), and its certificate gives the quotient series their exact
-    stop.
-    """
-    main = poincare_series(I, **opts)
-    cert = certify_sequence(I, elements, main.multiplicity)
-    quotients = _quotient_series(I, cert, **opts)
-    return max(main.postulation, *(q.postulation for q in quotients))
-
-
 class ClosureReport(NamedTuple):
     """Everything a closure run certifies, for reporting and cross-checks."""
 
@@ -148,7 +135,7 @@ class ClosureReport(NamedTuple):
     series: SeriesData
     certificate: ReductionCertificate
     quotient_series: tuple[SeriesData, ...]
-    postulation_joint: int | None
+    postulation_joint: int
     k_used: int
     closure_ideal: Ideal
     closure_generators: tuple
@@ -182,18 +169,16 @@ def closure(
     mode: str = HEURISTIC,
     seed: int = 0,
     window: int | None = None,
-    k_override: int | None = None,
 ) -> ClosureReport:
     """Compute the Ratliff-Rush closure with a full certificate report.
 
     ``reduction`` may be a sequence of polynomials to use (certified before
     use); otherwise a generic one is searched, deterministically in ``seed``.
-    ``k_override`` skips the postulation bookkeeping and uses the given chain
-    index directly (the stabilization check still runs in heuristic mode);
-    an index below 1 raises ValueError.
+    The chain index is always Elias': k = max(pn(I; x_1..x_d) + 1, 1), with
+    pn(I; x_1..x_d) the largest postulation number of I and of its quotient
+    series (``postulation_joint``); a smaller k gives only an ideal inside
+    the closure.
     """
-    if k_override is not None and k_override < 1:
-        raise ValueError(f"chain terms are indexed by k >= 1, got k_override = {k_override}")
     I.require_m_primary()
     mono = I.monomial_generators()
     monomial = mono is not None
@@ -245,20 +230,15 @@ def closure(
             add_time("reduction", t0)
         passed.append("reduction-colength-equals-e0")
 
-        if k_override is None:
-            t0 = time.perf_counter()
-            quotients = _quotient_series(I, cert, mode=mode, window=win)
-            add_time("quotient-poincare", t0)
-            for i, q in enumerate(quotients):
-                _series_checks(q, f"quotient-{i}", failures, passed)
-                if q.exact:
-                    passed.append(f"quotient-{i}-exact")
-            pn_joint = max(series.postulation, *(q.postulation for q in quotients))
-            k = max(pn_joint + 1, 1)
-        else:
-            quotients = ()
-            pn_joint = None
-            k = k_override
+        t0 = time.perf_counter()
+        quotients = _quotient_series(I, cert, mode=mode, window=win)
+        add_time("quotient-poincare", t0)
+        for i, q in enumerate(quotients):
+            _series_checks(q, f"quotient-{i}", failures, passed)
+            if q.exact:
+                passed.append(f"quotient-{i}-exact")
+        pn_joint = max(series.postulation, *(q.postulation for q in quotients))
+        k = max(pn_joint + 1, 1)
 
         t0 = time.perf_counter()
         if monomial:

@@ -54,10 +54,6 @@ class ChainUnstableError(RRClosureError):
     code = "CHAIN_UNSTABLE"
 
 
-class RMaxExceededError(RRClosureError):
-    code = "R_MAX_EXCEEDED"
-
-
 class CertifiedBoundViolation(AssertionError):
     """A certified bound failed: a bug or a forged certificate, not a user error."""
 

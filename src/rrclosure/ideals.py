@@ -209,6 +209,25 @@ def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None):
     return out, scale
 
 
+def _square(terms: dict, guard: int, p: int | None) -> dict:
+    """The square of an engine term dict."""
+    out: dict = {}
+    items = list(terms.items())
+    for k, (a, ca) in enumerate(items):
+        for b, cb in items[k:]:
+            e = a + b
+            if e & guard:
+                raise _overflow()
+            v = out.get(e, 0) + (ca * cb if a == b else 2 * ca * cb)
+            if p is not None:
+                v %= p
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
 def _spoly(basis: _Basis, i: int, j: int, L: int, guard: int, p: int | None) -> dict:
     """S-polynomial of basis elements i and j, whose leading monomials have lcm L."""
     qi = L - basis.lms[i]
@@ -775,12 +794,16 @@ class Ideal:
         mono = self.monomial_generators()
         if mono is not None:
             return all(_kernels.monomial_contains(mono, e) for e in f.terms)
-        # any Groebner basis decides membership: an ideal made with ``basis=``
-        # holds no minimal one, and building that would run Buchberger again
-        held = self._minimal_basis() if self._basis is None else self._basis._engine_basis()
         p = self.ring.field.characteristic or None
         packing = _packing(self.ring)
-        return not _nf_engine(_engine_terms(f, p, packing.pack), held, packing.guard, p)[0]
+        return not _nf_engine(_engine_terms(f, p, packing.pack), self._held_basis(),
+                              packing.guard, p)[0]
+
+    def _held_basis(self) -> _Basis:
+        """A Groebner basis in engine form, for normal forms: any one decides
+        membership, and an ideal made with ``basis=`` holds no minimal one,
+        whose construction would run Buchberger again."""
+        return self._minimal_basis() if self._basis is None else self._basis._engine_basis()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -984,7 +1007,10 @@ class Ideal:
         """True iff rad(I) is the irrelevant maximal ideal.
 
         Certified by: 1 not in I, finite colength D, and x_i^D in I for every
-        variable (x_i is nilpotent mod I of index at most D).
+        variable (x_i is nilpotent mod I of index at most D).  The test
+        squares the normal form of x_i ceil(log2 D) times, reducing after
+        each product, so no exponent passes twice the staircase: x_i^(2^j)
+        outside I with 2^j >= D puts x_i^D outside I too.
         """
         return self._cached_witness() is None
 
@@ -1014,10 +1040,21 @@ class Ideal:
             return "colength is infinite"
         if self.monomial_generators() is not None:
             return None
+        held = self._held_basis()
+        p = self.ring.field.characteristic or None
+        packing = _packing(self.ring)
+        guard = packing.guard
         for i, name in enumerate(self.ring.variables):
             exps = [0] * self.ring.dim
-            exps[i] = D
-            if not self.contains(self.ring.monomial(exps)):
+            exps[i] = 1
+            r = _nf_engine({packing.pack(exps): 1}, held, guard, p)[0]
+            for _ in range((D - 1).bit_length()):
+                if not r:
+                    break
+                r = _nf_engine(_square(r, guard, p), held, guard, p)[0]
+                if r:  # primitive again: only zero or not matters
+                    r = _normalize(r, max(r), p)
+            if r:
                 return f"{name}^{D} does not lie in the ideal, so {name} is not nilpotent mod I"
         return None
 

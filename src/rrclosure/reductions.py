@@ -12,12 +12,11 @@ certifies it like any other.
 Lengths are taken at the origin.  In two variables the length of a
 candidate J = (f, g) is the intersection number I_0(f, g) of two plane
 curves, which Fulton's algorithm counts on f and g alone, with no Groebner
-basis (:func:`_intersection_number`).  The other local lengths, of a
-candidate in three or more variables and of J * I^r in
-:func:`reduction_number`, are read off truncations by powers of I rather
-than of m: the ideals lie inside I, so the truncations stabilize within a
-few powers of I, where powers of m have to climb well past the generator
-degrees (Nakayama; Huneke-Swanson, ch. 8).
+basis (:func:`_intersection_number`).  In three or more variables the
+local length of a candidate is read off truncations by powers of I rather
+than of m: the candidate lies inside I, so the truncations stabilize
+within a few powers of I, where powers of m have to climb well past the
+generator degrees (Nakayama; Huneke-Swanson, ch. 8).
 """
 
 from __future__ import annotations
@@ -28,13 +27,10 @@ from typing import NamedTuple
 
 from . import _kernels
 from .errors import (
-    CertifiedBoundViolation,
     ElementNotInIdealError,
     GenericityFailureError,
     NotSuperficialError,
-    RMaxExceededError,
 )
-from .hilbert import regularity_bound
 from .ideals import Ideal, _engine_terms
 from .polynomials import Polynomial
 
@@ -258,30 +254,3 @@ def find_superficial_sequence(
         f"no superficial sequence found in {max_attempts} attempts; "
         "a larger coefficient pool or prime field usually helps"
     )
-
-
-def reduction_number(I: Ideal, J: Ideal, r_max: int = 64) -> int:
-    """Least r with I^{r+1} = J * I^r, for a certified minimal reduction J.
-
-    The equality is the one in the localization.  J * I^r lies in I^{r+1},
-    so J * I^r + I^{r+2} has colength at least that of I^{r+1}, with
-    equality exactly when I^{r+1} = J * I^r + I * I^{r+1}, that is, by
-    Nakayama, when I^{r+1} = J * I^r at the origin.  This is the I-adic
-    scan of :meth:`Ideal.colength_at_origin` for J * I^r started at
-    I^{r+1}, whose colength is known: one truncation per r.
-    """
-    I.require_m_primary()
-    if J.ring != I.ring:
-        raise NotSuperficialError("reduction lives in a different ring")
-    if not I.contains_ideal(J):
-        raise ElementNotInIdealError("the reduction does not lie in the ideal")
-    for r in range(r_max + 1):
-        target = I.power(r + 1).colength()
-        if (J.multiply(I.power(r)) + I.power(r + 2)).colength() == target:
-            # J is a reduction now, so its local length is finite
-            if r > regularity_bound(J.colength_at_origin(by=I), I.ring.dim):
-                raise CertifiedBoundViolation(
-                    f"reduction number {r} exceeds the certified bound"
-                )
-            return r
-    raise RMaxExceededError(f"no reduction number up to r_max = {r_max}")

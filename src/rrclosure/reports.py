@@ -183,8 +183,7 @@ def render_text(doc: dict) -> str:
         )
         for i, q in enumerate(result["quotient_series"]):
             lines.append(f"quotient {i} numerator: {q['numerator']} (pn {q['postulation']})")
-        if result["postulation_joint"] is not None:
-            lines.append(f"pn with reduction: {result['postulation_joint']}")
+        lines.append(f"pn with reduction: {result['postulation_joint']}")
         lines.append(f"k used: {result['k_used']}")
         lines.append("closure: " + ", ".join(result["closure"]["minimal_generators"]))
         lines.append(f"closed: {str(result['is_closed']).lower()}")

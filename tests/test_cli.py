@@ -155,14 +155,29 @@ def test_usage_error_exit_code(capsys):
     ["closure-power", "--n", "0"],
     ["hilbert", "--n", "-1"],
     ["colon-powers", "--k", "-2"],
-    ["closure", "--k", "-3"],
+    ["colon-powers", "--k", "0"],
 ])
 def test_out_of_range_k_and_n_are_usage_errors(capsys, ex33_file, argv):
-    # --k >= 1 (the chain index), closure-power --n >= 1, hilbert --n >= 0
+    # colon-powers --k >= 1, closure-power --n >= 1, hilbert --n >= 0
     with pytest.raises(SystemExit) as exc:
         main([argv[0], ex33_file, *argv[1:]])
     assert exc.value.code == 2
     assert "must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--k", "1"],
+    ["closure-power", "--n", "2", "--k", "1"],
+])
+def test_closures_take_no_chain_index(capsys, ex110_file, argv):
+    # the chain index comes from pn(I; x) alone; only colon-powers takes --k
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], ex110_file, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 1" in capsys.readouterr().err
+    code, out, err = run(capsys, "colon-powers", ex110_file, "--k", "4")
+    assert code == 0, err
+    assert "k: 4" in out
 
 
 @pytest.mark.parametrize("entry", ["mode: certified", "seed: 5", "k: 1"])

@@ -10,6 +10,7 @@ import pytest
 from rrclosure import (
     BoundParams,
     BoundTooLargeError,
+    ElementNotInIdealError,
     Ideal,
     NotMPrimaryError,
     NotSuperficialError,
@@ -153,36 +154,23 @@ def test_closure_certified_mode():
     assert rep.mode == "certified"
 
 
-def test_closure_with_k_override():
+def test_closure_needs_the_reduction_inside_the_ideal():
+    # a given reduction is certified before any colon: y^2 is in m^2, x is not
+    m2 = ideal_of(R, "x^2", "x*y", "y^2")
+    with pytest.raises(ElementNotInIdealError, match="x does not lie in the ideal"):
+        closure(m2, reduction=(R.parse("x"), R.parse("y^2")))
+
+
+def test_closure_takes_no_chain_index():
+    # the chain index comes only from pn(I; x): a smaller one gives an ideal
+    # inside the closure, so no caller may pass one
     I = ideal_of(R, *EX110)
-    rep = closure(I, seed=0, k_override=5)
-    assert rep.k_used == 5
-    assert rep.postulation_joint is None
-    assert rep.closure_ideal.equals(ideal_of(R, *EX110_CLOSURE))
-
-
-def test_closure_k_override_below_stability_is_rejected():
-    from rrclosure import ChainUnstableError
-
-    I = ideal_of(R, *EX110)
-    xs = (R.parse("y^5+x^10+x^8*y"), R.parse("x*y^4"))
-    assert not chain_term(I, xs, 1).equals(chain_term(I, xs, 2))
-    with pytest.raises(ChainUnstableError):
-        closure(I, reduction=xs, k_override=1)
-
-
-@pytest.mark.parametrize("k", [0, -3])
-def test_closure_k_override_below_one_is_a_value_error(monkeypatch, k):
-    # rejected before any sampling, like chain_term and the CLI's --k
-    closure_module = importlib.import_module("rrclosure.closure")
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before checking k_override")
-
-    monkeypatch.setattr(closure_module, "poincare_series", no_sampling)
-    for gens in (EX110, EX33):
-        with pytest.raises(ValueError, match=f"k_override = {k}"):
-            closure(ideal_of(R, *gens), seed=0, k_override=k)
+    with pytest.raises(TypeError):
+        closure(I, seed=0, k_override=1)
+    rep = closure(I, seed=0)
+    assert rep.k_used == max(rep.postulation_joint + 1, 1)
+    assert rep.postulation_joint == max(rep.postulation,
+                                        *(q.postulation for q in rep.quotient_series))
 
 
 def test_closure_recovers_from_narrow_window():
@@ -500,7 +488,7 @@ def test_reports_are_pinned_in_order(case):
 
 
 def _orbit_case(case):
-    from rrclosure import PolyRing, QQ, find_superficial_sequence, postulation_with_reduction
+    from rrclosure import PolyRing, QQ
 
     if case == "ex14":
         closure(ideal_of(R, *EX14), seed=0)
@@ -510,10 +498,6 @@ def _orbit_case(case):
         T = PolyRing(QQ, ("x", "y", "z"))
         I = Ideal(T, [T.parse(s) for s in ("x^3", "y^3", "z^3", "x^2*y", "y^2*z")])
         assert len(closure(I, seed=0).quotient_series) == 3
-    elif case == "postulation-with-reduction":
-        I = ideal_of(R, *EX14)
-        xs = find_superficial_sequence(I, poincare_series(I).multiplicity, seed=0).elements
-        postulation_with_reduction(I, xs)
     elif case == "ex110-paper-reduction":
         xs = (R.parse("y^5+x^10+x^8*y"), R.parse("x*y^4"))
         closure(ideal_of(R, *EX110), reduction=xs)
@@ -529,7 +513,6 @@ def _orbit_case(case):
     ("ex14", 1),
     ("ex14-squared", 1),
     ("dimension-three", 1),
-    ("postulation-with-reduction", 1),
     ("ex110-paper-reduction", 2),  # the two elements have different supports
     ("phi-skew", 2),  # not monomial
     ("skew-four-term-reduction", 2),  # four points in the plane: affinely dependent

@@ -15,12 +15,12 @@ from rrclosure import (
     QQ,
     ReductionCertificate,
     certify_sequence,
+    closure,
     hilbert_coefficients,
     hilbert_samuel,
     hilbert_samuel_quotient,
     poincare_series,
     poincare_series_quotient,
-    postulation_with_reduction,
     regularity_bound,
 )
 from rrclosure.errors import CertifiedBoundViolation
@@ -160,15 +160,15 @@ def test_the_difference_transform_inverts_the_binomial_sum(D):
             assert data.polynomial_value(pn - 1) != h(pn - 1)
 
 
-def test_postulation_with_reduction_golden():
+def test_joint_postulation_golden():
     I = ex110()
     xs = (R.parse("y^5+x^10+x^8*y"), R.parse("x*y^4"))
-    assert postulation_with_reduction(I, xs) == 2
+    assert closure(I, reduction=xs).postulation_joint == 2
 
 
-def test_postulation_with_reduction_regular():
+def test_joint_postulation_regular():
     m = ideal_of(R, "x", "y")
-    assert postulation_with_reduction(m, (R.parse("x"), R.parse("y"))) == -1
+    assert closure(m, reduction=(R.parse("x"), R.parse("y"))).postulation_joint == -1
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
@@ -176,7 +176,7 @@ def test_postulation_with_reduction_regular():
 def test_postulation_of_monomial_complete_intersections(a, b):
     I = ideal_of(R, f"x^{a}", f"y^{b}")
     xs = (R.var("x") ** a, R.var("y") ** b)
-    assert postulation_with_reduction(I, xs) <= a + b - 2
+    assert closure(I, reduction=xs).postulation_joint <= a + b - 2
 
 
 def test_certified_mode_small():
@@ -277,9 +277,9 @@ def test_quotient_series_ignore_certificates_that_do_not_apply():
     assert not stopped.exact
 
 
-def test_postulation_with_reduction_certifies_its_sequence():
+def test_joint_postulation_certifies_its_sequence():
     with pytest.raises(NotSuperficialError):
-        postulation_with_reduction(ex110(), (R.parse("x^10"), R.parse("y^5")))
+        closure(ex110(), reduction=(R.parse("x^10"), R.parse("y^5")))
 
 
 # -- one quotient series per torus orbit ----------------------------------------

@@ -122,6 +122,22 @@ def test_is_m_primary():
     assert "not nilpotent" in J.m_primary_witness()
 
 
+def test_m_primary_past_the_exponent_cap():
+    # colength 1.6e9 passes MAX_EXPONENT, so x^D cannot be built: the check
+    # squares the normal form of each variable instead
+    gens = ("x^40000 + y", "y^40000")
+    assert ideal_of(R, *gens).colength() == 1600000000 > MAX_EXPONENT
+    assert ideal_of(R, *gens).is_m_primary()
+    # y^40000 = 1 puts the zeros off the origin: neither x nor y is nilpotent
+    for names in (("x", "y"), ("y", "x")):
+        ring = PolyRing(QQ, names)
+        J = ideal_of(ring, "x^40000 + y", "y^40000 - 1")
+        assert not J.is_m_primary()
+        first = names[0]
+        assert J.m_primary_witness() == (f"{first}^1600000000 does not lie in the ideal, "
+                                         f"so {first} is not nilpotent mod I")
+
+
 def test_minimal_generators():
     assert {str(g) for g in ideal_of(R, "x", "y", "x + y", "x^2").minimal_generators()} == {"x", "y"}
     assert {str(g) for g in ideal_of(R, "x^2", "x*y", "y^2", "x^3").minimal_generators()} == {

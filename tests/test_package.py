@@ -24,6 +24,17 @@ def test_star_import_binds_every_name_in_all():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("name", ["postulation_with_reduction", "reduction_number",
+                                  "RMaxExceededError"])
+def test_removed_names_are_gone(name):
+    # closure() is the one path to pn(I; x) and the chain index
+    import rrclosure.errors
+
+    assert name not in rrclosure.__all__
+    assert not hasattr(rrclosure, name)
+    assert not hasattr(rrclosure.errors, name)
+
+
 def test_kernel_backend_is_pure():
     # the benchmark records this name with every run
     assert rrclosure.KERNEL_BACKEND == "pure"

@@ -1,4 +1,4 @@
-"""reductions: certification, random search, reduction numbers."""
+"""reductions: certification and random search."""
 
 import itertools
 import random
@@ -16,7 +16,6 @@ from rrclosure import (
     certify_sequence,
     find_superficial_sequence,
     poincare_series,
-    reduction_number,
 )
 from rrclosure import ideals, reductions
 from util_algebra import ideal_of, qq_ring, random_polynomial
@@ -258,47 +257,6 @@ def test_find_failure_reports_genericity():
     I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
     with pytest.raises(GenericityFailureError):
         find_superficial_sequence(I, 44, seed=0, max_attempts=2)  # wrong e0 never certifies
-
-
-def test_reduction_numbers_small():
-    m = ideal_of(R, "x", "y")
-    assert reduction_number(m, m) == 0
-    m2 = ideal_of(R, "x^2", "x*y", "y^2")
-    J = ideal_of(R, "x^2", "y^2")
-    # m^4 = J*m^2 but m^2 != J
-    assert m2.power(2).equals(J.multiply(m2))
-    assert not m2.equals(J)
-    assert reduction_number(m2, J) == 1
-
-
-def test_reduction_number_regression():
-    I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
-    J = ideal_of(R, "y^5+x^10+x^8*y", "x*y^4")
-    r = reduction_number(I, J)
-    assert r == 3  # frozen regression constant; the certified bound is only 1980
-    assert r <= 1980
-
-
-def test_reduction_number_with_generic_reduction():
-    m2 = ideal_of(R, "x^2", "x*y", "y^2")
-    cert = find_superficial_sequence(m2, 4, seed=1)
-    r = reduction_number(m2, cert.ideal())
-    assert r <= 1
-
-
-def test_reduction_number_needs_the_reduction_inside_the_ideal():
-    m2 = ideal_of(R, "x^2", "x*y", "y^2")
-    with pytest.raises(ElementNotInIdealError):
-        reduction_number(m2, ideal_of(R, "x", "y^2"))
-
-
-def test_reduction_number_r_max_exceeded():
-    from rrclosure import RMaxExceededError
-
-    m2 = ideal_of(R, "x^2", "x*y", "y^2")
-    J = ideal_of(R, "x^2", "y^2")
-    with pytest.raises(RMaxExceededError):
-        reduction_number(m2, J, r_max=0)
 
 
 def test_superficial_identity_holds_for_generic_sequences():

@@ -7,7 +7,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from rrclosure import cache, closure, poincare_series, reports
+from rrclosure import cache, closure, closure_power, poincare_series, reports
 from util_algebra import ideal_of, qq_ring
 
 R = qq_ring("x", "y")
@@ -22,18 +22,48 @@ def load_schema():
 
 
 @pytest.fixture(scope="module")
-def closure_doc():
-    I = ideal_of(R, "x^8", "x^3*y^2", "x^2*y^4", "y^8")
-    report = closure(I, seed=0)
-    return reports.closure_document(report, OPTIONS)
+def closure_report():
+    return closure(ideal_of(R, "x^8", "x^3*y^2", "x^2*y^4", "y^8"), seed=0)
 
 
-def test_documents_validate_against_schema(closure_doc):
+@pytest.fixture(scope="module")
+def closure_doc(closure_report):
+    return reports.closure_document(closure_report, OPTIONS)
+
+
+@pytest.fixture(scope="module")
+def closure_docs(closure_doc, closure_report):
+    """One document of each operation that reports a closure."""
+    power = closure_power(ideal_of(R, "x^4", "x^3*y", "x*y^3", "y^4"), 2, seed=0)
+    return {
+        "closure": closure_doc,
+        "closure-power": reports.closure_document(power, dict(OPTIONS, n=2),
+                                                  operation="closure-power"),
+        "check-closed": reports.check_closed_document(closure_report, OPTIONS),
+    }
+
+
+def test_documents_validate_against_schema(closure_docs):
     schema = load_schema()
-    jsonschema.validate(closure_doc, schema)
+    for doc in closure_docs.values():
+        jsonschema.validate(doc, schema)
     I = ideal_of(R, "x^2", "x*y", "y^2")
     jsonschema.validate(reports.series_document(I, poincare_series(I), OPTIONS), schema)
     jsonschema.validate(reports.hilbert_document(I, 1, 10, OPTIONS), schema)
+
+
+@pytest.mark.parametrize("operation", ["closure", "closure-power", "check-closed"])
+def test_a_closure_report_without_a_joint_postulation_is_invalid(closure_docs, operation):
+    # the chain index always comes from pn(I; x), which every closure reports
+    schema = load_schema()
+    doc = json.loads(reports.dumps(closure_docs[operation]))
+    assert isinstance(doc["result"]["postulation_joint"], int)
+    doc["result"]["postulation_joint"] = None
+    with pytest.raises(jsonschema.ValidationError, match="None is not of type 'integer'"):
+        jsonschema.validate(doc, schema)
+    del doc["result"]["postulation_joint"]
+    with pytest.raises(jsonschema.ValidationError, match="'postulation_joint' is a required"):
+        jsonschema.validate(doc, schema)
 
 
 def test_document_round_trips_losslessly(closure_doc):
