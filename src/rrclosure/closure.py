@@ -223,6 +223,8 @@ def closure(
             else:
                 cert = find_superficial_sequence(I, e0, seed=seed)
         except (GenericityFailureError, NotSuperficialError) as exc:
+            if newton_e0 is not None:
+                raise  # e0 is proved: a wider window repeats the same search
             last_error = exc
             last_failures = failures + ["reduction-certification"]
             continue

@@ -19,7 +19,11 @@ forms decide ``Ideal.contains``; ``_interreduce`` makes the reduced basis
 only for shown or compared lists, intersections and powers.
 Internally the engine works on integer-primitive coefficient dicts (over the
 rationals) or monic least-residue dicts (over a prime field), keyed by
-packed-int monomials; the public reduced bases are always monic.
+packed-int monomials; the public reduced bases are always monic.  Every
+product term (reduction steps, S-polynomials, exact division, powers and
+squares) comes from one multiply-accumulate step, ``_add_multiple``, which
+checks the packed width; every result goes back to a ``Polynomial`` through
+``_polynomial``, which checks ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -137,6 +141,37 @@ class _Basis:
         return len(self.lms)
 
 
+def _add_multiple(acc: dict, pairs, shift: int, c: int, guard: int, p: int | None) -> list:
+    """``acc += c * x^shift * pairs`` in place, for (monomial, coefficient)
+    ``pairs`` with distinct monomials: the engine's one multiply-accumulate
+    step.  Returns the monomials new to ``acc``, none of which cancels, since
+    ``c`` and every coefficient are nonzero and p is prime."""
+    new = []
+    for e, ce in pairs:
+        en = shift + e
+        v = acc.get(en)
+        if v is None:
+            if en & guard:
+                raise _overflow()
+            acc[en] = c * ce if p is None else c * ce % p
+            new.append(en)
+        else:
+            v = v + c * ce if p is None else (v + c * ce) % p
+            if v:
+                acc[en] = v
+            else:
+                del acc[en]
+    return new
+
+
+def _product(a: dict, b, guard: int, p: int | None) -> dict:
+    """The product of an engine term dict and (monomial, coefficient) pairs."""
+    out: dict = {}
+    for e, c in a.items():
+        _add_multiple(out, b, e, c, guard, p)
+    return out
+
+
 def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None):
     """Full normal form of a packed integer term dict against ``basis``.
 
@@ -180,20 +215,8 @@ def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None):
                     out[k2] *= lam
         else:
             mu = c  # reducers are monic mod p
-        for e2, c2 in tails[j]:
-            en = q + e2
-            v = work.get(en)
-            if v is None:
-                if en & guard:
-                    raise _overflow()
-                work[en] = -mu * c2 if p is None else -mu * c2 % p  # nonzero
-                heappush(heap, -en)
-            else:
-                v = v - mu * c2 if p is None else (v - mu * c2) % p
-                if v:
-                    work[en] = v
-                else:
-                    del work[en]
+        for en in _add_multiple(work, tails[j], q, -mu, guard, p):
+            heappush(heap, -en)
         if p is None and steps % _CONTENT_STRIP_EVERY == 0 and (work or out):
             g = 0
             for v in work.values():
@@ -209,51 +232,17 @@ def _nf_engine(fterms: dict, basis: _Basis, guard: int, p: int | None):
     return out, scale
 
 
-def _square(terms: dict, guard: int, p: int | None) -> dict:
-    """The square of an engine term dict."""
-    out: dict = {}
-    items = list(terms.items())
-    for k, (a, ca) in enumerate(items):
-        for b, cb in items[k:]:
-            e = a + b
-            if e & guard:
-                raise _overflow()
-            v = out.get(e, 0) + (ca * cb if a == b else 2 * ca * cb)
-            if p is not None:
-                v %= p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
 def _spoly(basis: _Basis, i: int, j: int, L: int, guard: int, p: int | None) -> dict:
     """S-polynomial of basis elements i and j, whose leading monomials have lcm L."""
-    qi = L - basis.lms[i]
-    qj = L - basis.lms[j]
     if p is None:
         g0 = gcd(basis.lcs[i], basis.lcs[j])
         a = basis.lcs[j] // g0
         b = basis.lcs[i] // g0
     else:
         a = b = 1  # monic
-    out = {}
-    for q, terms, k in ((qi, basis.terms[i], a), (qj, basis.terms[j], -b)):
-        for e, c in terms.items():
-            en = q + e
-            v = out.get(en)
-            if v is None:
-                if en & guard:
-                    raise _overflow()
-                v = 0
-            v += k * c
-            if p is not None:
-                v %= p
-            if v:
-                out[en] = v
-            else:
-                out.pop(en, None)
+    out: dict = {}
+    _add_multiple(out, basis.terms[i].items(), L - basis.lms[i], a, guard, p)
+    _add_multiple(out, basis.terms[j].items(), L - basis.lms[j], -b, guard, p)
     return out
 
 
@@ -392,9 +381,11 @@ def _interreduce(basis: _Basis, ring: PolyRing) -> _Basis:
     return final
 
 
-def _monic_poly(terms: dict, lm: int, ring: PolyRing, unpack) -> Polynomial:
-    """Monic polynomial of ``ring`` from an engine term dict; ``unpack`` turns a
-    packed monomial into an exponent tuple of ``ring``.
+def _polynomial(terms: dict, ring: PolyRing, unpack, factor) -> Polynomial:
+    """The polynomial ``factor`` times an engine term dict, in ``ring``; the
+    engine's one way back.  ``unpack`` turns a packed monomial into an
+    exponent tuple of ``ring``, and ``factor`` applies over QQ only: mod p the
+    engine's coefficients are the residues themselves.
 
     The packing leaves room above ``MAX_EXPONENT`` (up to ``nvars *
     MAX_EXPONENT``), so an engine result can exceed the cap that every
@@ -407,8 +398,7 @@ def _monic_poly(terms: dict, lm: int, ring: PolyRing, unpack) -> Polynomial:
             raise ExponentOverflowError(f"result exponent in {e!r} exceeds {MAX_EXPONENT}")
     if ring.field.characteristic:
         return Polynomial(ring, dict(zip(exps, terms.values())))
-    lc = terms[lm]
-    return Polynomial(ring, {e: Fraction(c, lc) for e, c in zip(exps, terms.values())})
+    return Polynomial(ring, {e: c * factor for e, c in zip(exps, terms.values())})
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +429,8 @@ class ReducedBasis:
         """The reduced basis of a minimal engine basis (``_engine_groebner``)."""
         basis = _interreduce(basis, ring)
         unpack = _packing(ring).unpack
-        polys = [_monic_poly(t, lm, ring, unpack) for t, lm in zip(basis.terms, basis.lms)]
+        polys = [_polynomial(t, ring, unpack, Fraction(1, t[lm]))
+                 for t, lm in zip(basis.terms, basis.lms)]
         reduced = cls(polys, ring)
         reduced._engine = basis
         return reduced
@@ -464,13 +455,12 @@ class ReducedBasis:
         packing = _packing(self.ring)
         terms = _engine_terms(f, p, packing.pack)
         out, scale = _nf_engine(terms, self._engine_basis(), packing.guard, p)
-        unpack = packing.unpack
+        factor = 1
         if p is None:
             # f is a rational multiple of terms (same term order in both);
             # undo it and the engine's scale
             factor = next(iter(f.terms.values())) / next(iter(terms.values())) / scale
-            return Polynomial(self.ring, {unpack(e): c * factor for e, c in out.items()})
-        return Polynomial(self.ring, {unpack(e): c for e, c in out.items()})
+        return _polynomial(out, self.ring, packing.unpack, factor)
 
     def __iter__(self):
         return iter(self.polys)
@@ -550,7 +540,8 @@ def _tag_intersection(ring: PolyRing, a_polys, b_polys) -> list[Polynomial]:
     def untagged(e):
         return unpack(e)[1:]
 
-    return [_monic_poly(terms, lm, ring, untagged) for terms, lm in zip(free.terms, free.lms)]
+    return [_polynomial(terms, ring, untagged, Fraction(1, terms[lm]))
+            for terms, lm in zip(free.terms, free.lms)]
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -571,6 +562,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     pack, guard = packing.pack, packing.guard
     work = _engine_terms(f, p, pack)
     gterms = _engine_terms(g, p, pack)
+    factor = 1
     if p is None:
         # f and g are rational multiples of their engine forms
         factor = (next(iter(f.terms.values())) / next(iter(work.values()))
@@ -591,23 +583,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         if rest or d & guard:
             raise RRClosureError("exact division failed: remainder is nonzero")
         quotient[d] = t
-        for e2, c2 in gterms.items():
-            en = d + e2
-            v = work.get(en)
-            if v is None:
-                if en & guard:
-                    raise _overflow()
-                heapq.heappush(heap, -en)
-                v = 0
-            v = v - t * c2 if p is None else (v - t * c2) % p
-            if v:
-                work[en] = v
-            else:
-                work.pop(en, None)
-    unpack = packing.unpack
-    if p is None:
-        return Polynomial(ring, {unpack(d): t * factor for d, t in quotient.items()})
-    return Polynomial(ring, {unpack(d): t for d, t in quotient.items()})
+        for en in _add_multiple(work, gterms.items(), d, -t, guard, p):
+            heapq.heappush(heap, -en)
+    return _polynomial(quotient, ring, packing.unpack, factor)
 
 
 def power_supports(f: Polynomial, k: int):
@@ -634,23 +612,7 @@ def power_supports(f: Polynomial, k: int):
             if n > k and any(v > MAX_EXPONENT for e in exps for v in e):
                 raise ExponentOverflowError("product exceeds the exponent width")
             yield exps
-        out: dict = {}
-        for e, c in power.items():
-            for e2, c2 in factor:
-                en = e + e2
-                v = out.get(en)
-                if v is None:
-                    if en & guard:
-                        raise _overflow()
-                    v = 0
-                v += c * c2
-                if p is not None:
-                    v %= p
-                if v:
-                    out[en] = v
-                else:
-                    out.pop(en, None)
-        power = out
+        power = _product(power, factor, guard, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1013,7 @@ class Ideal:
             for _ in range((D - 1).bit_length()):
                 if not r:
                     break
-                r = _nf_engine(_square(r, guard, p), held, guard, p)[0]
+                r = _nf_engine(_product(r, r.items(), guard, p), held, guard, p)[0]
                 if r:  # primitive again: only zero or not matters
                     r = _normalize(r, max(r), p)
             if r:

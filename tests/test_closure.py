@@ -195,9 +195,17 @@ def test_e0_mismatch_with_the_newton_polygon_is_a_failed_check(monkeypatch):
         closure(ideal_of(R, *EX110), seed=0)
 
 
-def test_a_reduction_that_never_certifies_fails_after_every_round(monkeypatch):
-    # (x^10, y^5) is no reduction of ex110: its colength 50 exceeds e0 = 45 in
-    # each of the three rounds, which double the Poincare window from 10
+@pytest.mark.parametrize("reduction, message", [
+    (("x*y^4",), "need 2 elements (the ring dimension), got 1"),
+    # (x^10, y^5) is no reduction of ex110: its colength 50 exceeds e0 = 45
+    (("x^10", "y^5"), "length of the candidate reduction at the origin is at least 50, "
+                      "expected e0 = 45"),
+], ids=["one-element", "x^10,y^5"])
+def test_a_reduction_that_fails_against_a_proved_e0_samples_the_series_once(
+        monkeypatch, reduction, message):
+    # the Newton polygon proves e0 of a two-variable monomial ideal, and the
+    # certification reads nothing else of the series: a wider window would
+    # repeat the same check, so the first failure is final
     closure_module = sys.modules["rrclosure.closure"]
     windows = []
     real = closure_module.poincare_series
@@ -207,9 +215,10 @@ def test_a_reduction_that_never_certifies_fails_after_every_round(monkeypatch):
         return real(I, **kwargs)
 
     monkeypatch.setattr(closure_module, "poincare_series", recorded)
-    with pytest.raises(NotSuperficialError, match="at least 50, expected e0 = 45"):
-        closure(ideal_of(R, *EX110), reduction=(R.parse("x^10"), R.parse("y^5")))
-    assert windows == [None, 10, 20]
+    with pytest.raises(NotSuperficialError) as info:
+        closure(ideal_of(R, *EX110), reduction=[R.parse(g) for g in reduction])
+    assert str(info.value) == message
+    assert windows == [None]
 
 
 def test_phase_times_add_up_over_retry_rounds(monkeypatch):

@@ -85,3 +85,18 @@ def test_the_kernels_import_nothing_from_the_package():
             imported.extend(alias.name for alias in node.names)
     assert imported  # the walk sees the standard-library imports
     assert not [m for m in imported if m.startswith((".", "rrclosure"))], imported
+
+
+def test_the_engine_checks_the_packed_width_in_one_step():
+    # every product term of the Groebner engine comes from one
+    # multiply-accumulate step, so the guard-bit check lives there alone
+    path = os.path.join(os.path.dirname(rrclosure.__file__), "ideals.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    sites = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            sites.extend(fn.name for node in ast.walk(fn)
+                         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                         and getattr(node.exc.func, "id", None) == "_overflow")
+    assert sites == ["_add_multiple"]

@@ -15,7 +15,9 @@ from rrclosure import (
     RingMismatchError,
     TermOrder,
     ZeroPolynomialError,
+    exact_divide,
     groebner_basis,
+    normal_form,
     parse_polynomial,
 )
 from rrclosure.orders import elimination_order
@@ -99,7 +101,13 @@ def test_term_order_variants():
 
 coeffs = st.integers(min_value=-5, max_value=5)
 exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
-polys = st.dictionaries(exps, coeffs, max_size=5).map(lambda d: R.poly(d))
+
+
+def polys_in(ring, coefficients=coeffs):
+    return st.dictionaries(exps, coefficients, max_size=5).map(ring.poly)
+
+
+polys = polys_in(R)
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,6 +234,20 @@ def test_exponents_at_the_cap_round_trip_through_groebner_basis():
         groebner_basis([x**M - y**M, y**M - z**M, x * y * z], T)  # holds z^(2M+1)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_a_normal_form_past_the_cap_raises(field):
+    # x^K*y^K -> y^(2K) takes x^M*y^M to y^(2M) in four steps: the packing
+    # has room for it, but no polynomial may hold it
+    M = MAX_EXPONENT
+    K = M // 4
+    S = PolyRing(field, ("x", "y"))
+    x, y = S.gens()
+    basis = groebner_basis([x**K * y**K - y**(2 * K)], S)
+    assert basis.normal_form(x**(2 * K) * y**(2 * K)) == y**M  # at the cap
+    with pytest.raises(ExponentOverflowError):
+        basis.normal_form(x**M * y**M)
+
+
 def test_engine_overflow_raises_instead_of_a_wrong_basis():
     M = MAX_EXPONENT
     # (f) ∩ (g) = (f*g) has degree 4*MAX_EXPONENT, past the packed width
@@ -245,3 +267,25 @@ def test_engine_overflow_raises_instead_of_a_wrong_basis():
         basis.normal_form(t**M * x**M * y**M)
     with pytest.raises(ExponentOverflowError):
         Ideal(S, [t * x - y**M]).contains(t**M * x**M * y**M)
+
+
+# -- engine coefficients -------------------------------------------------------
+
+# over QQ, fractions and contents exercise the primitive engine form and the
+# factor back; mod p, residues of any size exercise the reduction mod p
+GF_RING = PolyRing(GF(32003), ("x", "y"))
+ENGINE_TRIPLES = st.one_of(
+    st.tuples(*[polys_in(R, st.fractions(-5, 5, max_denominator=6))] * 3),
+    st.tuples(*[polys_in(GF_RING, st.integers(0, 32002))] * 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ENGINE_TRIPLES)
+def test_engine_division_and_reduction_keep_every_coefficient(triple):
+    f, g, r = triple
+    if g.is_zero():
+        return
+    assert exact_divide(f * g, g) == f
+    basis = groebner_basis([g])
+    assert normal_form(f * g + r, basis) == normal_form(r, basis)
