@@ -151,8 +151,12 @@ def _run(args) -> dict:
     else:  # pragma: no cover - argparse enforces the choices
         raise RRClosureError(f"unknown command {command!r}")
 
-    if cache_dir is not None and key is not None:
-        cache_mod.store(cache_dir, key, doc)
+    if key is not None:
+        try:
+            cache_mod.store(cache_dir, key, doc)
+        except OSError as exc:  # like an unreadable entry, an unusable cache costs only reuse
+            print(f"warning: cannot store in the cache directory {cache_dir}: {exc.strerror}",
+                  file=sys.stderr)
     return doc
 
 

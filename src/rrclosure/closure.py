@@ -25,9 +25,10 @@ length of R/(x_1, x_2), recorded as ``quotient-i-exact`` in
 with one affinely independent support lie in one torus orbit and share one
 quotient series (``_quotient_series``; the proof is in the ``hilbert``
 module docstring).  In heuristic mode the run additionally verifies that
-the colon chain has stabilized at k and retries with a doubled sampling
-window otherwise.  The alternative colon-powers route (I^{k+1} : I^k) is
-exposed for cross-validation at its certified threshold.
+the colon chain has stabilized at k.  A failed round is retried with a
+doubled sampling window only when a wider window can change what failed
+(``closure`` states the rule).  The alternative colon-powers route
+(I^{k+1} : I^k) is exposed for cross-validation at its certified threshold.
 """
 
 from __future__ import annotations
@@ -153,16 +154,6 @@ class ClosureReport(NamedTuple):
         return self.series.postulation
 
 
-def _series_checks(series: SeriesData, label: str, failures: list[str], passed: list[str]):
-    # The numerator is the difference transform of the samples, so it
-    # reproduces them and matches the Hilbert polynomial from pn on by
-    # construction; only its sum, e0, can come out wrong.
-    if series.multiplicity > 0:
-        passed.append(f"{label}-consistent")
-    else:
-        failures.append(f"{label}:positive-multiplicity")
-
-
 def closure(
     I: Ideal,
     reduction=None,
@@ -178,108 +169,100 @@ def closure(
     pn(I; x_1..x_d) the largest postulation number of I and of its quotient
     series (``postulation_joint``); a smaller k gives only an ideal inside
     the closure.
+
+    A failed round is retried, with a doubled window, only when a wider
+    window can change what failed.  Certified mode samples to the proved
+    bound and runs one round.  In heuristic mode a failed check resamples,
+    up to ``_STABILITY_RETRIES`` rounds; a failed certification reads only
+    e0 and the seed, so it is final when the Newton polygon proves e0 or
+    the resampled e0 is the one it was refused against.
     """
     I.require_m_primary()
     mono = I.monomial_generators()
-    monomial = mono is not None
     # two variables: e0 is proven by the Newton polygon, and checks the series
-    newton_e0 = _kernels.newton_polygon_e0(mono) if monomial and I.ring.dim == 2 else None
-
+    newton_e0 = _kernels.newton_polygon_e0(mono) if mono is not None and I.ring.dim == 2 else None
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
-    def add_time(phase: str, t0: float):
-        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
+    def timed(phase: str, fn, *args, **kw):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kw)
+        finally:
+            timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
 
     win = window
-    last_failures: list[str] = []
-    last_error = None
-    for round_no in range(_STABILITY_RETRIES):
-        if round_no:
-            # the previous round failed a check: resample with a doubled window
+    refusal = refused_e0 = None  # the last failed certification and the e0 it read
+    for round_no in range(_STABILITY_RETRIES if mode == HEURISTIC else 1):
+        if round_no:  # the previous round failed
             win = series.window_used * 2
+        series = timed("poincare", poincare_series, I, mode=mode, window=win)
+        e0 = series.multiplicity
+        if e0 == refused_e0:
+            raise refusal  # the same e0 and seed: the same refusal
+        refusal = refused_e0 = None
         passed: list[str] = []
         failures: list[str] = []
-
-        t0 = time.perf_counter()
-        series = poincare_series(I, mode=mode, window=win)
-        add_time("poincare", t0)
-        e0 = series.multiplicity
-        _series_checks(series, "series", failures, passed)
+        # a numerator is the difference transform of its samples, so it
+        # reproduces them and the Hilbert polynomial from pn on by
+        # construction; only its sum, e0, can come out wrong
+        if e0 > 0:
+            passed.append("series-consistent")
+        else:
+            failures.append("series:positive-multiplicity")
         if newton_e0 is not None:
             if e0 != newton_e0:
                 # a wrong numerator: no candidate could certify against it
-                last_error = None
-                last_failures = failures + ["e0-newton-polygon"]
+                failures.append("e0-newton-polygon")
                 continue
             passed.append("e0-newton-polygon")
 
-        # a wrong heuristic numerator usually dies right here: no candidate
-        # can certify against a wrong e0, which is the cross-check doing its
-        # job, so it feeds the same window-doubling retry
-        t0 = time.perf_counter()
+        # a wrong heuristic e0 usually dies right here: no candidate can
+        # certify against it, and the doubled window may correct it
         try:
             if reduction is not None:
-                cert = certify_sequence(I, reduction, e0, seed=seed)
+                cert = timed("reduction", certify_sequence, I, reduction, e0, seed=seed)
             else:
-                cert = find_superficial_sequence(I, e0, seed=seed)
+                cert = timed("reduction", find_superficial_sequence, I, e0, seed=seed)
         except (GenericityFailureError, NotSuperficialError) as exc:
             if newton_e0 is not None:
                 raise  # e0 is proved: a wider window repeats the same search
-            last_error = exc
-            last_failures = failures + ["reduction-certification"]
+            refusal, refused_e0 = exc, e0
             continue
-        finally:
-            add_time("reduction", t0)
         passed.append("reduction-colength-equals-e0")
 
-        t0 = time.perf_counter()
-        quotients = _quotient_series(I, cert, mode=mode, window=win)
-        add_time("quotient-poincare", t0)
+        quotients = timed("quotient-poincare", _quotient_series, I, cert, mode=mode, window=win)
         for i, q in enumerate(quotients):
-            _series_checks(q, f"quotient-{i}", failures, passed)
+            if q.multiplicity > 0:
+                passed.append(f"quotient-{i}-consistent")
+            else:
+                failures.append(f"quotient-{i}:positive-multiplicity")
             if q.exact:
                 passed.append(f"quotient-{i}-exact")
         pn_joint = max(series.postulation, *(q.postulation for q in quotients))
         k = max(pn_joint + 1, 1)
 
-        t0 = time.perf_counter()
-        if monomial:
-            # one generator per element: the supports of x_i^k, then of x_i^(k+1)
-            supports = [power_supports(x, k) for x in cert.elements]
-            result = _monomial_chain_term(I, [t for s in supports for t in next(s)], k)
-        else:
-            result = chain_term(I, cert.elements, k)
-        add_time("chain-colon", t0)
+        # one generator per element: the supports of x_i^k, then of x_i^(k+1)
+        supports = [power_supports(x, k) for x in cert.elements] if mono is not None else None
 
+        def step(j: int) -> Ideal:
+            if supports is None:
+                return chain_term(I, cert.elements, j)
+            return _monomial_chain_term(I, [t for s in supports for t in next(s)], j)
+
+        result = timed("chain-colon", step, k)
         if mode == HEURISTIC:
-            t0 = time.perf_counter()
-            if monomial:
-                following = _monomial_chain_term(I, [t for s in supports for t in next(s)],
-                                                 k + 1)
-            else:
-                following = chain_term(I, cert.elements, k + 1)
-            stable = result.equals(following)
-            add_time("stabilization-check", t0)
-            if stable:
-                passed.append("chain-stabilization")
-            else:
-                failures.append("chain-stabilization")
-
+            stable = timed("stabilization-check", lambda: result.equals(step(k + 1)))
+            (passed if stable else failures).append("chain-stabilization")
         if not failures:
             break
-        last_failures = failures
-        last_error = None
     else:
-        if last_error is not None:
-            raise last_error
+        if refusal is not None:
+            raise refusal
         raise ChainUnstableError(
             "the colon chain did not stabilize at the predicted index; "
-            f"failed checks after retries: {', '.join(sorted(set(last_failures)))}"
+            f"failed checks after retries: {', '.join(sorted(set(failures)))}"
         )
 
-    closure_ideal = result
-    gens = closure_ideal.minimal_generators()
-    is_closed = closure_ideal.equals(I)
     return ClosureReport(
         input_ideal=I,
         series=series,
@@ -287,9 +270,9 @@ def closure(
         quotient_series=quotients,
         postulation_joint=pn_joint,
         k_used=k,
-        closure_ideal=closure_ideal,
-        closure_generators=gens,
-        is_closed=is_closed,
+        closure_ideal=result,
+        closure_generators=result.minimal_generators(),
+        is_closed=result.equals(I),
         mode=mode,
         checks_passed=tuple(passed),
         timings=timings,

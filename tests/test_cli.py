@@ -269,6 +269,23 @@ def test_cache_entry_that_is_no_report_is_recomputed(capsys, ex110_file, tmp_pat
         jsonschema.validate(rewritten, json.load(fh))
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_unusable_cache_directory_only_warns(capsys, ex110_file, tmp_path, under, fmt):
+    # like an unreadable entry, a cache that cannot be written costs only reuse
+    argv = ["hilbert", ex110_file, "--n", "1", "--format", fmt]
+    code, want, err = run(capsys, *argv)
+    assert code == 0, err
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    cache_dir = str(blocker / "cache" if under else blocker)
+    code, out, err = run(capsys, *argv, "--cache", cache_dir)
+    assert code == 0, err
+    assert out == want
+    (line,) = err.splitlines()
+    assert line.startswith("warning: ") and cache_dir in line
+
+
 @pytest.mark.xfail(strict=True, reason="a cache hit still returns the first caller's whole "
                    "report; perfbench/test_bench.py pins this fault in the cli workload's "
                    "failure count, so the fix waits for the benchmark's next change")

@@ -195,17 +195,9 @@ def test_e0_mismatch_with_the_newton_polygon_is_a_failed_check(monkeypatch):
         closure(ideal_of(R, *EX110), seed=0)
 
 
-@pytest.mark.parametrize("reduction, message", [
-    (("x*y^4",), "need 2 elements (the ring dimension), got 1"),
-    # (x^10, y^5) is no reduction of ex110: its colength 50 exceeds e0 = 45
-    (("x^10", "y^5"), "length of the candidate reduction at the origin is at least 50, "
-                      "expected e0 = 45"),
-], ids=["one-element", "x^10,y^5"])
-def test_a_reduction_that_fails_against_a_proved_e0_samples_the_series_once(
-        monkeypatch, reduction, message):
-    # the Newton polygon proves e0 of a two-variable monomial ideal, and the
-    # certification reads nothing else of the series: a wider window would
-    # repeat the same check, so the first failure is final
+@pytest.fixture
+def poincare_windows(monkeypatch):
+    """The window of every ``poincare_series`` call that ``closure`` makes."""
     closure_module = sys.modules["rrclosure.closure"]
     windows = []
     real = closure_module.poincare_series
@@ -215,10 +207,53 @@ def test_a_reduction_that_fails_against_a_proved_e0_samples_the_series_once(
         return real(I, **kwargs)
 
     monkeypatch.setattr(closure_module, "poincare_series", recorded)
+    return windows
+
+
+@pytest.mark.parametrize("reduction, message", [
+    (("x*y^4",), "need 2 elements (the ring dimension), got 1"),
+    # (x^10, y^5) is no reduction of ex110: its colength 50 exceeds e0 = 45
+    (("x^10", "y^5"), "length of the candidate reduction at the origin is at least 50, "
+                      "expected e0 = 45"),
+], ids=["one-element", "x^10,y^5"])
+def test_a_reduction_that_fails_against_a_proved_e0_samples_the_series_once(
+        poincare_windows, reduction, message):
+    # the Newton polygon proves e0 of a two-variable monomial ideal, and the
+    # certification reads nothing else of the series: a wider window would
+    # repeat the same check, so the first failure is final
     with pytest.raises(NotSuperficialError) as info:
         closure(ideal_of(R, *EX110), reduction=[R.parse(g) for g in reduction])
     assert str(info.value) == message
-    assert windows == [None]
+    assert poincare_windows == [None]
+
+
+@pytest.mark.parametrize("case, mode, windows", [
+    ("phi-ex110-QQ", "heuristic", [None, 10]),
+    ("phi-ex110-GF(32003)", "heuristic", [None, 10]),
+    ("xyz", "certified", [None]),
+    ("xyz", "heuristic", [None, 12]),
+], ids=["phi-ex110-QQ", "phi-ex110-GF(32003)", "xyz-certified", "xyz-heuristic"])
+def test_a_refused_reduction_resamples_only_while_a_wider_window_can_change_e0(
+        poincare_windows, case, mode, windows):
+    # no Newton polygon proves e0 here: phi(ex110) is not monomial (phi:
+    # x -> x+y), (x, y, z) has three variables.  Certified mode samples to
+    # the proved bound, so a wider window changes nothing; heuristic mode
+    # resamples once, reads the same e0 and re-raises the same refusal
+    from rrclosure import GF, QQ, PolyRing
+
+    if case == "xyz":
+        S = qq_ring("x", "y", "z")
+        I, reduction = ideal_of(S, "x", "y", "z"), [S.parse(g) for g in ("x", "y", "x+y")]
+        message = "at least 2, expected e0 = 1"
+    else:
+        S = PolyRing(QQ if case.endswith("QQ") else GF(32003), ("x", "y"))
+        phi = [S.parse(g.replace("x", "(x+y)")) for g in EX110]
+        I, reduction = Ideal(S, phi), phi[:2]
+        message = "at least 50, expected e0 = 45"
+    with pytest.raises(NotSuperficialError) as info:
+        closure(I, reduction=reduction, mode=mode)
+    assert str(info.value) == "length of the candidate reduction at the origin is " + message
+    assert poincare_windows == windows
 
 
 def test_phase_times_add_up_over_retry_rounds(monkeypatch):

@@ -100,3 +100,26 @@ def test_the_engine_checks_the_packed_width_in_one_step():
                          if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                          and getattr(node.exc.func, "id", None) == "_overflow")
     assert sites == ["_add_multiple"]
+
+
+def test_a_closure_round_has_one_timer_and_one_chain_term_step():
+    # every phase of closure() is timed by one helper, and the chain colon
+    # and the stabilization check call one step, monomial or not
+    path = os.path.join(os.path.dirname(rrclosure.__file__), "closure.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    readers = set()
+
+    def visit(node, function):
+        if isinstance(node, ast.Attribute) and node.attr == "perf_counter":
+            readers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    assert len(readers) == 1, readers
+    (closure,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "closure"]
+    names = [node.id for node in ast.walk(closure) if isinstance(node, ast.Name)]
+    assert names.count("chain_term") == 1
+    assert names.count("_monomial_chain_term") == 1
