@@ -7,9 +7,10 @@ equal 2 * covol of its Newton polygon (``e0-newton-polygon`` in
 multiplied by the Newton-vertex generators alone once those give the next
 power (``Ideal._next_power``); (2) a certified superficial sequence
 x_1..x_d, whose search starts from the Newton polyhedron's vertices for a
-monomial I; (3) quotient Poincare series give pn(I; x_1..x_d), sampled
-from colength(I^{n+1} + (x_i)), which for a monomial I in two variables
-and a binomial x_i is counted on the staircase of I^{n+1} with no Groebner
+monomial I, and stays on them in two variables; (3) quotient Poincare
+series give pn(I; x_1..x_d), sampled from colength(I^{n+1} + (x_i)),
+which is colength(I) at n = 0 and, for a monomial I in two variables and
+a binomial x_i, is counted on the staircase of I^{n+1} with no Groebner
 basis (``_kernels.binomial_quotient_colength``); (4) the
 closure is the colon (I^{k+1} : (x_1^k..x_d^k)) at
 k = max(pn(I;xs)+1, 1).  For a monomial I, in any number of variables,
@@ -258,9 +259,11 @@ def closure(
     else:
         if refusal is not None:
             raise refusal
+        rounds = f"{round_no + 1} round" + ("s" if round_no else "")
+        unstable = "chain-stabilization" in failures
         raise ChainUnstableError(
-            "the colon chain did not stabilize at the predicted index; "
-            f"failed checks after retries: {', '.join(sorted(set(failures)))}"
+            ("the colon chain did not stabilize at the predicted index; " if unstable else "")
+            + f"failed checks after {rounds}: {', '.join(sorted(set(failures)))}"
         )
 
     return ClosureReport(

@@ -5,7 +5,8 @@ The numerator of PS_I(X) = f(X)/(1-X)^d is recovered from length samples
 h(n) = colength(I^{n+1}): since the generating series of h is
 f(X)/(1-X)^{d+1}, the coefficients a_i are the (d+1)-fold backward
 differences of the h-sequence.  The quotient variant I/(x) works the same
-way one dimension down, sampling colength(I^{n+1} + (x)).
+way one dimension down, sampling colength(I^{n+1} + (x)), which is
+colength(I) at n = 0 since x lies in I.
 
 Sampling ends after ``window`` zero differences (heuristic mode) or at the
 regularity bound (certified mode).  For d = 2 and x one element of a
@@ -149,16 +150,20 @@ def hilbert_samuel(I: Ideal, n: int) -> int:
 
 def _quotient_length(I: Ideal, x: Polynomial):
     """The function n -> colength(I^{n+1} + (x)) that both quotient
-    functions sample.  For a monomial I in two variables and a binomial x
-    whose terms do not divide each other it is counted on the staircase of
-    I^{n+1} (``_kernels.binomial_quotient_colength``, see the module
-    docstring); every other x goes through the ideal sum."""
+    functions sample.  At n = 0 it is colength(I), since x lies in I; the
+    ideal caches it, and a closure's Poincare series has already computed
+    it, so that sample builds no basis.  For a monomial I in two
+    variables and a binomial x whose terms do not divide each other it is
+    counted on the staircase of I^{n+1}
+    (``_kernels.binomial_quotient_colength``, see the module docstring);
+    every other x goes through the ideal sum."""
+    count = lambda n: (I.power(n + 1) + x).colength()
     if I.ring.dim == 2 and len(x.terms) == 2 and I.monomial_generators() is not None:
         a, b = x.terms
         if (a[0] - b[0]) * (a[1] - b[1]) < 0:
-            return lambda n: _kernels.binomial_quotient_colength(
+            count = lambda n: _kernels.binomial_quotient_colength(
                 I.power(n + 1).monomial_generators(), a, b)
-    return lambda n: (I.power(n + 1) + x).colength()
+    return lambda n: count(n) if n else I.colength()
 
 
 def hilbert_samuel_quotient(I: Ideal, x: Polynomial, n: int) -> int:

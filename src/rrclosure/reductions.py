@@ -6,8 +6,9 @@ generates a minimal reduction of I.  Candidates are random linear
 combinations of the minimal generators (their cosets span I/mI, where
 genericity lives).  For a monomial I the first candidate combines only the
 generators at the vertices of the Newton polyhedron, which generate a
-reduction of I (see :func:`find_superficial_sequence`); the length test
-certifies it like any other.
+reduction of I (see :func:`find_superficial_sequence`); in two variables,
+where those vertices are exact, so does every later candidate.  The length
+test certifies them like any other.
 
 Lengths are taken at the origin.  In two variables the length of a
 candidate J = (f, g) is the intersection number I_0(f, g) of two plane
@@ -213,37 +214,41 @@ def find_superficial_sequence(
 
     For a monomial I the first attempt's pool is the generators at the
     vertices of the Newton polyhedron (``_kernels.newton_vertices``), listed
-    in the ring's order like the minimal generators of later attempts.  They
-    generate a reduction I_V of I, since both have the same integral closure
+    in the ring's order like the minimal generators.  They generate a
+    reduction I_V of I, since both have the same integral closure
     (Huneke-Swanson 1.4), and generic elements of a reduction are
     superficial for I, d of them generating a minimal reduction
     (Huneke-Swanson 8.5-8.6): 2-4 terms instead of every minimal generator.
     A missed vertex or a degenerate draw fails the length test like any
-    other candidate, and every later attempt combines all minimal
+    other candidate.  In two variables the vertices are exact, so a
+    degenerate draw is redrawn from the same pool, and the candidates keep
+    one support (which ``closure`` uses to share quotient series).  In
+    three or more variables a random weight can miss a vertex, so there,
+    and for a non-monomial I, every later attempt combines all minimal
     generators.
     """
     I.require_m_primary()
-    gens = I.minimal_generators()
     mono = I.monomial_generators()
     d = I.ring.dim
+    vertices = None
+    if mono is not None:
+        vertices = sorted(_kernels.newton_vertices(mono, seed), key=I.ring.order.key)
+    gens = None
     rng = random.Random(seed)
     p = I.ring.field.characteristic
     bound = coeff_bound
+
+    def draw():
+        if p:
+            return rng.randrange(1, p)
+        return rng.choice((-1, 1)) * rng.randint(1, bound)
+
     for attempt in range(1, max_attempts + 1):
-        pool = gens
-        if attempt == 1 and mono is not None:
-            vertices = sorted(_kernels.newton_vertices(mono, seed), key=I.ring.order.key)
-            pool = [I.ring.monomial(v) for v in vertices]
-        candidates = []
-        for _ in range(d):
-            combo = I.ring.zero
-            for g in pool:
-                if p:
-                    c = rng.randrange(1, p)
-                else:
-                    c = rng.choice((-1, 1)) * rng.randint(1, bound)
-                combo = combo + g.scale(c)
-            candidates.append(combo)
+        if vertices is not None and (attempt == 1 or d == 2):
+            candidates = [I.ring.poly({v: draw() for v in vertices}) for _ in range(d)]
+        else:
+            gens = gens or I.minimal_generators()
+            candidates = [sum((g.scale(draw()) for g in gens), I.ring.zero) for _ in range(d)]
         try:
             return certify_sequence(I, candidates, e0, seed=seed, attempts=attempt)
         except NotSuperficialError:

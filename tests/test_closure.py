@@ -195,6 +195,24 @@ def test_e0_mismatch_with_the_newton_polygon_is_a_failed_check(monkeypatch):
         closure(ideal_of(R, *EX110), seed=0)
 
 
+def test_a_failed_check_names_itself_and_the_rounds_run(monkeypatch):
+    from rrclosure import ChainUnstableError, _kernels
+
+    m2 = ideal_of(R, "x^2", "x*y", "y^2")
+    with monkeypatch.context() as patched:
+        patched.setattr(_kernels, "newton_polygon_e0", lambda gens: 44)
+        with pytest.raises(ChainUnstableError) as failed:
+            closure(m2, mode="certified")
+    assert str(failed.value) == "failed checks after 1 round: e0-newton-polygon"
+    # a chain that never agrees with its next term fails every heuristic round
+    monkeypatch.setattr(Ideal, "equals", lambda self, other: False)
+    with pytest.raises(ChainUnstableError) as failed:
+        closure(m2, seed=0)
+    assert str(failed.value) == (
+        "the colon chain did not stabilize at the predicted index; "
+        "failed checks after 3 rounds: chain-stabilization")
+
+
 @pytest.fixture
 def poincare_windows(monkeypatch):
     """The window of every ``poincare_series`` call that ``closure`` makes."""
@@ -420,11 +438,73 @@ def test_binomial_quotient_samples_never_reach_the_engine(monkeypatch, case, bin
         calls.clear()
 
 
+@pytest.mark.parametrize("case", ["ex110-QQ", "phi-skew33-GF(32003)"])
+def test_the_first_quotient_sample_is_the_colength_of_the_ideal(monkeypatch, case):
+    # x lies in I, so I + (x) = I: the sample at n = 0 needs no Groebner basis,
+    # not even for a trinomial or a non-monomial I
+    from rrclosure import GF, PolyRing, hilbert_samuel_quotient
+
+    if case == "ex110-QQ":
+        I = ideal_of(R, *EX110)
+    else:
+        S = PolyRing(GF(32003), ("x", "y"))
+        I = Ideal(S, [S.parse(g.replace("x", "(x+y)")) for g in ("x^3", "x^2*y", "x*y^2", "y^3")])
+    rep = closure(I, seed=0)
+    x = rep.certificate.elements[0]
+    if case == "ex110-QQ":
+        assert len(x.terms) == 3  # the searched trinomial
+    ideals = importlib.import_module("rrclosure.ideals")
+    calls = []
+
+    def counted(*args, original=ideals._engine_groebner):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_engine_groebner", counted)
+    first = hilbert_samuel_quotient(I, x, 0)
+    assert not calls
+    assert first == I.colength() == rep.quotient_series[0].samples[0]
+    assert first == (I + x).colength()
+
+
 def assert_staircase_certificate(J, rep):
     # A contains J and A * J^k lies in J^{k+1}, so J <= A <= the closure
     A, k = rep.closure_ideal, rep.k_used
     assert A.contains_ideal(J)
     assert J.power(k + 1).contains_ideal(A.multiply(J.power(k)))
+
+
+# the closures of the three-vertex skew ideals (x^a, x^{a-1}y, xy^{b-1}, y^b)
+# of the benchmark corpus at search seed 1, each listed as its report lists it
+SEED1_SKEWS = [
+    (("y^3", "x*y^2", "x^3*y", "x^4"), ["y^3", "x*y^2", "x^3*y", "x^4"]),
+    (("y^3", "x*y^2", "x^4*y", "x^5"), ["y^3", "x*y^2", "x^4*y", "x^5"]),
+    (("y^4", "x*y^3", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^4", "x*y^3"]),
+    (("y^4", "x*y^3", "x^4*y", "x^5"), ["y^4", "x*y^3", "x^3*y^2", "x^4*y", "x^5"]),
+    (("y^5", "x*y^4", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^5", "x*y^4"]),
+    (("y^5", "x*y^4", "x^3*y", "x^4"), ["x^3*y", "x^4", "y^5", "x*y^4", "x^2*y^3"]),
+]
+
+
+@pytest.mark.parametrize("gens, closed", SEED1_SKEWS, ids=["+".join(g) for g, _ in SEED1_SKEWS])
+def test_seed1_skew_samples_one_quotient_series(monkeypatch, gens, closed):
+    # the first vertex draw at seed 1 is degenerate on each of these; the
+    # second draw combines the three vertices again, so both elements share
+    # one affinely independent support and one quotient series
+    closure_module = importlib.import_module("rrclosure.closure")
+    calls = []
+
+    def counted(*args, original=closure_module.poincare_series_quotient, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(closure_module, "poincare_series_quotient", counted)
+    I = ideal_of(R, *gens)
+    rep = closure(I, seed=1)
+    assert rep.certificate.attempts == 2
+    assert len(calls) == 1
+    assert [str(g) for g in rep.closure_generators] == closed
+    assert_staircase_certificate(I, rep)
 
 
 def test_closure_power_of_the_shipped_examples():

@@ -309,19 +309,17 @@ def test_monomial_search_starts_from_the_newton_polygon_vertices():
     assert cert.colength == e0 == 4 * 484
 
 
-def test_failed_vertex_candidate_falls_back_to_every_generator(monkeypatch):
-    # at seed 1 the vertex candidate of (y^3, xy^2, x^3y, x^4) is degenerate:
-    # its two elements differ by a multiple of y^2(x + 2y), and the length
-    # test rejects it; the second attempt combines all four generators
-    from rrclosure import closure, reductions
-
-    I = ideal_of(R, "y^3", "x*y^2", "x^3*y", "x^4")
-    assert poincare_series(I).multiplicity == 11
+def _recorded_certifications(monkeypatch, reject_first=False):
+    """Every candidate that ``find_superficial_sequence`` certifies, with the
+    refusal's message or None; ``reject_first`` refuses the first candidate
+    before the length test sees it."""
     seen = []
     certify = reductions.certify_sequence
 
     def recorded(I, elements, e0, **kw):
         try:
+            if reject_first and not seen:
+                raise NotSuperficialError("rejected by the test")
             cert = certify(I, elements, e0, **kw)
         except NotSuperficialError as exc:
             seen.append((elements, str(exc)))
@@ -330,19 +328,47 @@ def test_failed_vertex_candidate_falls_back_to_every_generator(monkeypatch):
         return cert
 
     monkeypatch.setattr(reductions, "certify_sequence", recorded)
+    return seen
+
+
+def test_failed_vertex_candidate_redraws_from_the_vertex_pool(monkeypatch):
+    # at seed 1 the vertex candidate of (y^3, xy^2, x^3y, x^4) is degenerate:
+    # its two elements differ by a multiple of y^2(x + 2y), and the length
+    # test rejects it; in two variables the vertices are exact, so the second
+    # attempt draws from them again, and x^3y stays out
+    from rrclosure import closure
+
+    I = ideal_of(R, "y^3", "x*y^2", "x^3*y", "x^4")
+    assert poincare_series(I).multiplicity == 11
+    seen = _recorded_certifications(monkeypatch)
     cert = find_superficial_sequence(I, 11, seed=1)
     assert cert.attempts == 2
     (first, message), (second, ok) = seen
     assert supports(first) <= {(0, 3), (1, 2), (4, 0)}
     assert Ideal(R, first).contains(R.parse("y^2*(x + 2*y)"))
     assert message.endswith("is at least 12, expected e0 = 11")
-    assert ok is None and supports(second) == {(0, 3), (1, 2), (3, 1), (4, 0)}
+    assert ok is None and supports(second) <= {(0, 3), (1, 2), (4, 0)}
     with pytest.raises(GenericityFailureError):
         find_superficial_sequence(I, 11, seed=1, max_attempts=1)
     rep = closure(I, seed=1)
     assert rep.certificate.attempts == 2
     assert rep.is_closed
     assert [str(g) for g in rep.closure_generators] == ["y^3", "x*y^2", "x^3*y", "x^4"]
+
+
+def test_failed_vertex_candidate_in_three_variables_combines_every_generator(monkeypatch):
+    # in d >= 3 random weights can miss a vertex, so only the first attempt
+    # draws from the vertices found
+    T = qq_ring("x", "y", "z")
+    I = ideal_of(T, "x^3", "y^3", "z^3", "x^2*y", "y^2*z")
+    seen = _recorded_certifications(monkeypatch, reject_first=True)
+    cert = find_superficial_sequence(I, 27, seed=0)
+    assert cert.attempts == 2
+    (first, message), (second, ok) = seen
+    assert message == "rejected by the test"
+    assert supports(first) <= {(3, 0, 0), (0, 3, 0), (0, 0, 3)}
+    assert ok is None
+    assert all(supports([x]) == set(I.monomial_generators()) for x in second)
 
 
 def test_vertex_candidates_in_three_variables():
