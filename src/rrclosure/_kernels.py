@@ -19,8 +19,9 @@ intersection is one merge of two chains by x (``_meet``), and
 ``monomial_product`` packs x^a*y^b as the int a << 32 | b and sweeps the
 sorted sums of those ints.  The chain colon ``staircase_colon``, behind
 every colon of a monomial ideal by monomials, meets shifted chains; the
-lower convex hull of a chain gives the Newton polygon's vertices and e0 as
-a shoelace sum; the colength of a staircase plus a binomial is read off the
+lower convex hull of a chain gives the Newton polygon's vertices, e0 as a
+shoelace sum and, by Pick's theorem, the colength of the integral closure
+of a power; the colength of a staircase plus a binomial is read off the
 corners of one chain colon.  In other dimensions each candidate is checked
 against the generators kept so far, in tuple order, where a divisor comes
 before its multiples, and Newton vertices are found by minimizing random
@@ -35,6 +36,7 @@ and every call returns the same index an unmemoised scan would.
 
 import random
 from itertools import accumulate
+from math import gcd
 
 
 def mono_mul(a, b):
@@ -313,6 +315,36 @@ def newton_polygon_e0(gens):
     the edges (x, y) -> (x', y') of the Newton polygon."""
     hull = _lower_hull(gens)
     return sum((x1 - x0) * (y0 + y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+
+
+def integral_closure_colength(gens, n):
+    """Colength of the integral closure of I^n, n >= 0, for the m-primary
+    monomial ideal I in two variables with the generators ``gens``.
+
+    That closure is spanned by the monomials on or above n*NP(I)
+    (Huneke-Swanson 1.4.2), so the count is the lattice points of the
+    quadrant under n times the lower hull.  They fill a lattice polygon
+    bounded by the axes up to x^(n*a) and y^(n*b), the pure powers of the
+    hull's ends, and by the scaled hull, whose edge of width dx and drop dy
+    holds n*gcd(dx, dy) lattice steps.  Its area is n^2*e0/2
+    (``newton_polygon_e0``), so Pick's theorem, counting the points inside
+    and on the axes but not on the hull, gives
+    (e0*n^2 + (a + b - sum of the gcds)*n) / 2.
+    """
+    hull = _lower_hull(gens)
+    steps = sum(gcd(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+    return (newton_polygon_e0(gens) * n * n + (hull[-1][0] + hull[0][1] - steps) * n) // 2
+
+
+def meets_every_edge(gens, support):
+    """Whether a point of ``support`` lies on each compact edge of the Newton
+    polygon of the two-variable monomial ideal with the generators ``gens``,
+    its ends included."""
+    hull = _lower_hull(gens)
+    return all(
+        any(x0 <= x <= x1 and (x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in support)
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+    )
 
 
 def affinely_independent(points):

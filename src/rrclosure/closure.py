@@ -11,7 +11,10 @@ monomial I, and stays on them in two variables; (3) quotient Poincare
 series give pn(I; x_1..x_d), sampled from colength(I^{n+1} + (x_i)),
 which is colength(I) at n = 0 and, for a monomial I in two variables and
 a binomial x_i, is counted on the staircase of I^{n+1} with no Groebner
-basis (``_kernels.binomial_quotient_colength``); (4) the
+basis (``_kernels.binomial_quotient_colength``); every other sample in two
+variables is taken from a floor and a ceiling where they meet, which for
+the trinomials of the Newton-vertex search is most of them
+(``hilbert._quotient_bounds``), and from a Groebner basis otherwise; (4) the
 closure is the colon (I^{k+1} : (x_1^k..x_d^k)) at
 k = max(pn(I;xs)+1, 1).  For a monomial I, in any number of variables,
 step (4) takes only the monomial part of that colon, on the staircase of

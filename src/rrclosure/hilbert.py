@@ -19,6 +19,42 @@ Ibar^{n+1} = y*Ibar^n, which then holds for all later n (Northcott 1960;
 Huneke-Swanson, ch. 8 and 11).  The first n with difference l fixes the
 numerator; the window or the bound remains the fallback.
 
+In two variables a quotient sample q(n) = colength(I^{n+1} + (x)), n >= 1,
+that would need a Groebner basis is first bounded, and taken from the
+bounds when they meet (``_quotient_bounds``).  Multiplication by x gives
+the exact sequence
+0 -> R/(I^{n+1} : x) -> R/I^{n+1} -> R/(I^{n+1} + (x)) -> 0, so
+q(n) = h(n) - length(R/(I^{n+1} : x)) with h(n) = colength(I^{n+1}), which
+the Poincare series has sampled.  An ideal inside the colon gives a floor,
+one around it a ceiling:
+- Floor, any I: x lies in I, so I^n <= (I^{n+1} : x) and
+  q(n) >= h(n) - h(n-1).
+- Floor, monomial I: m*x is in the monomial ideal I^{n+1} iff each of its
+  terms is, so a monomial m lies in (I^{n+1} : x) iff m*t lies in I^{n+1}
+  for every term t of x.  Those monomials span
+  M_n = intersection over t of (I^{n+1} : t), one
+  ``_kernels.staircase_colon``, with I^n <= M_n <= (I^{n+1} : x), so
+  q(n) >= h(n) - colength(M_n), the sharper floor.
+- Ceiling, x an element of a certified reduction (x, y): the step bound
+  q(n) <= q(n-1) + l of the exact stop above.
+- Ceiling, monomial I with x having a term on every compact edge E of its
+  Newton polygon NP(I): E has a primitive inner normal w_E > 0, and
+  v_E(f) = min of <w_E, t> over the terms t of f is a valuation: the
+  w_E-initial forms of f and g multiply to that of f*g, so
+  v_E(f*g) = v_E(f) + v_E(g).  NP(I) is cut out by the half-planes
+  <w_E, -> >= v_E(I) of its compact edges and the two axes, and the
+  monomials on or above n*NP(I) span the integral closure of I^n
+  (Huneke-Swanson 1.4.2), so f lies in it iff v_E(f) >= n*v_E(I) for every
+  E.  A term of x on E gives v_E(x) = v_E(I), and f*x in I^{n+1} gives
+  v_E(f) >= (n+1)*v_E(I) - v_E(x) = n*v_E(I).  So (I^{n+1} : x) lies in
+  the integral closure of I^n, and q(n) <= h(n) minus its colength
+  (``_kernels.integral_closure_colength``).  A missed edge loses this: for
+  I = (x^3, xy, y^3) and x = x^3, (I^2 : x^3) = (x^3, xy, y^2) holds y^2,
+  which lies under the edge from (0, 3) to (1, 1).
+A floor above a ceiling can come only from a certificate whose colength
+is not l, and raises ``CertifiedBoundViolation``, as a difference above
+the step bound does.
+
 The closure pipeline (``closure._quotient_series``) samples a reduction's
 quotient series once per torus orbit, by this argument.  The torus (k*)^d
 acts by x_j -> t_j*x_j and fixes every monomial ideal (Miller-Sturmfels,
@@ -148,22 +184,88 @@ def hilbert_samuel(I: Ideal, n: int) -> int:
     return I.power(n + 1).colength()
 
 
-def _quotient_length(I: Ideal, x: Polynomial):
+def _quotient_bounds(I: Ideal, x: Polynomial, step_bound=None):
+    """The function (n, previous) -> (floor, ceiling) that bounds
+    q(n) = colength(I^{n+1} + (x)), n >= 1, in two variables, given
+    ``previous`` = q(n-1) or None (proofs in the module docstring); None
+    when no ceiling applies.
+
+    The floor is h(n) - colength(M_n), M_n = (I^{n+1} : supp x) the
+    monomial part of (I^{n+1} : x), for a monomial I, and h(n) - h(n-1)
+    otherwise.  The ceiling is the least of q(n-1) + ``step_bound``, when x
+    is an element of a certified reduction of colength ``step_bound`` and
+    q(n-1) is known, and, for a monomial I and an x with a term on every
+    compact edge of NP(I), h(n) minus the colength of the integral closure
+    of I^n.  A floor above the ceiling raises ``CertifiedBoundViolation``.
+    """
+    mono = I.monomial_generators()
+    terms = list(x.terms)
+    closed = mono is not None and _kernels.meets_every_edge(mono, terms)
+    if step_bound is None and not closed:
+        return None
+
+    def bounds(n: int, previous=None):
+        power = I.power(n + 1)
+        h = power.colength()
+        if mono is None:
+            floor = h - I.power(n).colength()
+        else:
+            colon = _kernels.staircase_colon(power.monomial_generators(), terms)
+            floor = h - _kernels.staircase_colength(colon, 2)
+        ceiling = None if step_bound is None or previous is None else previous + step_bound
+        if closed:
+            top = h - _kernels.integral_closure_colength(mono, n)
+            ceiling = top if ceiling is None else min(ceiling, top)
+        if ceiling is not None and floor > ceiling:
+            raise CertifiedBoundViolation(
+                f"quotient length floor {floor} at n = {n} exceeds the certified "
+                f"ceiling {ceiling}"
+            )
+        return floor, ceiling
+
+    return bounds
+
+
+def _quotient_length(I: Ideal, x: Polynomial, step_bound=None):
     """The function n -> colength(I^{n+1} + (x)) that both quotient
     functions sample.  At n = 0 it is colength(I), since x lies in I; the
     ideal caches it, and a closure's Poincare series has already computed
-    it, so that sample builds no basis.  For a monomial I in two
-    variables and a binomial x whose terms do not divide each other it is
-    counted on the staircase of I^{n+1}
-    (``_kernels.binomial_quotient_colength``, see the module docstring);
-    every other x goes through the ideal sum."""
+    it, so that sample builds no basis.  For a monomial I and a monomial x
+    the ideal sum is a staircase.  For a monomial I in two variables and a
+    binomial x whose terms do not divide each other it is counted on the
+    staircase of I^{n+1} (``_kernels.binomial_quotient_colength``, see the
+    module docstring).  Every other sample in two variables has a ceiling
+    when ``step_bound`` is given (q(n-1) + ``step_bound``) or x has a term
+    on every compact edge of NP(I); it is then bounded first
+    (``_quotient_bounds``) and taken from the bounds when they meet.  The
+    ideal sum and its Groebner basis are the fallback, and the only route
+    in three or more variables, where no ceiling applies.
+    """
+    mono = I.monomial_generators()
+    terms = list(x.terms)
     count = lambda n: (I.power(n + 1) + x).colength()
-    if I.ring.dim == 2 and len(x.terms) == 2 and I.monomial_generators() is not None:
-        a, b = x.terms
-        if (a[0] - b[0]) * (a[1] - b[1]) < 0:
+    bounds = None  # set when count(n) needs the engine and a ceiling may spare it
+    if I.ring.dim == 2 and (mono is None or len(terms) > 1):
+        a, b = terms[0], terms[-1]
+        if mono is not None and len(terms) == 2 and (a[0] - b[0]) * (a[1] - b[1]) < 0:
             count = lambda n: _kernels.binomial_quotient_colength(
                 I.power(n + 1).monomial_generators(), a, b)
-    return lambda n: count(n) if n else I.colength()
+        else:
+            bounds = _quotient_bounds(I, x, step_bound)
+    taken = {}  # n -> q(n), for the step ceiling
+
+    def length(n: int) -> int:
+        if n == 0:
+            q = I.colength()
+        elif bounds is not None:
+            floor, ceiling = bounds(n, taken.get(n - 1))
+            q = floor if floor == ceiling else count(n)
+        else:
+            q = count(n)
+        taken[n] = q
+        return q
+
+    return length
 
 
 def hilbert_samuel_quotient(I: Ideal, x: Polynomial, n: int) -> int:
@@ -280,7 +382,9 @@ def poincare_series_quotient(
 
     ``reduction`` is a ``ReductionCertificate``; when d = 2 and x is one of
     its elements, sampling stops exactly at the first difference equal to
-    its colength (see the module docstring).
+    its colength, and q(n-1) plus that colength caps each sample, so that a
+    sample whose floor meets the cap needs no Groebner basis (see the
+    module docstring and ``_quotient_length``).
     """
     _require_quotient_element(I, x)
     d = I.ring.dim
@@ -288,6 +392,6 @@ def poincare_series_quotient(
     if reduction is not None and d == 2 and x in reduction.elements:
         step_bound = reduction.colength
     return _series_from_lengths(
-        _quotient_length(I, x), d, d - 1, mode, window, max_samples, step_bound,
+        _quotient_length(I, x, step_bound), d, d - 1, mode, window, max_samples, step_bound,
     )
 

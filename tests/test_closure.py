@@ -507,6 +507,85 @@ def test_seed1_skew_samples_one_quotient_series(monkeypatch, gens, closed):
     assert_staircase_certificate(I, rep)
 
 
+def closure_and_quotient_engine_runs(monkeypatch, I, **opts):
+    """The closure of I and the engine runs made inside its ``_quotient_series``."""
+    closure_module = importlib.import_module("rrclosure.closure")
+    ideals = importlib.import_module("rrclosure.ideals")
+    runs, inside = [], []
+
+    def sampled(*args, original=closure_module._quotient_series, **kwargs):
+        inside.append(True)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(*args, original=ideals._engine_groebner):
+        if inside:
+            runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(closure_module, "_quotient_series", sampled)
+    monkeypatch.setattr(ideals, "_engine_groebner", counted)
+    return closure(I, **opts), len(runs)
+
+
+# trinomial closures of the benchmark corpus: staircases with one or two
+# inner corners on the Newton polygon, at search seeds 0..2
+CORPUS_TRINOMIALS = [
+    (("y^2", "x*y", "x^5"), 0),
+    (("y^4", "x*y", "x^3"), 0),
+    (("y^3", "x*y^2", "x^3*y", "x^4"), 1),
+    (("y^4", "x*y^3", "x^4*y", "x^5"), 2),
+    (("y^5", "x*y^4", "x^3*y", "x^4"), 0),
+]
+
+
+TRINOMIAL_CLOSURES = [(g, 1) for g, _ in SEED1_SKEWS] + CORPUS_TRINOMIALS
+
+
+@pytest.mark.parametrize("gens, seed", TRINOMIAL_CLOSURES,
+                         ids=[f"{'+'.join(g)}-seed{s}" for g, s in TRINOMIAL_CLOSURES])
+def test_trinomial_quotient_samples_come_from_the_bounds(monkeypatch, gens, seed):
+    # every trinomial element has a term on each edge of NP(I), and from
+    # n = 1 its floor and ceiling meet: the quotient series run no engine
+    I = ideal_of(R, *gens)
+    rep, runs = closure_and_quotient_engine_runs(monkeypatch, I, seed=seed)
+    assert all(len(x.terms) == 3 for x in rep.certificate.elements)
+    assert runs == 0
+    for x, q in zip(rep.certificate.elements, rep.quotient_series):
+        assert q.samples == tuple((I.power(n + 1) + x).colength() for n in range(len(q.samples)))
+
+
+def test_ex110_searched_still_takes_the_engine_where_the_bounds_stay_apart(monkeypatch):
+    from rrclosure import hilbert_samuel_quotient
+    from rrclosure.hilbert import _quotient_length
+
+    I = ideal_of(R, *EX110)
+    rep, runs = closure_and_quotient_engine_runs(monkeypatch, I, seed=0)
+    x, cert = rep.certificate.elements[0], rep.certificate
+    assert len(x.terms) == 3
+    assert runs == 2  # one series for both elements, engine at n = 1 and 2
+    ideals = importlib.import_module("rrclosure.ideals")
+    calls = []
+
+    def counted(*args, original=ideals._engine_groebner):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_engine_groebner", counted)
+    length, by_engine = _quotient_length(I, x, cert.colength), []
+    for n, want in enumerate(rep.quotient_series[0].samples):
+        calls.clear()
+        assert length(n) == want
+        if calls:
+            by_engine.append(n)
+    assert by_engine == [1, 2]
+    # the bounds without the step ceiling give the same samples
+    for n in range(5):
+        assert hilbert_samuel_quotient(I, x, n) == (I.power(n + 1) + x).colength()
+
+
 def test_closure_power_of_the_shipped_examples():
     # the searched candidates of these squares combine only the 3 vertices
     # of the Newton polygon, which keeps the QQ truncations J + I^t that

@@ -24,8 +24,8 @@ from rrclosure import (
     regularity_bound,
 )
 from rrclosure.errors import CertifiedBoundViolation
-from rrclosure.hilbert import HEURISTIC, _series_from_lengths
-from util_algebra import brute_colength, ideal_of, qq_ring
+from rrclosure.hilbert import HEURISTIC, _quotient_bounds, _series_from_lengths
+from util_algebra import brute_colength, ideal_of, qq_ring, random_instance_corpus
 
 R = qq_ring("x", "y")
 EX110 = ("x^10", "y^5", "x*y^4", "x^8*y")
@@ -340,3 +340,92 @@ def test_one_orbit_of_a_reduction_shares_the_exact_stop(field):
     q1, q2 = (poincare_series_quotient(I, x, reduction=cert) for x in xs)
     assert q1.exact and q2.exact
     assert (q1.numerator, q1.samples) == (q2.numerator, q2.samples)
+
+
+# -- quotient samples from bounds ------------------------------------------------
+
+
+def check_samples_within_bounds(I, cert):
+    """(samples checked, samples whose bounds met) over the non-monomial
+    elements of ``cert``: every engine-computed sample q(n), n >= 1, of the
+    quotient series lies between its floor and ceiling, equals them where
+    they meet, and is the sample the series took."""
+    checked = met = 0
+    for x in cert.elements:
+        if len(x.terms) == 1:
+            continue
+        bounds = _quotient_bounds(I, x, cert.colength)
+        samples = poincare_series_quotient(I, x, reduction=cert).samples
+        for n in range(1, len(samples)):
+            q = (I.power(n + 1) + x).colength()
+            floor, ceiling = bounds(n, samples[n - 1])
+            assert floor <= q <= ceiling
+            if floor == ceiling:
+                met += 1
+            assert q == samples[n]
+            checked += 1
+    return checked, met
+
+
+def test_engine_samples_lie_within_the_bounds_on_random_staircases():
+    from rrclosure import find_superficial_sequence
+
+    checked = met = 0
+    for seed, I in enumerate(random_instance_corpus(17, 80, R, skew_prob=0.5)):
+        e0 = poincare_series(I).multiplicity
+        cert = find_superficial_sequence(I, e0, seed=seed % 3)
+        c, m = check_samples_within_bounds(I, cert)
+        checked, met = checked + c, met + m
+    assert met > checked // 2 > 0
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+@pytest.mark.parametrize("gens", [("x^3", "x^2*y", "x*y^2", "y^3"),
+                                  ("x^3", "x^2*y", "x*y^3", "y^4"), EX110])
+def test_engine_samples_lie_within_the_bounds_on_phi_images(gens, field):
+    # phi: x -> x + y makes I non-monomial: only the floor h(n) - h(n-1)
+    # and the step ceiling apply
+    from rrclosure import GF, find_superficial_sequence
+
+    ring = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y"))
+    I = Ideal(ring, [ring.parse(g.replace("x", "(x+y)")) for g in gens])
+    cert = find_superficial_sequence(I, poincare_series(I).multiplicity, seed=0)
+    checked, met = check_samples_within_bounds(I, cert)
+    assert checked >= met > 0  # the floor meets the step ceiling at the exact stop
+
+
+def test_the_closure_ceiling_needs_a_term_on_every_edge():
+    # NP(I) has the edges (0,3)-(1,1) and (1,1)-(3,0); x^3 misses the first,
+    # and (I^2 : x^3) = (x^3, xy, y^2) holds y^2, under that edge, so it is
+    # not inside the integral closure of I and h(1) - colength(I-bar) = 11
+    # is no ceiling of q(1) = 12
+    from rrclosure import _kernels as K
+
+    I = ideal_of(R, "x^3", "x*y", "y^3")
+    gens = I.monomial_generators()
+    x3 = R.parse("x^3")
+    assert I.power(2).colon(x3).monomial_generators() == [(0, 2), (1, 1), (3, 0)]
+    assert I.power(2).colength() - K.integral_closure_colength(gens, 1) == 11
+    assert hilbert_samuel_quotient(I, x3, 1) == 12 == (I.power(2) + x3).colength()
+    missed = R.parse("x^3 + x^2*y^2 + x*y^2")  # no term on the first edge
+    assert _quotient_bounds(I, missed) is None
+    for n in range(1, 4):
+        assert hilbert_samuel_quotient(I, missed, n) == (I.power(n + 1) + missed).colength()
+    # x^3 + y^3 has a term on both edges: the bounds meet, at the true samples
+    both = _quotient_bounds(I, R.parse("x^3 + y^3"))
+    assert [both(n) for n in (1, 2, 3)] == [(11, 11), (17, 17), (23, 23)]
+    assert [(I.power(n + 1) + R.parse("x^3 + y^3")).colength() for n in (1, 2, 3)] == [11, 17, 23]
+
+
+def test_a_floor_above_the_certified_ceiling_raises():
+    # the certificate's colength is patched from 45 to 40: at n = 1 the floor
+    # is the true q(1) = 76, above q(0) + 40 = 75, and the series must not
+    # take the ceiling as its sample and stop exactly
+    I = ex110()
+    xs = tuple(R.parse(s) for s in PAPER_REDUCTION)
+    forged = ReductionCertificate(xs, 40, 40, None, 0)
+    with pytest.raises(CertifiedBoundViolation,
+                       match="floor 76 at n = 1 exceeds the certified ceiling 75"):
+        poincare_series_quotient(I, xs[0], reduction=forged)
+    with pytest.raises(CertifiedBoundViolation):
+        poincare_series_quotient(I, xs[0], mode="certified", reduction=forged)

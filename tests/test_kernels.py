@@ -17,6 +17,7 @@ from rrclosure.ideals import _Basis, _engine_terms, _nf_engine
 from rrclosure.polynomials import MAX_EXPONENT
 from util_algebra import (
     brute_colength,
+    brute_integral_closure_colength,
     brute_monomial_colon,
     brute_newton_vertices,
     divides,
@@ -428,6 +429,48 @@ def test_newton_polygon_e0_examples():
     assert K.newton_polygon_e0([(0, 22), (11, 11), (22, 0)]) == 484
     assert K.newton_polygon_e0([(0, 8), (2, 4), (3, 2), (8, 0)]) == 40
     assert K.newton_polygon_e0([(1, 0), (0, 1)]) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integral_closure_colength_matches_the_oracle(seed):
+    # the Pick count against a box search that reads no hull
+    rng = random.Random(950 + seed)
+    for _ in range(6):
+        gens = random_monomial_mprimary(rng, max_pure=6, max_extra=3, skew_prob=0.4)
+        for n in range(5):
+            assert K.integral_closure_colength(gens, n) == brute_integral_closure_colength(gens, n)
+
+
+@pytest.mark.parametrize("gens", [
+    [(0, 1), (1, 0)],  # (x, y): n(n+1)/2
+    [(0, 1), (7, 0)],  # (x^7, y): one edge with no inner lattice point
+    [(0, 2), (3, 1), (6, 0)],  # one edge through a generator
+    [(0, 2), (4, 1), (6, 0)],  # a generator above the edge from (0, 2) to (6, 0)
+    [(0, 5), (1, 4), (8, 1), (10, 0)],  # ex110
+])
+def test_integral_closure_colength_examples(gens):
+    assert K.integral_closure_colength(gens, 0) == 0
+    for n in range(1, 5):
+        assert K.integral_closure_colength(gens, n) == brute_integral_closure_colength(gens, n)
+
+
+def test_integral_closure_colength_closed_forms():
+    # (x, y)^n and (x^7, y)^n are integrally closed, with n(n+1)/2 and
+    # 7n(n+1)/2 standard monomials
+    for n in range(8):
+        assert K.integral_closure_colength([(0, 1), (1, 0)], n) == n * (n + 1) // 2
+        assert K.integral_closure_colength([(0, 1), (7, 0)], n) == 7 * n * (n + 1) // 2
+
+
+def test_meets_every_edge():
+    gens = [(0, 3), (1, 1), (3, 0)]  # edges (0,3)-(1,1) and (1,1)-(3,0)
+    assert K.meets_every_edge(gens, [(1, 1)])  # the shared vertex
+    assert K.meets_every_edge(gens, [(3, 0), (0, 3)])
+    assert not K.meets_every_edge(gens, [(3, 0)])
+    assert not K.meets_every_edge(gens, [(3, 0), (1, 2)])  # (1, 2) is above the edge
+    # an inner lattice point of an edge touches it; a point off the hull does not
+    assert K.meets_every_edge([(0, 2), (3, 1), (6, 0)], [(3, 1)])
+    assert not K.meets_every_edge([(0, 2), (4, 1), (6, 0)], [(4, 1)])
 
 
 @pytest.mark.parametrize("points, independent", [

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 from rrclosure import Ideal, PolyRing, QQ
 
@@ -84,6 +85,36 @@ def brute_colength(exps, nvars) -> int | None:
     count_holder = [0]
     walk(())
     return count_holder[0]
+
+
+def brute_integral_closure_colength(exps, n) -> int:
+    """Colength of the integral closure of I^n for the m-primary monomial
+    ideal I in two variables with the generators ``exps``, by box search.
+
+    A lattice point lies in the closure iff it dominates
+    n*(t*g + (1 - t)*h) for two generators g, h and some t in [0, 1]: the
+    points on or above n*NP(I), read off pairs of generators with no hull.
+    """
+    exps = list(exps)
+    box = pure_power_box(exps, 2)
+
+    def dominates(p, g, h):
+        low, high = Fraction(0), Fraction(1)
+        for i in range(2):
+            # p_i >= n*(t*g_i + (1 - t)*h_i), i.e. slope*t <= room
+            slope, room = n * (g[i] - h[i]), p[i] - n * h[i]
+            if slope > 0:
+                high = min(high, Fraction(room, slope))
+            elif slope < 0:
+                low = max(low, Fraction(room, slope))
+            elif room < 0:
+                return False
+        return low <= high
+
+    return sum(
+        not any(dominates((i, j), g, h) for g in exps for h in exps)
+        for i in range(n * box[0]) for j in range(n * box[1])
+    )
 
 
 def brute_monomial_colon(a_exps, b_exps, nvars, pad=2):
