@@ -33,6 +33,30 @@ the colon chain has stabilized at k.  A failed round is retried with a
 doubled sampling window only when a wider window can change what failed
 (``closure`` states the rule).  The alternative colon-powers route
 (I^{k+1} : I^k) is exposed for cross-validation at its certified threshold.
+
+Every input but a monomial ideal in two variables first tries a proved
+shortcut, reduction number one, which reads only h(n) = colength(I^{n+1})
+for n = 0, 1, 2 and needs no window, no quotient series and no colon.  Let
+J = (x_1..x_d) lie in I.  If J*I = I^2 at the origin, then J is a minimal
+reduction of I with r_J(I) <= 1, and gr_I(R) is Cohen-Macaulay
+(Goto-Shimoda 1979; Valla 1979), so every power of I is Ratliff-Rush closed
+(Heinzer-Lantz-Shah 1992): the closure is I.  The Poincare series is then
+(h(0) + (e0 - h(0))X)/(1-X)^d with e0 = lambda(R/J) = h(1) - d*h(0)
+(Huneke 1987; Ooishi 1987), and each x_i* is regular on gr_I(R), so every
+quotient series has the same numerator (Valabrega-Valla 1978).
+- The shape check.  That series gives h(2) = (d+1)*h(1) - d(d+1)/2*h(0).
+  When it fails, r_J(I) >= 2 for every J, and the run goes on as above.
+- The Nakayama test.  J*I + I^3 lies in I^2, and both are m-primary, so
+  colength(J*I + I^3) = h(1) makes them equal.  Then I^2 = J*I + I*I^2,
+  and J*I = I^2 at the origin by Nakayama.  No sampled number enters the
+  proof, and e0 is not read, so J need not be certified first.
+The test runs on the caller's reduction, or on the search's first draw
+(``reductions.candidate_sequences``), and once more on the certified
+reduction when the search needed a later draw.  A pass lists
+``reduction-number-one`` in ``checks_passed`` and reports the series proved:
+each lists only the samples it read (h(0..2) for I when the first test
+passes, h(0) for a quotient), its ``window_used`` is the window in force,
+and the certificate's colength is e0, proved rather than counted.
 """
 
 from __future__ import annotations
@@ -50,6 +74,8 @@ from .errors import (
 from .hilbert import (
     HEURISTIC,
     SeriesData,
+    _sampling_window,
+    _trimmed,
     poincare_series,
     poincare_series_quotient,
     regularity_bound,
@@ -57,12 +83,14 @@ from .hilbert import (
 from .ideals import Ideal, power_supports
 from .reductions import (
     ReductionCertificate,
+    candidate_sequences,
     certify_sequence,
     find_superficial_sequence,
 )
 
 DEFAULT_COLON_POWERS_CAP = 512
 _STABILITY_RETRIES = 3
+REDUCTION_NUMBER_ONE = "reduction-number-one"
 
 
 class BoundParams(NamedTuple):
@@ -133,6 +161,15 @@ def _quotient_series(I: Ideal, reduction, **opts) -> tuple[SeriesData, ...]:
     return tuple(out)
 
 
+def _reduction_number_one(I: Ideal, elements, h) -> bool:
+    """Whether J = (elements) has J*I = I^2 at the origin, by the Nakayama
+    test of the module docstring, given h = the colengths of I, I^2, I^3.
+    Anything but d elements of I fails, and certification names the fault."""
+    if len(elements) != I.ring.dim or not all(I.contains(x) for x in elements):
+        return False
+    return (Ideal(I.ring, elements).multiply(I) + I.power(3)).colength() == h[1]
+
+
 class ClosureReport(NamedTuple):
     """Everything a closure run certifies, for reporting and cross-checks."""
 
@@ -174,17 +211,21 @@ def closure(
     series (``postulation_joint``); a smaller k gives only an ideal inside
     the closure.
 
-    A failed round is retried, with a doubled window, only when a wider
-    window can change what failed.  Certified mode samples to the proved
-    bound and runs one round.  In heuristic mode a failed check resamples,
+    Every input but a monomial ideal in two variables first tries the
+    reduction-number-one test of the module docstring; a pass returns I,
+    proved closed, in either mode.  Otherwise a failed round is retried,
+    with a doubled window, only when a wider window can change what
+    failed.  Certified mode samples to the proved bound and runs one round.  In heuristic mode a failed check resamples,
     up to ``_STABILITY_RETRIES`` rounds; a failed certification reads only
     e0 and the seed, so it is final when the Newton polygon proves e0 or
     the resampled e0 is the one it was refused against.
     """
     I.require_m_primary()
     mono = I.monomial_generators()
+    d = I.ring.dim
+    staircase = mono is not None and d == 2
     # two variables: e0 is proven by the Newton polygon, and checks the series
-    newton_e0 = _kernels.newton_polygon_e0(mono) if mono is not None and I.ring.dim == 2 else None
+    newton_e0 = _kernels.newton_polygon_e0(mono) if staircase else None
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
     def timed(phase: str, fn, *args, **kw):
@@ -193,6 +234,41 @@ def closure(
             return fn(*args, **kw)
         finally:
             timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
+
+    def proved(series: SeriesData, cert: ReductionCertificate, passed=()) -> ClosureReport:
+        # J*I = I^2: I is closed, and every quotient series has I's numerator
+        q = series._replace(denominator_power=d - 1, samples=series.samples[:1], exact=False)
+        pn_joint = max(series.postulation, q.postulation)
+        return ClosureReport(
+            input_ideal=I,
+            series=series,
+            certificate=cert,
+            quotient_series=(q,) * d,
+            postulation_joint=pn_joint,
+            k_used=max(pn_joint + 1, 1),
+            closure_ideal=I,
+            closure_generators=I.minimal_generators(),
+            is_closed=True,
+            mode=mode,
+            checks_passed=(*passed, REDUCTION_NUMBER_ONE),
+            timings=timings,
+        )
+
+    # reduction number one, tried on all but the staircases (module docstring)
+    shape = False
+    if not staircase:
+        in_force = _sampling_window(mode, window, d)
+        h = timed("poincare", lambda: [I.power(n + 1).colength() for n in range(3)])
+        shape = h[2] == (d + 1) * h[1] - d * (d + 1) // 2 * h[0]
+        if shape:
+            xs = tuple(reduction if reduction is not None else timed(
+                REDUCTION_NUMBER_ONE, next, candidate_sequences(I, seed)))
+            if timed(REDUCTION_NUMBER_ONE, _reduction_number_one, I, xs, h):
+                e0 = h[1] - d * h[0]
+                numerator = tuple(_trimmed([h[0], e0 - h[0]]))
+                series = SeriesData(numerator, d, mode, in_force, tuple(h))
+                cert = ReductionCertificate(xs, e0, e0, seed, 0 if reduction is not None else 1)
+                return proved(series, cert)
 
     win = window
     refusal = refused_e0 = None  # the last failed certification and the e0 it read
@@ -233,6 +309,9 @@ def closure(
             refusal, refused_e0 = exc, e0
             continue
         passed.append("reduction-colength-equals-e0")
+        if shape and cert.attempts > 1 and timed(
+                REDUCTION_NUMBER_ONE, _reduction_number_one, I, cert.elements, h):
+            return proved(series, cert, passed)
 
         quotients = timed("quotient-poincare", _quotient_series, I, cert, mode=mode, window=win)
         for i, q in enumerate(quotients):

@@ -284,6 +284,17 @@ def _trimmed(diffs) -> list[int]:
     return diffs[:cut]
 
 
+def _sampling_window(mode, window, d_ring) -> int:
+    """The window in force: ``window``, or d + 3 when it is None; raises
+    ValueError for an unknown mode or a window below 1."""
+    if mode not in (HEURISTIC, CERTIFIED):
+        raise ValueError(f"unknown mode {mode!r}")
+    window = window if window is not None else d_ring + 3
+    if window < 1:
+        raise ValueError("window must be positive")
+    return window
+
+
 def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples,
                          step_bound=None) -> SeriesData:
     """Sample length_fn(0), length_fn(1), ... until the numerator is fixed.
@@ -294,11 +305,7 @@ def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples,
     bound, re-estimated as e0 grows, once the window has passed (certified
     mode).
     """
-    if mode not in (HEURISTIC, CERTIFIED):
-        raise ValueError(f"unknown mode {mode!r}")
-    window = window if window is not None else d_ring + 3
-    if window < 1:
-        raise ValueError("window must be positive")
+    window = _sampling_window(mode, window, d_ring)
     depth = d_eff + 1
     signed = [(-1) ** j * comb(depth, j) for j in range(depth + 1)]
 

@@ -6,7 +6,7 @@ generates a minimal reduction of I.  Candidates are random linear
 combinations of the minimal generators (their cosets span I/mI, where
 genericity lives).  For a monomial I the first candidate combines only the
 generators at the vertices of the Newton polyhedron, which generate a
-reduction of I (see :func:`find_superficial_sequence`); in two variables,
+reduction of I (see :func:`candidate_sequences`); in two variables,
 where those vertices are exact, so does every later candidate.  The length
 test certifies them like any other.
 
@@ -23,6 +23,7 @@ generator degrees (Nakayama; Huneke-Swanson, ch. 8).
 from __future__ import annotations
 
 import random
+from itertools import count
 from math import gcd
 from typing import NamedTuple
 
@@ -198,19 +199,13 @@ def _cancel_top(F: dict, G: dict, r: int, s: int, budget: int, p):
     return G, cut
 
 
-def find_superficial_sequence(
-    I: Ideal,
-    e0: int,
-    seed: int = 0,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-) -> ReductionCertificate:
-    """Random search for a superficial sequence, deterministic in the seed.
+def candidate_sequences(I: Ideal, seed: int = 0, coeff_bound: int = DEFAULT_COEFF_BOUND):
+    """The candidate sequences of the search, one list of d polynomials per
+    attempt, without end; deterministic in the seed.
 
-    Each attempt draws d random linear combinations of a pool of generators
-    and certifies them by the length test.  Coefficients are drawn from
-    {-B..B}\\{0} over the rationals (B doubles on every retry) or uniformly
-    from F_p* over a prime field.
+    Coefficients are drawn from {-B..B}\\{0} over the rationals (B starts at
+    ``coeff_bound`` and doubles after every attempt) or uniformly from F_p*
+    over a prime field.
 
     For a monomial I the first attempt's pool is the generators at the
     vertices of the Newton polyhedron (``_kernels.newton_vertices``), listed
@@ -219,15 +214,12 @@ def find_superficial_sequence(
     (Huneke-Swanson 1.4), and generic elements of a reduction are
     superficial for I, d of them generating a minimal reduction
     (Huneke-Swanson 8.5-8.6): 2-4 terms instead of every minimal generator.
-    A missed vertex or a degenerate draw fails the length test like any
-    other candidate.  In two variables the vertices are exact, so a
-    degenerate draw is redrawn from the same pool, and the candidates keep
-    one support (which ``closure`` uses to share quotient series).  In
-    three or more variables a random weight can miss a vertex, so there,
-    and for a non-monomial I, every later attempt combines all minimal
-    generators.
+    In two variables the vertices are exact, so every later attempt draws
+    from the same pool, and the candidates keep one support (which
+    ``closure`` uses to share quotient series).  In three or more variables
+    a random weight can miss a vertex, so there, and for a non-monomial I,
+    every later attempt combines all minimal generators.
     """
-    I.require_m_primary()
     mono = I.monomial_generators()
     d = I.ring.dim
     vertices = None
@@ -243,17 +235,35 @@ def find_superficial_sequence(
             return rng.randrange(1, p)
         return rng.choice((-1, 1)) * rng.randint(1, bound)
 
-    for attempt in range(1, max_attempts + 1):
+    for attempt in count(1):
         if vertices is not None and (attempt == 1 or d == 2):
-            candidates = [I.ring.poly({v: draw() for v in vertices}) for _ in range(d)]
+            yield [I.ring.poly({v: draw() for v in vertices}) for _ in range(d)]
         else:
             gens = gens or I.minimal_generators()
-            candidates = [sum((g.scale(draw()) for g in gens), I.ring.zero) for _ in range(d)]
+            yield [sum((g.scale(draw()) for g in gens), I.ring.zero) for _ in range(d)]
+        if not p:
+            bound *= 2
+
+
+def find_superficial_sequence(
+    I: Ideal,
+    e0: int,
+    seed: int = 0,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    coeff_bound: int = DEFAULT_COEFF_BOUND,
+) -> ReductionCertificate:
+    """Random search for a superficial sequence, deterministic in the seed.
+
+    Each attempt certifies the next of ``candidate_sequences`` by the length
+    test.  A missed vertex or a degenerate draw fails the test like any
+    other candidate.
+    """
+    I.require_m_primary()
+    draws = candidate_sequences(I, seed, coeff_bound)
+    for attempt, candidates in zip(range(1, max_attempts + 1), draws):
         try:
             return certify_sequence(I, candidates, e0, seed=seed, attempts=attempt)
         except NotSuperficialError:
-            if not p:
-                bound *= 2
             continue
     raise GenericityFailureError(
         f"no superficial sequence found in {max_attempts} attempts; "

@@ -87,6 +87,27 @@ def test_closure_power_command(capsys, tmp_path):
     assert set(doc["result"]["closure"]["minimal_generators"]) == {"y^3", "x*y^2", "x^2*y", "x^3"}
 
 
+def test_certified_closure_of_a_three_variable_problem(capsys, tmp_path):
+    # reduction number one proves the answer that the regularity bound
+    # (25,093 samples) would refuse
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+
+    path = tmp_path / "xyz.ideal"
+    path.write_text("ring: QQ[x,y,z]\nideal: x^2, x*y, y^2, z^2\n")
+    code, out, err = run(capsys, "closure", str(path), "--mode", "certified", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    with resources.files("rrclosure").joinpath("schema/report.schema.json").open() as fh:
+        jsonschema.validate(doc, json.load(fh))
+    result = doc["result"]
+    assert result["mode"] == "certified"
+    assert result["checks_passed"] == ["reduction-number-one"]
+    assert result["is_closed"] is True
+    assert result["series"]["numerator"] == [6, 2]
+    assert result["series"]["sample_count"] == 3
+
+
 def test_colon_powers_uncertified_override(capsys, ex110_file):
     code, out, _ = run(capsys, "colon-powers", ex110_file, "--k", "4", "--format", "json")
     assert code == 0

@@ -734,3 +734,151 @@ def test_one_quotient_series_per_torus_orbit(monkeypatch, case, calls):
         monkeypatch.setattr(module, "poincare_series_quotient", counted)
     _orbit_case(case)
     assert len(made) == calls
+
+
+# -- reduction number one: the proved shortcut --------------------------------
+
+CORPUS_THREE = (("x^2", "y^2", "z^2"), ("x^3", "y^2", "z^2"), ("x^2", "x*y", "y^2", "z^2"))
+
+
+def _assert_the_old_route_agrees(I, rep):
+    # every number of a proved report, recomputed through the public calls
+    # that the full pipeline makes
+    cert = rep.certificate
+    assert rep.is_closed and rep.closure_ideal.equals(I)
+    assert rep.series.numerator == poincare_series(I).numerator
+    for x, q in zip(cert.elements, rep.quotient_series):
+        assert q.numerator == poincare_series_quotient(I, x, reduction=cert).numerator
+    assert chain_term(I, cert.elements, rep.k_used + 1).equals(I)
+    assert cert.colength == cert.multiplicity == rep.multiplicity
+
+
+@pytest.mark.parametrize("gens", CORPUS_THREE, ids=["+".join(g) for g in CORPUS_THREE])
+def test_the_corpus_three_variable_closures_end_at_the_cube(monkeypatch, gens):
+    # no window, no quotient sampling, no chain colon and no stabilization check
+    closure_module = importlib.import_module("rrclosure.closure")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a proved closure sampled past I^3 or took a colon")
+
+    for name in ("poincare_series", "poincare_series_quotient", "chain_term",
+                 "_monomial_chain_term", "find_superficial_sequence", "certify_sequence"):
+        monkeypatch.setattr(closure_module, name, forbidden)
+    T = qq_ring("x", "y", "z")
+    I = ideal_of(T, *gens)
+    rep = closure(I, seed=0)
+    assert rep.checks_passed == ("reduction-number-one",)
+    assert set(rep.timings) == {"poincare", "reduction-number-one"}
+    assert rep.series.samples == tuple(I.power(n + 1).colength() for n in range(3))
+    assert all(q.samples == (I.colength(),) for q in rep.quotient_series)
+    assert rep.certificate.attempts == 1
+    assert rep.k_used == 1
+    monkeypatch.undo()
+    _assert_the_old_route_agrees(I, rep)
+
+
+@pytest.mark.parametrize("gens, numerator", [
+    (("x^2", "y^2", "z^2"), (8,)),
+    (("x^2", "x*y", "y^2", "z^2"), (6, 2)),
+])
+def test_certified_mode_proves_reduction_number_one(gens, numerator):
+    # the regularity bound asks 25,093 samples of both, past the 4,096 cap
+    T = qq_ring("x", "y", "z")
+    I = ideal_of(T, *gens)
+    with pytest.raises(BoundTooLargeError):
+        poincare_series(I, mode="certified")
+    rep = closure(I, mode="certified", seed=0)
+    assert rep.mode == rep.series.mode == "certified"
+    assert rep.checks_passed == ("reduction-number-one",)
+    assert rep.series.numerator == numerator
+    assert all(q.numerator == numerator and q.mode == "certified" for q in rep.quotient_series)
+    assert rep.is_closed
+
+
+def test_a_given_reduction_is_tested_as_given():
+    T = qq_ring("x", "y", "z")
+    I = ideal_of(T, "x^2", "x*y", "y^2", "z^2")
+    xs = [T.parse(g) for g in ("x^2 + z^2", "y^2 - x*y", "z^2 + 3*x*y")]
+    rep = closure(I, reduction=xs, seed=4)
+    assert rep.checks_passed == ("reduction-number-one",)
+    assert rep.certificate.elements == tuple(xs)
+    assert (rep.certificate.seed, rep.certificate.attempts) == (4, 0)
+    # an element outside I is refused by the certification, as before
+    with pytest.raises(ElementNotInIdealError):
+        closure(I, reduction=[T.parse("x"), *xs[1:]])
+
+
+def _recorded_tests(monkeypatch):
+    """Every outcome of the reduction-number-one test that ``closure`` runs."""
+    closure_module = importlib.import_module("rrclosure.closure")
+    outcomes = []
+
+    def recorded(*args, original=closure_module._reduction_number_one):
+        outcomes.append(original(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(closure_module, "_reduction_number_one", recorded)
+    return outcomes
+
+
+def test_a_first_draw_that_is_no_reduction_falls_through_to_the_search(monkeypatch):
+    # the shape check passes, the first vertex draw fails the test and the
+    # certification, and the second test runs on the certified second draw
+    outcomes = _recorded_tests(monkeypatch)
+    T = qq_ring("x", "y", "z")
+    I = ideal_of(T, "x^4", "y^3", "z^2", "x^2*y", "x*z")
+    rep = closure(I, seed=0)
+    assert outcomes == [False, True]
+    assert rep.certificate.attempts == 2
+    assert rep.checks_passed == (
+        "series-consistent", "reduction-colength-equals-e0", "reduction-number-one")
+    assert "quotient-poincare" not in rep.timings
+    _assert_the_old_route_agrees(I, rep)
+
+
+@pytest.mark.parametrize("case", ["ex110", "phi-ex110", "x^3+y^3+z^3+x^2y+y^2z"])
+def test_the_shape_check_spares_the_test_where_reduction_number_one_fails(monkeypatch, case):
+    # ex110 is a staircase, which skips the shortcut; the other two fail the
+    # shape check, so no test basis is built
+    outcomes = _recorded_tests(monkeypatch)
+    if case == "ex110":
+        I = ideal_of(R, *EX110)
+    elif case == "phi-ex110":
+        I = ideal_of(R, *(g.replace("x", "(x+y)") for g in EX110))
+    else:
+        I = ideal_of(qq_ring("x", "y", "z"), "x^3", "y^3", "z^3", "x^2*y", "y^2*z")
+    rep = closure(I, seed=0)
+    assert outcomes == []
+    assert "reduction-number-one" not in rep.checks_passed
+    assert "reduction-number-one" not in rep.timings
+
+
+def test_random_three_variable_staircases_agree_with_the_full_pipeline():
+    from util_algebra import random_instance_corpus
+
+    T = qq_ring("x", "y", "z")
+    proved = 0
+    for I in random_instance_corpus(seed=36, count=12, ring=T, max_pure=3):
+        rep = closure(I, seed=0)
+        if "reduction-number-one" in rep.checks_passed:
+            proved += 1
+            _assert_the_old_route_agrees(I, rep)
+    assert proved == 12
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+def test_phi_images_of_closed_staircases_agree_with_the_full_pipeline(field):
+    from rrclosure import GF, PolyRing, QQ
+
+    S = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y"))
+    proved = 0
+    for exps in ([(0, 3), (1, 1), (3, 0)], [(0, 4), (2, 2), (4, 0)], [(0, 4), (1, 2), (3, 0)],
+                 [(0, 3), (2, 1), (4, 0)]):
+        assert closure(Ideal.from_exponents(R, exps), seed=0).is_closed
+        I = Ideal(S, [(S.var(0) + S.var(1)) ** a * S.var(1) ** b for a, b in exps])  # x -> x+y
+        rep = closure(I, seed=0)
+        assert rep.is_closed
+        if "reduction-number-one" in rep.checks_passed:
+            proved += 1
+            _assert_the_old_route_agrees(I, rep)
+    assert proved == 4

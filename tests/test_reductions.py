@@ -390,3 +390,19 @@ def test_non_monomial_input_searches_every_generator(monkeypatch):
     I = ideal_of(R, "x^4 + x*y^3", "y^4 + x^3*y", "x^2*y^2")
     cert = find_superficial_sequence(I, 16, seed=0)
     assert cert.colength == 16
+
+
+@pytest.mark.parametrize("field, gens, seed, attempts", [
+    ("QQ", ("y^3", "x*y^2", "x^3*y", "x^4"), 1, 2),
+    ("QQ", ("x^4", "y^3", "z^2", "x^2*y", "x*z"), 0, 2),
+    ("GF(32003)", ("x^4 + x*y^3", "y^4 + x^3*y", "x^2*y^2"), 0, 1),
+])
+def test_the_search_certifies_the_candidate_draws_in_order(field, gens, seed, attempts):
+    # one draw law: closure() tests the first draw before any search
+    variables = ("x", "y", "z") if "z" in "".join(gens) else ("x", "y")
+    S = PolyRing(QQ if field == "QQ" else GF(32003), variables)
+    I = ideal_of(S, *gens)
+    cert = find_superficial_sequence(I, poincare_series(I).multiplicity, seed=seed)
+    assert cert.attempts == attempts
+    draws = list(itertools.islice(reductions.candidate_sequences(I, seed), attempts))
+    assert cert.elements == tuple(draws[-1])

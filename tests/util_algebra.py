@@ -192,15 +192,33 @@ def random_monomial_mprimary(rng: random.Random, max_pure=5, max_extra=2, skew_p
     return sorted(minimal_set(exps))
 
 
+def random_staircase(rng: random.Random, nvars: int, max_pure=4, max_extra=2):
+    """Random m-primary monomial staircase in ``nvars`` variables (exponent
+    list): a pure power of each variable plus up to ``max_extra`` monomials
+    under them."""
+    pures = [rng.randint(1, max_pure) for _ in range(nvars)]
+    exps = {tuple(p if j == i else 0 for j in range(nvars)) for i, p in enumerate(pures)}
+    for _ in range(rng.randint(0, max_extra)):
+        inner = tuple(rng.randint(0, p - 1) for p in pures)
+        if any(inner):
+            exps.add(inner)
+    return sorted(minimal_set(exps))
+
+
 def random_instance_corpus(seed, count, ring, max_pure=5, max_extra=2, e0_cap=None,
                            skew_prob=0.0):
-    """Deterministic list of random m-primary monomial ideals."""
+    """Deterministic list of random m-primary monomial ideals: two-variable
+    staircases from ``random_monomial_mprimary``, and ``random_staircase``
+    in any other number of variables."""
     from rrclosure import poincare_series
 
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        exps = random_monomial_mprimary(rng, max_pure, max_extra, skew_prob)
+        if ring.dim == 2:
+            exps = random_monomial_mprimary(rng, max_pure, max_extra, skew_prob)
+        else:
+            exps = random_staircase(rng, ring.dim, max_pure, max_extra)
         ideal = Ideal.from_exponents(ring, exps)
         if e0_cap is not None and poincare_series(ideal).multiplicity > e0_cap:
             continue
