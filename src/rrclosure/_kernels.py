@@ -21,11 +21,11 @@ sorted sums of those ints.  The chain colon ``staircase_colon``, behind
 every colon of a monomial ideal by monomials, meets shifted chains; the
 lower convex hull of a chain gives the Newton polygon's vertices, e0 as a
 shoelace sum and, by Pick's theorem, the colength of the integral closure
-of a power; the colength of a staircase plus a binomial is read off the
-corners of one chain colon.  In other dimensions each candidate is checked
-against the generators kept so far, in tuple order, where a divisor comes
-before its multiples, and Newton vertices are found by minimizing random
-positive weights.
+of every power as one quadratic in the exponent; the colength of a
+staircase plus a binomial is read off the corners of one chain colon.  In
+other dimensions each candidate is checked against the generators kept so
+far, in tuple order, where a divisor comes before its multiples, and
+Newton vertices are found by minimizing random positive weights.
 
 The scan is memoised per engine basis: a query answered before returns its
 stored first divisor at once, and a stored miss resumes the scan at the
@@ -317,23 +317,33 @@ def newton_polygon_e0(gens):
     return sum((x1 - x0) * (y0 + y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
 
 
-def integral_closure_colength(gens, n):
-    """Colength of the integral closure of I^n, n >= 0, for the m-primary
-    monomial ideal I in two variables with the generators ``gens``.
+def integral_closure_polynomial(gens):
+    """(e0, c) with colength(integral closure of I^n) = (e0*n^2 + c*n) / 2
+    for every n >= 0, for the m-primary monomial ideal I in two variables
+    with the generators ``gens``: one sweep of the generators.
 
     That closure is spanned by the monomials on or above n*NP(I)
     (Huneke-Swanson 1.4.2), so the count is the lattice points of the
     quadrant under n times the lower hull.  They fill a lattice polygon
     bounded by the axes up to x^(n*a) and y^(n*b), the pure powers of the
     hull's ends, and by the scaled hull, whose edge of width dx and drop dy
-    holds n*gcd(dx, dy) lattice steps.  Its area is n^2*e0/2
-    (``newton_polygon_e0``), so Pick's theorem, counting the points inside
-    and on the axes but not on the hull, gives
-    (e0*n^2 + (a + b - sum of the gcds)*n) / 2.
+    holds n*gcd(dx, dy) lattice steps.  Its area is n^2*e0/2, so Pick's
+    theorem, counting the points inside and on the axes but not on the
+    hull, gives c = a + b - the sum of the gcds.  e0 is
+    ``newton_polygon_e0`` of the hull's vertices, whose own lower hull they
+    are.
     """
     hull = _lower_hull(gens)
     steps = sum(gcd(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
-    return (newton_polygon_e0(gens) * n * n + (hull[-1][0] + hull[0][1] - steps) * n) // 2
+    return newton_polygon_e0(hull), hull[-1][0] + hull[0][1] - steps
+
+
+def integral_closure_colength(gens, n):
+    """Colength of the integral closure of I^n, n >= 0, for the m-primary
+    monomial ideal I in two variables with the generators ``gens``
+    (``integral_closure_polynomial``)."""
+    e0, c = integral_closure_polynomial(gens)
+    return (e0 * n * n + c * n) // 2
 
 
 def meets_every_edge(gens, support):

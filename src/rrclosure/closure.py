@@ -51,12 +51,42 @@ quotient series has the same numerator (Valabrega-Valla 1978).
   and J*I = I^2 at the origin by Nakayama.  No sampled number enters the
   proof, and e0 is not read, so J need not be certified first.
 The test runs on the caller's reduction, or on the search's first draw
-(``reductions.candidate_sequences``), and once more on the certified
-reduction when the search needed a later draw.  A pass lists
+(``reductions.candidate_sequences``).  Heuristic mode tests once more, on
+the certified reduction, when the search needed a later draw; certified
+mode, whose sampling to the regularity bound is long, tests the next draws
+instead, up to the search's ``DEFAULT_MAX_ATTEMPTS``, before any sampling.
+A draw that passes is a minimal reduction, and a draw that is one passes
+once any has, since r_J(I) <= 1 for one minimal reduction J makes
+e0 - e1 = lambda(R/I), which gives r_J(I) <= 1 for every one (Huneke 1987;
+Ooishi 1987); so both modes end at the same draw.  A pass lists
 ``reduction-number-one`` in ``checks_passed`` and reports the series proved:
 each lists only the samples it read (h(0..2) for I when the first test
 passes, h(0) for a quotient), its ``window_used`` is the window in force,
 and the certificate's colength is e0, proved rather than counted.
+
+A monomial ideal in two variables is compared with its integral closure
+first, on the staircase: colength(I) against colength(Ibar), which Pick's
+theorem counts on the Newton polygon
+(``_kernels.integral_closure_polynomial``).  When they are equal, I = Ibar,
+and the run builds no power of I:
+1. I <= closure(I) <= Ibar = I, so the closure is I.
+2. Every power of I is integrally closed (Zariski's product theorem in a
+   two-dimensional regular local ring; Huneke-Swanson ch. 14), so
+   h(n) = colength(Ibar^{n+1}), the Pick count, a polynomial in n from
+   n = 0.  That fixes the numerator (h(0), e0 - h(0)) with e0 that of the
+   Newton polygon, and gives e0 - e1 = lambda(R/I).
+3. Hence J*I = I^2 for every minimal reduction J (Huneke 1987; Ooishi
+   1987), the certified one included.
+4. So gr_I(R) is Cohen-Macaulay (Goto-Shimoda 1979; Valla 1979) and each
+   x_i* is regular on it (Valabrega-Valla 1978): every quotient numerator
+   is I's.
+Every step holds over QQ and over GF(p).  The reduction is certified as
+step (2) certifies it, against the Newton polygon's e0, and the report
+lists ``integrally-closed`` with ``reduction-number-one``.
+Otherwise, after step (4), an answer L whose colength equals that of Ibar
+is proved: L <= closure(I) (``_monomial_chain_term``) <= Ibar, so
+L = closure(I) = Ibar.  It lists ``closure-equals-integral-closure`` in
+place of the stabilization check.
 """
 
 from __future__ import annotations
@@ -82,6 +112,7 @@ from .hilbert import (
 )
 from .ideals import Ideal, power_supports
 from .reductions import (
+    DEFAULT_MAX_ATTEMPTS,
     ReductionCertificate,
     candidate_sequences,
     certify_sequence,
@@ -212,20 +243,27 @@ def closure(
     the closure.
 
     Every input but a monomial ideal in two variables first tries the
-    reduction-number-one test of the module docstring; a pass returns I,
-    proved closed, in either mode.  Otherwise a failed round is retried,
-    with a doubled window, only when a wider window can change what
-    failed.  Certified mode samples to the proved bound and runs one round.  In heuristic mode a failed check resamples,
-    up to ``_STABILITY_RETRIES`` rounds; a failed certification reads only
-    e0 and the seed, so it is final when the Newton polygon proves e0 or
-    the resampled e0 is the one it was refused against.
+    reduction-number-one test of the module docstring, and a two-variable
+    monomial ideal is compared with its integral closure; either proof
+    returns I, proved closed, in either mode.  Otherwise a failed round is
+    retried, with a doubled window, only when a wider window can change
+    what failed.  Certified mode samples to the proved bound and runs one
+    round.  In heuristic mode a failed check resamples, up to
+    ``_STABILITY_RETRIES`` rounds; a failed certification reads only e0 and
+    the seed, so it is final when the Newton polygon proves e0 or the
+    resampled e0 is the one it was refused against.
     """
     I.require_m_primary()
     mono = I.monomial_generators()
     d = I.ring.dim
+    in_force = _sampling_window(mode, window, d)
     staircase = mono is not None and d == 2
-    # two variables: e0 is proven by the Newton polygon, and checks the series
-    newton_e0 = _kernels.newton_polygon_e0(mono) if staircase else None
+    newton_e0 = bar = None
+    if staircase:
+        # e0 is proven by the Newton polygon, and checks the series; bar[n-1]
+        # is the colength of the integral closure of I^n, n = 1, 2, 3
+        newton_e0, c = _kernels.integral_closure_polynomial(mono)
+        bar = [(newton_e0 * n * n + c * n) // 2 for n in (1, 2, 3)]
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
     def timed(phase: str, fn, *args, **kw):
@@ -254,21 +292,45 @@ def closure(
             timings=timings,
         )
 
+    def proved_series(h, e0: int) -> SeriesData:
+        # r_J(I) <= 1: h(n) is the Hilbert polynomial from n = 0
+        numerator = tuple(_trimmed([h[0], e0 - h[0]]))
+        return SeriesData(numerator, d, mode, in_force, tuple(h))
+
+    def certified_reduction(e0: int) -> ReductionCertificate:
+        if reduction is not None:
+            return timed("reduction", certify_sequence, I, reduction, e0, seed=seed)
+        return timed("reduction", find_superficial_sequence, I, e0, seed=seed)
+
+    def first_passing_draw(draws):
+        for attempt, xs in draws:
+            if _reduction_number_one(I, xs, h):
+                return attempt, tuple(xs)
+        return None
+
+    if staircase and I.colength() == bar[0]:
+        # I is integrally closed (module docstring): h(n) = bar[n], and the
+        # certificate is the one step (2) of the round below would make
+        return proved(proved_series(bar, newton_e0), certified_reduction(newton_e0), (
+            "series-consistent", "e0-newton-polygon", "reduction-colength-equals-e0",
+            *(f"quotient-{i}-consistent" for i in range(d)), "integrally-closed"))
+
     # reduction number one, tried on all but the staircases (module docstring)
     shape = False
     if not staircase:
-        in_force = _sampling_window(mode, window, d)
         h = timed("poincare", lambda: [I.power(n + 1).colength() for n in range(3)])
         shape = h[2] == (d + 1) * h[1] - d * (d + 1) // 2 * h[0]
         if shape:
-            xs = tuple(reduction if reduction is not None else timed(
-                REDUCTION_NUMBER_ONE, next, candidate_sequences(I, seed)))
-            if timed(REDUCTION_NUMBER_ONE, _reduction_number_one, I, xs, h):
+            if reduction is not None:
+                draws = [(0, tuple(reduction))]
+            else:  # certified mode tests later draws before its long sampling
+                tried = 1 if mode == HEURISTIC else DEFAULT_MAX_ATTEMPTS
+                draws = zip(range(1, tried + 1), candidate_sequences(I, seed))
+            passed_draw = timed(REDUCTION_NUMBER_ONE, first_passing_draw, draws)
+            if passed_draw is not None:
                 e0 = h[1] - d * h[0]
-                numerator = tuple(_trimmed([h[0], e0 - h[0]]))
-                series = SeriesData(numerator, d, mode, in_force, tuple(h))
-                cert = ReductionCertificate(xs, e0, e0, seed, 0 if reduction is not None else 1)
-                return proved(series, cert)
+                attempt, xs = passed_draw
+                return proved(proved_series(h, e0), ReductionCertificate(xs, e0, e0, seed, attempt))
 
     win = window
     refusal = refused_e0 = None  # the last failed certification and the e0 it read
@@ -299,17 +361,15 @@ def closure(
         # a wrong heuristic e0 usually dies right here: no candidate can
         # certify against it, and the doubled window may correct it
         try:
-            if reduction is not None:
-                cert = timed("reduction", certify_sequence, I, reduction, e0, seed=seed)
-            else:
-                cert = timed("reduction", find_superficial_sequence, I, e0, seed=seed)
+            cert = certified_reduction(e0)
         except (GenericityFailureError, NotSuperficialError) as exc:
             if newton_e0 is not None:
                 raise  # e0 is proved: a wider window repeats the same search
             refusal, refused_e0 = exc, e0
             continue
         passed.append("reduction-colength-equals-e0")
-        if shape and cert.attempts > 1 and timed(
+        # certified mode has tested every draw the search could certify
+        if shape and mode == HEURISTIC and cert.attempts > 1 and timed(
                 REDUCTION_NUMBER_ONE, _reduction_number_one, I, cert.elements, h):
             return proved(series, cert, passed)
 
@@ -333,7 +393,10 @@ def closure(
             return _monomial_chain_term(I, [t for s in supports for t in next(s)], j)
 
         result = timed("chain-colon", step, k)
-        if mode == HEURISTIC:
+        if bar is not None and result.colength() == bar[0]:
+            # result <= closure <= integral closure, of equal colength
+            passed.append("closure-equals-integral-closure")
+        elif mode == HEURISTIC:
             stable = timed("stabilization-check", lambda: result.equals(step(k + 1)))
             (passed if stable else failures).append("chain-stabilization")
         if not failures:

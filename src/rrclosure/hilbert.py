@@ -48,7 +48,7 @@ one around it a ceiling:
   E.  A term of x on E gives v_E(x) = v_E(I), and f*x in I^{n+1} gives
   v_E(f) >= (n+1)*v_E(I) - v_E(x) = n*v_E(I).  So (I^{n+1} : x) lies in
   the integral closure of I^n, and q(n) <= h(n) minus its colength
-  (``_kernels.integral_closure_colength``).  A missed edge loses this: for
+  (``_kernels.integral_closure_polynomial``).  A missed edge loses this: for
   I = (x^3, xy, y^3) and x = x^3, (I^2 : x^3) = (x^3, xy, y^2) holds y^2,
   which lies under the edge from (0, 3) to (1, 1).
 A floor above a ceiling can come only from a certificate whose colength
@@ -203,6 +203,8 @@ def _quotient_bounds(I: Ideal, x: Polynomial, step_bound=None):
     closed = mono is not None and _kernels.meets_every_edge(mono, terms)
     if step_bound is None and not closed:
         return None
+    if closed:  # colength of the integral closure of I^n: (e0*n^2 + c*n) / 2
+        e0, c = _kernels.integral_closure_polynomial(mono)
 
     def bounds(n: int, previous=None):
         power = I.power(n + 1)
@@ -214,7 +216,7 @@ def _quotient_bounds(I: Ideal, x: Polynomial, step_bound=None):
             floor = h - _kernels.staircase_colength(colon, 2)
         ceiling = None if step_bound is None or previous is None else previous + step_bound
         if closed:
-            top = h - _kernels.integral_closure_colength(mono, n)
+            top = h - (e0 * n * n + c * n) // 2
             ceiling = top if ceiling is None else min(ceiling, top)
         if ceiling is not None and floor > ceiling:
             raise CertifiedBoundViolation(

@@ -641,6 +641,7 @@ class Ideal:
         "_mono_exps",
         "_witness",
         "_colength",
+        "_min_gens",
         "_powers",
         "_power_factor",
     )
@@ -661,6 +662,7 @@ class Ideal:
         self._mono_exps = None
         self._witness = None  # (m_primary_witness(),) once computed
         self._colength = None
+        self._min_gens = None  # minimal_generators(), once computed
         self._powers = None
         self._power_factor = None  # I_V, once it alone multiplies I^n into I^{n+1}
         if basis is not None and basis.is_monomial():
@@ -1021,7 +1023,16 @@ class Ideal:
         return None
 
     def minimal_generators(self) -> tuple[Polynomial, ...]:
-        """Lifts of a basis of I/mI (unique monomial generators when monomial)."""
+        """Lifts of a basis of I/mI (unique monomial generators when monomial).
+
+        Computed once per ideal: for a non-monomial ideal each basis element
+        costs a membership test, a Groebner basis of its own.
+        """
+        if self._min_gens is None:
+            self._min_gens = self._minimal_generators()
+        return self._min_gens
+
+    def _minimal_generators(self) -> tuple[Polynomial, ...]:
         mono = self.monomial_generators()
         if mono is not None:
             if mono and not any(mono[0]):

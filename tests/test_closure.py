@@ -14,11 +14,13 @@ from rrclosure import (
     Ideal,
     NotMPrimaryError,
     NotSuperficialError,
+    certify_sequence,
     chain_term,
     closure,
     closure_power,
     closure_via_colon_powers,
     colon_powers_threshold,
+    find_superficial_sequence,
     hilbert_coefficients,
     is_ratliff_rush_closed,
     poincare_series,
@@ -87,8 +89,12 @@ def test_exact_stops_match_the_window_on_the_criterion_5_corpus():
     for b in _bundles():
         rep = b["report"]
         for i, (x, stopped) in enumerate(zip(rep.certificate.elements, rep.quotient_series)):
-            assert stopped.exact
-            assert f"quotient-{i}-exact" in rep.checks_passed
+            if "integrally-closed" in rep.checks_passed:
+                # proved, not sampled: every quotient numerator is I's
+                assert stopped.numerator == rep.series.numerator
+            else:
+                assert stopped.exact
+                assert f"quotient-{i}-exact" in rep.checks_passed
             windowed = poincare_series_quotient(b["ideal"], x)
             assert stopped.numerator == windowed.numerator
             assert len(stopped.samples) <= len(windowed.samples)
@@ -204,10 +210,11 @@ def test_a_failed_check_names_itself_and_the_rounds_run(monkeypatch):
         with pytest.raises(ChainUnstableError) as failed:
             closure(m2, mode="certified")
     assert str(failed.value) == "failed checks after 1 round: e0-newton-polygon"
-    # a chain that never agrees with its next term fails every heuristic round
+    # a chain that never agrees with its next term fails every heuristic
+    # round; (x^2, y^3) is closed, but its closure is not the integral one
     monkeypatch.setattr(Ideal, "equals", lambda self, other: False)
     with pytest.raises(ChainUnstableError) as failed:
-        closure(m2, seed=0)
+        closure(ideal_of(R, "x^2", "y^3"), seed=0)
     assert str(failed.value) == (
         "the colon chain did not stabilize at the predicted index; "
         "failed checks after 3 rounds: chain-stabilization")
@@ -475,22 +482,21 @@ def assert_staircase_certificate(J, rep):
 
 
 # the closures of the three-vertex skew ideals (x^a, x^{a-1}y, xy^{b-1}, y^b)
-# of the benchmark corpus at search seed 1, each listed as its report lists it
+# of the benchmark corpus at search seed 1, each listed as its report lists
+# it; two more of them are integrally closed (SEED1_INTEGRALLY_CLOSED_SKEWS)
 SEED1_SKEWS = [
-    (("y^3", "x*y^2", "x^3*y", "x^4"), ["y^3", "x*y^2", "x^3*y", "x^4"]),
     (("y^3", "x*y^2", "x^4*y", "x^5"), ["y^3", "x*y^2", "x^4*y", "x^5"]),
-    (("y^4", "x*y^3", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^4", "x*y^3"]),
     (("y^4", "x*y^3", "x^4*y", "x^5"), ["y^4", "x*y^3", "x^3*y^2", "x^4*y", "x^5"]),
     (("y^5", "x*y^4", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^5", "x*y^4"]),
     (("y^5", "x*y^4", "x^3*y", "x^4"), ["x^3*y", "x^4", "y^5", "x*y^4", "x^2*y^3"]),
 ]
+SEED1_INTEGRALLY_CLOSED_SKEWS = [
+    (("y^3", "x*y^2", "x^3*y", "x^4"), ["y^3", "x*y^2", "x^3*y", "x^4"]),
+    (("y^4", "x*y^3", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^4", "x*y^3"]),
+]
 
 
-@pytest.mark.parametrize("gens, closed", SEED1_SKEWS, ids=["+".join(g) for g, _ in SEED1_SKEWS])
-def test_seed1_skew_samples_one_quotient_series(monkeypatch, gens, closed):
-    # the first vertex draw at seed 1 is degenerate on each of these; the
-    # second draw combines the three vertices again, so both elements share
-    # one affinely independent support and one quotient series
+def count_quotient_series_calls(monkeypatch):
     closure_module = importlib.import_module("rrclosure.closure")
     calls = []
 
@@ -499,10 +505,34 @@ def test_seed1_skew_samples_one_quotient_series(monkeypatch, gens, closed):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(closure_module, "poincare_series_quotient", counted)
+    return calls
+
+
+@pytest.mark.parametrize("gens, closed", SEED1_SKEWS, ids=["+".join(g) for g, _ in SEED1_SKEWS])
+def test_seed1_skew_samples_one_quotient_series(monkeypatch, gens, closed):
+    # the first vertex draw at seed 1 is degenerate on each of these; the
+    # second draw combines the three vertices again, so both elements share
+    # one affinely independent support and one quotient series
+    calls = count_quotient_series_calls(monkeypatch)
     I = ideal_of(R, *gens)
     rep = closure(I, seed=1)
     assert rep.certificate.attempts == 2
     assert len(calls) == 1
+    assert [str(g) for g in rep.closure_generators] == closed
+    assert_staircase_certificate(I, rep)
+
+
+@pytest.mark.parametrize("gens, closed", SEED1_INTEGRALLY_CLOSED_SKEWS,
+                         ids=["+".join(g) for g, _ in SEED1_INTEGRALLY_CLOSED_SKEWS])
+def test_seed1_integrally_closed_skews_sample_no_quotient_series(monkeypatch, gens, closed):
+    # the same degenerate first draw, but I is integrally closed: the search
+    # certifies the second draw, and no quotient series is sampled at all
+    calls = count_quotient_series_calls(monkeypatch)
+    I = ideal_of(R, *gens)
+    rep = closure(I, seed=1)
+    assert rep.certificate.attempts == 2
+    assert "integrally-closed" in rep.checks_passed
+    assert not calls
     assert [str(g) for g in rep.closure_generators] == closed
     assert_staircase_certificate(I, rep)
 
@@ -882,3 +912,164 @@ def test_phi_images_of_closed_staircases_agree_with_the_full_pipeline(field):
             proved += 1
             _assert_the_old_route_agrees(I, rep)
     assert proved == 4
+
+
+# -- the integral closure: integrally closed staircases, and answers it proves --
+
+
+def _bar(I, n=1):
+    from util_algebra import brute_integral_closure_colength
+
+    return brute_integral_closure_colength(I.monomial_generators(), n)
+
+
+INTEGRALLY_CLOSED = [
+    ("x^5", "x^4*y", "x^3*y^2", "x^2*y^3", "x*y^4", "y^5"),  # (x, y)^5
+    ("x^3", "x*y", "y^3"),
+    ("x^7", "y"),
+    SEED1_INTEGRALLY_CLOSED_SKEWS[0][0],
+]
+
+
+@pytest.mark.parametrize("gens", INTEGRALLY_CLOSED, ids=["+".join(g) for g in INTEGRALLY_CLOSED])
+@pytest.mark.parametrize("mode", ["heuristic", "certified"])
+def test_integrally_closed_staircases_end_before_any_power(monkeypatch, gens, mode):
+    # no power of I, no window, no quotient series and no colon, in either mode
+    closure_module = importlib.import_module("rrclosure.closure")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an integrally closed staircase built a power or sampled")
+
+    for name in ("poincare_series", "poincare_series_quotient", "chain_term",
+                 "_monomial_chain_term"):
+        monkeypatch.setattr(closure_module, name, forbidden)
+    monkeypatch.setattr(Ideal, "power", forbidden)
+    I = ideal_of(R, *gens)
+    rep = closure(I, mode=mode, seed=0)
+    assert rep.checks_passed == (
+        "series-consistent", "e0-newton-polygon", "reduction-colength-equals-e0",
+        "quotient-0-consistent", "quotient-1-consistent", "integrally-closed",
+        "reduction-number-one")
+    assert set(rep.timings) == {"reduction"}
+    assert rep.mode == rep.series.mode == mode
+    assert rep.series.samples == tuple(_bar(I, n + 1) for n in range(3))
+    assert all(q.samples == (I.colength(),) for q in rep.quotient_series)
+    monkeypatch.undo()
+    _assert_the_old_route_agrees(I, rep)
+    # the certificate is the one the search makes for the windowed series
+    assert rep.certificate == find_superficial_sequence(I, poincare_series(I).multiplicity, seed=0)
+
+
+def test_a_given_reduction_of_an_integrally_closed_staircase_is_certified_as_given():
+    I = ideal_of(R, "x^2", "x*y", "y^2")
+    xs = (R.parse("x^2 + y^2"), R.parse("x*y"))
+    rep = closure(I, reduction=xs, seed=3)
+    assert "integrally-closed" in rep.checks_passed
+    assert rep.certificate == certify_sequence(I, xs, 4, seed=3)
+    with pytest.raises(NotSuperficialError):
+        closure(I, reduction=(R.parse("x^2"), R.parse("x*y")))
+
+
+def test_random_staircases_agree_with_the_integral_closure():
+    from util_algebra import random_instance_corpus
+
+    labels = {"integrally-closed": 0, "closure-equals-integral-closure": 0}
+    for I in random_instance_corpus(seed=38, count=40, ring=R, max_pure=6, max_extra=3,
+                                    skew_prob=0.4):
+        rep = closure(I, seed=0)
+        bar = _bar(I)
+        if "integrally-closed" in rep.checks_passed:
+            labels["integrally-closed"] += 1
+            assert I.colength() == bar
+            _assert_the_old_route_agrees(I, rep)
+        elif "closure-equals-integral-closure" in rep.checks_passed:
+            labels["closure-equals-integral-closure"] += 1
+            assert rep.closure_ideal.colength() == bar
+            assert "chain-stabilization" not in rep.checks_passed
+            assert "stabilization-check" not in rep.timings
+            assert_staircase_certificate(I, rep)
+        else:
+            # neither proof applies: the closure lies strictly inside the
+            # integral closure, and the chain was checked
+            assert rep.closure_ideal.colength() > bar
+            assert "chain-stabilization" in rep.checks_passed
+    assert all(labels.values()), labels
+
+
+@pytest.mark.parametrize("case", ["ex110", "ex33", "ex14", "ex14-squared"])
+def test_the_paper_examples_keep_the_stabilization_check(case):
+    from rrclosure import _kernels
+
+    # none of them is integrally closed, nor is its closure the integral one
+    gens = {"ex110": EX110, "ex33": EX33, "ex14": EX14, "ex14-squared": EX14}[case]
+    I = ideal_of(R, *gens)
+    rep = closure_power(I, 2, seed=0) if case == "ex14-squared" else closure(I, seed=0)
+    I = rep.input_ideal
+    # the kernel's count, which test_kernels checks against the box search
+    bar = _kernels.integral_closure_colength(I.monomial_generators(), 1)
+    assert I.colength() > bar
+    assert rep.closure_ideal.colength() > bar
+    assert "chain-stabilization" in rep.checks_passed
+    assert not {"integrally-closed", "closure-equals-integral-closure"} & set(rep.checks_passed)
+
+
+def test_skew44_closure_is_proved_by_its_integral_closure():
+    I = ideal_of(R, *SKEW44)
+    for mode in ("heuristic", "certified"):
+        rep = closure(I, mode=mode, seed=0)
+        assert rep.closure_ideal.equals(I + ideal_of(R, "x^2*y^2"))
+        assert rep.closure_ideal.colength() == _bar(I) == 10
+        assert "closure-equals-integral-closure" in rep.checks_passed
+        assert "chain-stabilization" not in rep.checks_passed
+        assert "stabilization-check" not in rep.timings
+    # its square is integrally closed (Zariski): colength 36 both ways
+    square = closure_power(I, 2, seed=0)
+    assert "integrally-closed" in square.checks_passed
+    assert square.input_ideal.colength() == _bar(square.input_ideal) == 36
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+def test_certified_mode_tests_later_draws_before_sampling(monkeypatch, field):
+    # the first draw is no reduction; heuristic mode proves r <= 1 on the
+    # search's second draw, certified mode on the second draw itself
+    from rrclosure import GF, PolyRing, QQ
+
+    T = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y", "z"))
+    I = ideal_of(T, "x^4", "y^3", "z^2", "x^2*y", "x*z")
+    heuristic = closure(I, seed=0)
+    outcomes = _recorded_tests(monkeypatch)
+    closure_module = importlib.import_module("rrclosure.closure")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certified mode sampled a series")
+
+    monkeypatch.setattr(closure_module, "poincare_series", forbidden)
+    certified = closure(I, mode="certified", seed=0)
+    assert outcomes == [False, True]
+    assert certified.checks_passed == ("reduction-number-one",)
+    assert certified.mode == "certified"
+    assert certified.certificate == heuristic.certificate
+    for field_name in ("postulation_joint", "k_used", "closure_generators", "is_closed"):
+        assert getattr(certified, field_name) == getattr(heuristic, field_name)
+    assert certified.series.numerator == heuristic.series.numerator
+    assert ([q.numerator for q in certified.quotient_series]
+            == [q.numerator for q in heuristic.quotient_series])
+
+
+def test_a_non_monomial_closure_finds_its_minimal_generators_once(monkeypatch):
+    # phi(y^4, x^2*y^2, x^4), x -> x + y: the search's draw and the report
+    # both read the minimal generators, a Groebner run per basis element
+    ideals = importlib.import_module("rrclosure.ideals")
+    runs = []
+
+    def counted(*args, original=ideals._engine_groebner):
+        runs.append(args)
+        return original(*args)
+
+    I = ideal_of(R, "y^4", "(x+y)^2*y^2", "(x+y)^4")
+    monkeypatch.setattr(ideals, "_engine_groebner", counted)
+    rep = closure(I, seed=0)
+    assert rep.is_closed
+    assert len(runs) == 7
+    assert I.minimal_generators() is rep.closure_generators
+    assert len(runs) == 7

@@ -454,6 +454,18 @@ def test_integral_closure_colength_examples(gens):
         assert K.integral_closure_colength(gens, n) == brute_integral_closure_colength(gens, n)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_integral_closure_polynomial_reads_one_hull(seed):
+    # e0 is the Newton polygon's, and the vertices alone give the same counts
+    rng = random.Random(970 + seed)
+    for _ in range(6):
+        gens = random_monomial_mprimary(rng, max_pure=8, max_extra=4, skew_prob=0.4)
+        e0, c = K.integral_closure_polynomial(gens)
+        assert e0 == K.newton_polygon_e0(gens)
+        assert (e0 + c) % 2 == 0
+        assert K.integral_closure_polynomial(K.newton_vertices(gens)) == (e0, c)
+
+
 def test_integral_closure_colength_closed_forms():
     # (x, y)^n and (x^7, y)^n are integrally closed, with n(n+1)/2 and
     # 7n(n+1)/2 standard monomials
