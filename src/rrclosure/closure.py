@@ -34,56 +34,44 @@ doubled sampling window only when a wider window can change what failed
 (``closure`` states the rule).  The alternative colon-powers route
 (I^{k+1} : I^k) is exposed for cross-validation at its certified threshold.
 
-Every input but a monomial ideal in two variables first tries a proved
-shortcut, reduction number one, which reads only h(n) = colength(I^{n+1})
-for n = 0, 1, 2 and needs no window, no quotient series and no colon.  Let
-J = (x_1..x_d) lie in I.  If J*I = I^2 at the origin, then J is a minimal
-reduction of I with r_J(I) <= 1, and gr_I(R) is Cohen-Macaulay
-(Goto-Shimoda 1979; Valla 1979), so every power of I is Ratliff-Rush closed
-(Heinzer-Lantz-Shah 1992): the closure is I.  The Poincare series is then
-(h(0) + (e0 - h(0))X)/(1-X)^d with e0 = lambda(R/J) = h(1) - d*h(0)
-(Huneke 1987; Ooishi 1987), and each x_i* is regular on gr_I(R), so every
-quotient series has the same numerator (Valabrega-Valla 1978).
+Every input first tries a proved shortcut, reduction number one, which
+reads only h(n) = colength(I^{n+1}) for n = 0, 1, 2 and needs no window, no
+quotient series and no colon.  Let J = (x_1..x_d) lie in I and have finite
+length at the origin.  R is Cohen-Macaulay there, so x_1..x_d is a regular
+sequence and J/J*I = (R/I)^d; since J*I lies in I^2,
+    lambda(R/J) = lambda(R/J*I) - d*h(0) >= h(1) - d*h(0),
+with equality exactly when J*I = I^2 (Huneke-Swanson ch. 8, 11).  So the
+length test that certifies a reduction (``reductions.certify_sequence``),
+run against h(1) - d*h(0) in place of e0, passes exactly on the J with
+J*I = I^2.  Such a J is a minimal reduction of I with r_J(I) <= 1, and
+gr_I(R) is Cohen-Macaulay (Goto-Shimoda 1979; Valla 1979), so every power
+of I is Ratliff-Rush closed (Heinzer-Lantz-Shah 1992): the closure is I.
+The Poincare series is then (h(0) + (e0 - h(0))X)/(1-X)^d with
+e0 = lambda(R/J) = h(1) - d*h(0) (Huneke 1987; Ooishi 1987), and each x_i*
+is regular on gr_I(R), so every quotient series has the same numerator
+(Valabrega-Valla 1978).  No sampled number enters the proof.
 - The shape check.  That series gives h(2) = (d+1)*h(1) - d(d+1)/2*h(0).
   When it fails, r_J(I) >= 2 for every J, and the run goes on as above.
-- The Nakayama test.  J*I + I^3 lies in I^2, and both are m-primary, so
-  colength(J*I + I^3) = h(1) makes them equal.  Then I^2 = J*I + I*I^2,
-  and J*I = I^2 at the origin by Nakayama.  No sampled number enters the
-  proof, and e0 is not read, so J need not be certified first.
-The test runs on the caller's reduction, or on the search's first draw
-(``reductions.candidate_sequences``).  Heuristic mode tests once more, on
-the certified reduction, when the search needed a later draw; certified
-mode, whose sampling to the regularity bound is long, tests the next draws
-instead, up to the search's ``DEFAULT_MAX_ATTEMPTS``, before any sampling.
-A draw that passes is a minimal reduction, and a draw that is one passes
-once any has, since r_J(I) <= 1 for one minimal reduction J makes
-e0 - e1 = lambda(R/I), which gives r_J(I) <= 1 for every one (Huneke 1987;
-Ooishi 1987); so both modes end at the same draw.  A pass lists
-``reduction-number-one`` in ``checks_passed`` and reports the series proved:
-each lists only the samples it read (h(0..2) for I when the first test
-passes, h(0) for a quotient), its ``window_used`` is the window in force,
-and the certificate's colength is e0, proved rather than counted.
+- The staircase guard.  For a monomial I in two variables e0 is the Newton
+  polygon's, and a minimal reduction J has lambda(R/J) = e0, so r_J(I) <= 1
+  exactly when e0 = h(1) - 2*h(0).  Otherwise no draw can pass, and none
+  is made.
+The caller's reduction is certified as given; otherwise the search
+certifies its draws (``reductions.candidate_sequences``), in both modes.
+r_J(I) <= 1 for one minimal reduction J makes e0 - e1 = lambda(R/I), which
+gives it for every one (Huneke 1987; Ooishi 1987); so where r <= 1, the
+targets h(1) - d*h(0) and e0 agree, and the search ends at the draw that
+step (2) would certify, with the same certificate.  A pass lists
+``reduction-colength-equals-e0`` and ``reduction-number-one`` in
+``checks_passed``, after ``e0-newton-polygon`` for a staircase, and reports
+the series proved: each lists only the samples it read (h(0..2) for I,
+h(0) for a quotient), and its ``window_used`` is the window in force.  A
+refused reduction, or a search that certifies no draw, leaves the run to
+steps (1)-(4).
 
-A monomial ideal in two variables is compared with its integral closure
-first, on the staircase: colength(I) against colength(Ibar), which Pick's
-theorem counts on the Newton polygon
-(``_kernels.integral_closure_polynomial``).  When they are equal, I = Ibar,
-and the run builds no power of I:
-1. I <= closure(I) <= Ibar = I, so the closure is I.
-2. Every power of I is integrally closed (Zariski's product theorem in a
-   two-dimensional regular local ring; Huneke-Swanson ch. 14), so
-   h(n) = colength(Ibar^{n+1}), the Pick count, a polynomial in n from
-   n = 0.  That fixes the numerator (h(0), e0 - h(0)) with e0 that of the
-   Newton polygon, and gives e0 - e1 = lambda(R/I).
-3. Hence J*I = I^2 for every minimal reduction J (Huneke 1987; Ooishi
-   1987), the certified one included.
-4. So gr_I(R) is Cohen-Macaulay (Goto-Shimoda 1979; Valla 1979) and each
-   x_i* is regular on it (Valabrega-Valla 1978): every quotient numerator
-   is I's.
-Every step holds over QQ and over GF(p).  The reduction is certified as
-step (2) certifies it, against the Newton polygon's e0, and the report
-lists ``integrally-closed`` with ``reduction-number-one``.
-Otherwise, after step (4), an answer L whose colength equals that of Ibar
+For a monomial ideal in two variables, an answer L of step (4) whose
+colength equals that of the integral closure Ibar of I, which Pick's
+theorem counts on the Newton polygon (``_kernels.integral_closure_colength``),
 is proved: L <= closure(I) (``_monomial_chain_term``) <= Ibar, so
 L = closure(I) = Ibar.  It lists ``closure-equals-integral-closure`` in
 place of the stabilization check.
@@ -112,16 +100,13 @@ from .hilbert import (
 )
 from .ideals import Ideal, power_supports
 from .reductions import (
-    DEFAULT_MAX_ATTEMPTS,
     ReductionCertificate,
-    candidate_sequences,
     certify_sequence,
     find_superficial_sequence,
 )
 
 DEFAULT_COLON_POWERS_CAP = 512
 _STABILITY_RETRIES = 3
-REDUCTION_NUMBER_ONE = "reduction-number-one"
 
 
 class BoundParams(NamedTuple):
@@ -192,15 +177,6 @@ def _quotient_series(I: Ideal, reduction, **opts) -> tuple[SeriesData, ...]:
     return tuple(out)
 
 
-def _reduction_number_one(I: Ideal, elements, h) -> bool:
-    """Whether J = (elements) has J*I = I^2 at the origin, by the Nakayama
-    test of the module docstring, given h = the colengths of I, I^2, I^3.
-    Anything but d elements of I fails, and certification names the fault."""
-    if len(elements) != I.ring.dim or not all(I.contains(x) for x in elements):
-        return False
-    return (Ideal(I.ring, elements).multiply(I) + I.power(3)).colength() == h[1]
-
-
 class ClosureReport(NamedTuple):
     """Everything a closure run certifies, for reporting and cross-checks."""
 
@@ -242,12 +218,10 @@ def closure(
     series (``postulation_joint``); a smaller k gives only an ideal inside
     the closure.
 
-    Every input but a monomial ideal in two variables first tries the
-    reduction-number-one test of the module docstring, and a two-variable
-    monomial ideal is compared with its integral closure; either proof
-    returns I, proved closed, in either mode.  Otherwise a failed round is
-    retried, with a doubled window, only when a wider window can change
-    what failed.  Certified mode samples to the proved bound and runs one
+    Every input first tries the reduction-number-one shortcut of the module
+    docstring, which returns I, proved closed, in either mode.  Otherwise a
+    failed round is retried, with a doubled window, only when a wider window
+    can change what failed.  Certified mode samples to the proved bound and runs one
     round.  In heuristic mode a failed check resamples, up to
     ``_STABILITY_RETRIES`` rounds; a failed certification reads only e0 and
     the seed, so it is final when the Newton polygon proves e0 or the
@@ -257,13 +231,12 @@ def closure(
     mono = I.monomial_generators()
     d = I.ring.dim
     in_force = _sampling_window(mode, window, d)
-    staircase = mono is not None and d == 2
     newton_e0 = bar = None
-    if staircase:
-        # e0 is proven by the Newton polygon, and checks the series; bar[n-1]
-        # is the colength of the integral closure of I^n, n = 1, 2, 3
-        newton_e0, c = _kernels.integral_closure_polynomial(mono)
-        bar = [(newton_e0 * n * n + c * n) // 2 for n in (1, 2, 3)]
+    if mono is not None and d == 2:
+        # e0 is proven by the Newton polygon, and checks the series; bar is
+        # the colength of the integral closure of I
+        newton_e0 = _kernels.newton_polygon_e0(mono)
+        bar = _kernels.integral_closure_colength(mono, 1)
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
     def timed(phase: str, fn, *args, **kw):
@@ -273,64 +246,43 @@ def closure(
         finally:
             timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
 
-    def proved(series: SeriesData, cert: ReductionCertificate, passed=()) -> ClosureReport:
-        # J*I = I^2: I is closed, and every quotient series has I's numerator
-        q = series._replace(denominator_power=d - 1, samples=series.samples[:1], exact=False)
-        pn_joint = max(series.postulation, q.postulation)
-        return ClosureReport(
-            input_ideal=I,
-            series=series,
-            certificate=cert,
-            quotient_series=(q,) * d,
-            postulation_joint=pn_joint,
-            k_used=max(pn_joint + 1, 1),
-            closure_ideal=I,
-            closure_generators=I.minimal_generators(),
-            is_closed=True,
-            mode=mode,
-            checks_passed=(*passed, REDUCTION_NUMBER_ONE),
-            timings=timings,
-        )
-
-    def proved_series(h, e0: int) -> SeriesData:
-        # r_J(I) <= 1: h(n) is the Hilbert polynomial from n = 0
-        numerator = tuple(_trimmed([h[0], e0 - h[0]]))
-        return SeriesData(numerator, d, mode, in_force, tuple(h))
-
     def certified_reduction(e0: int) -> ReductionCertificate:
         if reduction is not None:
             return timed("reduction", certify_sequence, I, reduction, e0, seed=seed)
         return timed("reduction", find_superficial_sequence, I, e0, seed=seed)
 
-    def first_passing_draw(draws):
-        for attempt, xs in draws:
-            if _reduction_number_one(I, xs, h):
-                return attempt, tuple(xs)
-        return None
-
-    if staircase and I.colength() == bar[0]:
-        # I is integrally closed (module docstring): h(n) = bar[n], and the
-        # certificate is the one step (2) of the round below would make
-        return proved(proved_series(bar, newton_e0), certified_reduction(newton_e0), (
-            "series-consistent", "e0-newton-polygon", "reduction-colength-equals-e0",
-            *(f"quotient-{i}-consistent" for i in range(d)), "integrally-closed"))
-
-    # reduction number one, tried on all but the staircases (module docstring)
-    shape = False
-    if not staircase:
-        h = timed("poincare", lambda: [I.power(n + 1).colength() for n in range(3)])
-        shape = h[2] == (d + 1) * h[1] - d * (d + 1) // 2 * h[0]
-        if shape:
-            if reduction is not None:
-                draws = [(0, tuple(reduction))]
-            else:  # certified mode tests later draws before its long sampling
-                tried = 1 if mode == HEURISTIC else DEFAULT_MAX_ATTEMPTS
-                draws = zip(range(1, tried + 1), candidate_sequences(I, seed))
-            passed_draw = timed(REDUCTION_NUMBER_ONE, first_passing_draw, draws)
-            if passed_draw is not None:
-                e0 = h[1] - d * h[0]
-                attempt, xs = passed_draw
-                return proved(proved_series(h, e0), ReductionCertificate(xs, e0, e0, seed, attempt))
+    # reduction number one (module docstring): the shape check, the
+    # staircase guard, then the length test against h(1) - d*h(0)
+    h = timed("poincare", lambda: tuple(I.power(n + 1).colength() for n in range(3)))
+    e0 = h[1] - d * h[0]
+    if h[2] == (d + 1) * h[1] - d * (d + 1) // 2 * h[0] and newton_e0 in (None, e0):
+        try:
+            cert = certified_reduction(e0)
+        except (GenericityFailureError, NotSuperficialError):
+            pass  # no draw has J*I = I^2: the round below decides
+        else:
+            # J*I = I^2: I is closed, h(n) is the Hilbert polynomial from
+            # n = 0, and every quotient series has I's numerator
+            series = SeriesData(tuple(_trimmed([h[0], e0 - h[0]])), d, mode, in_force, h)
+            q = series._replace(denominator_power=d - 1, samples=h[:1])
+            pn_joint = max(series.postulation, q.postulation)
+            checks = ("reduction-colength-equals-e0", "reduction-number-one")
+            if newton_e0 is not None:
+                checks = ("e0-newton-polygon", *checks)
+            return ClosureReport(
+                input_ideal=I,
+                series=series,
+                certificate=cert,
+                quotient_series=(q,) * d,
+                postulation_joint=pn_joint,
+                k_used=max(pn_joint + 1, 1),
+                closure_ideal=I,
+                closure_generators=I.minimal_generators(),
+                is_closed=True,
+                mode=mode,
+                checks_passed=checks,
+                timings=timings,
+            )
 
     win = window
     refusal = refused_e0 = None  # the last failed certification and the e0 it read
@@ -368,10 +320,6 @@ def closure(
             refusal, refused_e0 = exc, e0
             continue
         passed.append("reduction-colength-equals-e0")
-        # certified mode has tested every draw the search could certify
-        if shape and mode == HEURISTIC and cert.attempts > 1 and timed(
-                REDUCTION_NUMBER_ONE, _reduction_number_one, I, cert.elements, h):
-            return proved(series, cert, passed)
 
         quotients = timed("quotient-poincare", _quotient_series, I, cert, mode=mode, window=win)
         for i, q in enumerate(quotients):
@@ -393,7 +341,7 @@ def closure(
             return _monomial_chain_term(I, [t for s in supports for t in next(s)], j)
 
         result = timed("chain-colon", step, k)
-        if bar is not None and result.colength() == bar[0]:
+        if bar is not None and result.colength() == bar:
             # result <= closure <= integral closure, of equal colength
             passed.append("closure-equals-integral-closure")
         elif mode == HEURISTIC:

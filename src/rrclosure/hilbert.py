@@ -297,15 +297,15 @@ def _sampling_window(mode, window, d_ring) -> int:
     return window
 
 
-def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples,
-                         step_bound=None) -> SeriesData:
+def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, step_bound=None) -> SeriesData:
     """Sample length_fn(0), length_fn(1), ... until the numerator is fixed.
 
     Sampling ends at the first of: a first difference equal to
     ``step_bound`` (the exact dimension-one stop, when given); ``window``
     consecutive zero numerator differences (heuristic mode); the regularity
     bound, re-estimated as e0 grows, once the window has passed (certified
-    mode).
+    mode).  More than ``DEFAULT_MAX_SAMPLES`` samples raise
+    :class:`BoundTooLargeError`.
     """
     window = _sampling_window(mode, window, d_ring)
     depth = d_eff + 1
@@ -318,9 +318,9 @@ def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples,
     exact = False
     while True:
         n = len(samples)
-        if n >= max_samples:
+        if n >= DEFAULT_MAX_SAMPLES:
             raise BoundTooLargeError(
-                f"needed {n + 1} length samples but the cap is {max_samples}"
+                f"needed {n + 1} length samples but the cap is {DEFAULT_MAX_SAMPLES}"
             )
         samples.append(length_fn(n))
         diffs.append(sum(signed[j] * samples[n - j] for j in range(depth + 1) if n - j >= 0))
@@ -349,9 +349,9 @@ def _series_from_lengths(length_fn, d_ring, d_eff, mode, window, max_samples,
             target = regularity_bound(max(e0_est, 1), d_ring) + 1 + d_eff + 1
             if target <= n + 1:
                 break
-            if target > max_samples and step_bound is None:  # nothing ends it sooner
+            if target > DEFAULT_MAX_SAMPLES and step_bound is None:  # nothing ends it sooner
                 raise BoundTooLargeError(
-                    f"needed {target} length samples but the cap is {max_samples}"
+                    f"needed {target} length samples but the cap is {DEFAULT_MAX_SAMPLES}"
                 )
 
     numerator = tuple(_trimmed(diffs)) or (0,)
@@ -369,14 +369,11 @@ def poincare_series(
     I: Ideal,
     mode: str = HEURISTIC,
     window: int | None = None,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
 ) -> SeriesData:
     """Numerator of PS_I(X) = f(X)/(1-X)^d, with e0 and pn read off it."""
     I.require_m_primary()
     d = I.ring.dim
-    return _series_from_lengths(
-        lambda n: I.power(n + 1).colength(), d, d, mode, window, max_samples
-    )
+    return _series_from_lengths(lambda n: I.power(n + 1).colength(), d, d, mode, window)
 
 
 def poincare_series_quotient(
@@ -384,7 +381,6 @@ def poincare_series_quotient(
     x: Polynomial,
     mode: str = HEURISTIC,
     window: int | None = None,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
     reduction=None,
 ) -> SeriesData:
     """Poincare data of the image of I in R/(x) (denominator power d-1).
@@ -401,6 +397,6 @@ def poincare_series_quotient(
     if reduction is not None and d == 2 and x in reduction.elements:
         step_bound = reduction.colength
     return _series_from_lengths(
-        _quotient_length(I, x, step_bound), d, d - 1, mode, window, max_samples, step_bound,
+        _quotient_length(I, x, step_bound), d, d - 1, mode, window, step_bound
     )
 

@@ -45,6 +45,8 @@ from .orders import elimination_order
 from .polynomials import MAX_EXPONENT, Polynomial, PolyRing
 
 INFINITE = float("inf")
+# the truncation power past which ``Ideal.colength_at_origin`` gives up
+DEFAULT_TRUNCATION_CAP = 65536
 
 _CONTENT_STRIP_EVERY = 64
 
@@ -926,7 +928,7 @@ class Ideal:
             self._colength = INFINITE if count < 0 else count
         return self._colength
 
-    def colength_at_origin(self, expect=None, cap: int = 65536, *, by: "Ideal"):
+    def colength_at_origin(self, expect=None, *, by: "Ideal"):
         """Length of R_m/(I R_m), the localization at the origin.
 
         For an m-primary ideal this equals :meth:`colength`; in general the
@@ -938,8 +940,9 @@ class Ideal:
         t is the local length exactly.  They never pass the plain colength
         either, so reaching it also ends the scan.  The scan steps t by one
         from 1, one truncation per step, and raises :class:`RRClosureError`
-        past the power ``cap``.  With ``expect`` given it stops early once
-        the rising lower bound exceeds ``expect``, and returns that bound.
+        past the power ``DEFAULT_TRUNCATION_CAP``.  With ``expect`` given it
+        stops early once the rising lower bound exceeds ``expect``, and
+        returns that bound.
 
         A Q that contains the ideal and sits close to it stops the scan
         early: the searched candidate reduction J of ex110 stabilizes at I^2
@@ -956,9 +959,10 @@ class Ideal:
         t = 1
         here = (self + by.power(t)).colength()
         while here != total and (expect is None or here <= expect):
-            if t >= cap:
+            if t >= DEFAULT_TRUNCATION_CAP:
                 raise RRClosureError(
-                    f"localized length did not stabilize by the truncation power {cap}"
+                    "localized length did not stabilize by the truncation power "
+                    f"{DEFAULT_TRUNCATION_CAP}"
                 )
             t += 1
             after = (self + by.power(t)).colength()

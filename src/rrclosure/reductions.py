@@ -68,6 +68,9 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
     colength computed once, until two agree (:meth:`Ideal.colength_at_origin`
     with ``by=I``).  The scan stops as soon as a colength passes e0, since
     they only rise from there.
+
+    ``e0`` is the target length: e(I), or h(1) - d*h(0), which is at most
+    e(I), for the reduction-number-one test of ``closure``.
     """
     I.require_m_primary()
     elements = tuple(elements)
@@ -84,7 +87,7 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
         J = Ideal(I.ring, elements)
         if J.colength() == e0:
             # squeeze: local length <= total colength = e0, and a d-generated
-            # parameter ideal inside I has local length >= e(J) >= e(I) = e0
+            # parameter ideal inside I has local length >= e(J) >= e(I) >= e0
             length = e0
         else:
             length = J.colength_at_origin(expect=e0, by=I)
@@ -199,13 +202,13 @@ def _cancel_top(F: dict, G: dict, r: int, s: int, budget: int, p):
     return G, cut
 
 
-def candidate_sequences(I: Ideal, seed: int = 0, coeff_bound: int = DEFAULT_COEFF_BOUND):
+def candidate_sequences(I: Ideal, seed: int = 0):
     """The candidate sequences of the search, one list of d polynomials per
     attempt, without end; deterministic in the seed.
 
     Coefficients are drawn from {-B..B}\\{0} over the rationals (B starts at
-    ``coeff_bound`` and doubles after every attempt) or uniformly from F_p*
-    over a prime field.
+    ``DEFAULT_COEFF_BOUND`` and doubles after every attempt) or uniformly
+    from F_p* over a prime field.
 
     For a monomial I the first attempt's pool is the generators at the
     vertices of the Newton polyhedron (``_kernels.newton_vertices``), listed
@@ -228,7 +231,7 @@ def candidate_sequences(I: Ideal, seed: int = 0, coeff_bound: int = DEFAULT_COEF
     gens = None
     rng = random.Random(seed)
     p = I.ring.field.characteristic
-    bound = coeff_bound
+    bound = DEFAULT_COEFF_BOUND
 
     def draw():
         if p:
@@ -245,27 +248,21 @@ def candidate_sequences(I: Ideal, seed: int = 0, coeff_bound: int = DEFAULT_COEF
             bound *= 2
 
 
-def find_superficial_sequence(
-    I: Ideal,
-    e0: int,
-    seed: int = 0,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-) -> ReductionCertificate:
+def find_superficial_sequence(I: Ideal, e0: int, seed: int = 0) -> ReductionCertificate:
     """Random search for a superficial sequence, deterministic in the seed.
 
-    Each attempt certifies the next of ``candidate_sequences`` by the length
-    test.  A missed vertex or a degenerate draw fails the test like any
-    other candidate.
+    Each of up to ``DEFAULT_MAX_ATTEMPTS`` attempts certifies the next of
+    ``candidate_sequences`` by the length test.  A missed vertex or a
+    degenerate draw fails the test like any other candidate.
     """
     I.require_m_primary()
-    draws = candidate_sequences(I, seed, coeff_bound)
-    for attempt, candidates in zip(range(1, max_attempts + 1), draws):
+    draws = candidate_sequences(I, seed)
+    for attempt, candidates in zip(range(1, DEFAULT_MAX_ATTEMPTS + 1), draws):
         try:
             return certify_sequence(I, candidates, e0, seed=seed, attempts=attempt)
         except NotSuperficialError:
             continue
     raise GenericityFailureError(
-        f"no superficial sequence found in {max_attempts} attempts; "
+        f"no superficial sequence found in {DEFAULT_MAX_ATTEMPTS} attempts; "
         "a larger coefficient pool or prime field usually helps"
     )

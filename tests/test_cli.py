@@ -102,7 +102,7 @@ def test_certified_closure_of_a_three_variable_problem(capsys, tmp_path):
         jsonschema.validate(doc, json.load(fh))
     result = doc["result"]
     assert result["mode"] == "certified"
-    assert result["checks_passed"] == ["reduction-number-one"]
+    assert result["checks_passed"] == ["reduction-colength-equals-e0", "reduction-number-one"]
     assert result["is_closed"] is True
     assert result["series"]["numerator"] == [6, 2]
     assert result["series"]["sample_count"] == 3

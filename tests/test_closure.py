@@ -36,6 +36,9 @@ EX33 = ("x^8", "x^3*y^2", "x^2*y^4", "y^8")
 EX14 = ("y^22", "x^4*y^18", "x^7*y^15", "x^8*y^14", "x^11*y^11", "x^14*y^8", "x^15*y^7",
         "x^18*y^4", "x^22")
 SKEW44 = ("x^4", "x^3*y", "x*y^3", "y^4")
+# the checks of a report proved by reduction number one, and of a staircase's
+PROVED_CHECKS = ("reduction-colength-equals-e0", "reduction-number-one")
+PROVED_STAIRCASE_CHECKS = ("e0-newton-polygon", *PROVED_CHECKS)
 
 
 def test_bound_params_invariants():
@@ -89,7 +92,7 @@ def test_exact_stops_match_the_window_on_the_criterion_5_corpus():
     for b in _bundles():
         rep = b["report"]
         for i, (x, stopped) in enumerate(zip(rep.certificate.elements, rep.quotient_series)):
-            if "integrally-closed" in rep.checks_passed:
+            if "reduction-number-one" in rep.checks_passed:
                 # proved, not sampled: every quotient numerator is I's
                 assert stopped.numerator == rep.series.numerator
             else:
@@ -211,10 +214,11 @@ def test_a_failed_check_names_itself_and_the_rounds_run(monkeypatch):
             closure(m2, mode="certified")
     assert str(failed.value) == "failed checks after 1 round: e0-newton-polygon"
     # a chain that never agrees with its next term fails every heuristic
-    # round; (x^2, y^3) is closed, but its closure is not the integral one
+    # round; ex33 is closed, but with r >= 2, and its closure is not the
+    # integral one, so no proof replaces the stabilization check
     monkeypatch.setattr(Ideal, "equals", lambda self, other: False)
     with pytest.raises(ChainUnstableError) as failed:
-        closure(ideal_of(R, "x^2", "y^3"), seed=0)
+        closure(ideal_of(R, *EX33), seed=0)
     assert str(failed.value) == (
         "the colon chain did not stabilize at the predicted index; "
         "failed checks after 3 rounds: chain-stabilization")
@@ -283,8 +287,11 @@ def test_a_refused_reduction_resamples_only_while_a_wider_window_can_change_e0(
 
 def test_phase_times_add_up_over_retry_rounds(monkeypatch):
     # a clock that ticks once per reading times every phase run as 1; the
-    # narrow window fails the first round at the Newton polygon's e0, before
-    # the reduction, so the Poincare phase runs twice and the rest once
+    # Poincare phase reads h(0..2) for the reduction-number-one shortcut,
+    # which the staircase guard then refuses (h(1) - 2*h(0) = 57 - 36 = 21
+    # against the Newton polygon's e0 = 22), and then the narrow window fails the
+    # first round at the Newton polygon's e0, before the reduction, so the
+    # Poincare phase runs three times and the rest once
     closure_module = importlib.import_module("rrclosure.closure")
     clock = SimpleNamespace(perf_counter=itertools.count().__next__)
     monkeypatch.setattr(closure_module, "time", clock)
@@ -292,7 +299,7 @@ def test_phase_times_add_up_over_retry_rounds(monkeypatch):
     rep = closure(I, seed=0, window=1)
     assert rep.series.window_used == 2
     assert rep.timings == {
-        "poincare": 2,
+        "poincare": 3,
         "reduction": 1,
         "quotient-poincare": 1,
         "chain-colon": 1,
@@ -483,16 +490,18 @@ def assert_staircase_certificate(J, rep):
 
 # the closures of the three-vertex skew ideals (x^a, x^{a-1}y, xy^{b-1}, y^b)
 # of the benchmark corpus at search seed 1, each listed as its report lists
-# it; two more of them are integrally closed (SEED1_INTEGRALLY_CLOSED_SKEWS)
+# it; four more of them have reduction number one (SEED1_PROVED_SKEWS)
 SEED1_SKEWS = [
-    (("y^3", "x*y^2", "x^4*y", "x^5"), ["y^3", "x*y^2", "x^4*y", "x^5"]),
     (("y^4", "x*y^3", "x^4*y", "x^5"), ["y^4", "x*y^3", "x^3*y^2", "x^4*y", "x^5"]),
-    (("y^5", "x*y^4", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^5", "x*y^4"]),
     (("y^5", "x*y^4", "x^3*y", "x^4"), ["x^3*y", "x^4", "y^5", "x*y^4", "x^2*y^3"]),
 ]
-SEED1_INTEGRALLY_CLOSED_SKEWS = [
+SEED1_PROVED_SKEWS = [
+    # integrally closed
     (("y^3", "x*y^2", "x^3*y", "x^4"), ["y^3", "x*y^2", "x^3*y", "x^4"]),
     (("y^4", "x*y^3", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^4", "x*y^3"]),
+    # closed, but not integrally closed
+    (("y^3", "x*y^2", "x^4*y", "x^5"), ["y^3", "x*y^2", "x^4*y", "x^5"]),
+    (("y^5", "x*y^4", "x^2*y", "x^3"), ["x^2*y", "x^3", "y^5", "x*y^4"]),
 ]
 
 
@@ -522,23 +531,25 @@ def test_seed1_skew_samples_one_quotient_series(monkeypatch, gens, closed):
     assert_staircase_certificate(I, rep)
 
 
-@pytest.mark.parametrize("gens, closed", SEED1_INTEGRALLY_CLOSED_SKEWS,
-                         ids=["+".join(g) for g, _ in SEED1_INTEGRALLY_CLOSED_SKEWS])
-def test_seed1_integrally_closed_skews_sample_no_quotient_series(monkeypatch, gens, closed):
-    # the same degenerate first draw, but I is integrally closed: the search
-    # certifies the second draw, and no quotient series is sampled at all
+@pytest.mark.parametrize("gens, closed", SEED1_PROVED_SKEWS,
+                         ids=["+".join(g) for g, _ in SEED1_PROVED_SKEWS])
+def test_seed1_proved_skews_sample_no_quotient_series(monkeypatch, gens, closed):
+    # the same degenerate first draw, but r_J(I) <= 1: the search against
+    # h(1) - 2*h(0) certifies the second draw, and no quotient series is
+    # sampled at all
     calls = count_quotient_series_calls(monkeypatch)
     I = ideal_of(R, *gens)
     rep = closure(I, seed=1)
     assert rep.certificate.attempts == 2
-    assert "integrally-closed" in rep.checks_passed
+    assert rep.checks_passed == PROVED_STAIRCASE_CHECKS
     assert not calls
     assert [str(g) for g in rep.closure_generators] == closed
     assert_staircase_certificate(I, rep)
 
 
 def closure_and_quotient_engine_runs(monkeypatch, I, **opts):
-    """The closure of I and the engine runs made inside its ``_quotient_series``."""
+    """The closure of I and the list of engine runs made inside
+    ``closure._quotient_series``, during the closure and after it."""
     closure_module = importlib.import_module("rrclosure.closure")
     ideals = importlib.import_module("rrclosure.ideals")
     runs, inside = [], []
@@ -557,7 +568,7 @@ def closure_and_quotient_engine_runs(monkeypatch, I, **opts):
 
     monkeypatch.setattr(closure_module, "_quotient_series", sampled)
     monkeypatch.setattr(ideals, "_engine_groebner", counted)
-    return closure(I, **opts), len(runs)
+    return closure(I, **opts), runs
 
 
 # trinomial closures of the benchmark corpus: staircases with one or two
@@ -571,19 +582,26 @@ CORPUS_TRINOMIALS = [
 ]
 
 
-TRINOMIAL_CLOSURES = [(g, 1) for g, _ in SEED1_SKEWS] + CORPUS_TRINOMIALS
+TRINOMIAL_CLOSURES = [(g, 1) for g, _ in SEED1_SKEWS + SEED1_PROVED_SKEWS[2:]] + CORPUS_TRINOMIALS
 
 
 @pytest.mark.parametrize("gens, seed", TRINOMIAL_CLOSURES,
                          ids=[f"{'+'.join(g)}-seed{s}" for g, s in TRINOMIAL_CLOSURES])
 def test_trinomial_quotient_samples_come_from_the_bounds(monkeypatch, gens, seed):
     # every trinomial element has a term on each edge of NP(I), and from
-    # n = 1 its floor and ceiling meet: the quotient series run no engine
+    # n = 1 its floor and ceiling meet: the quotient series run no engine.
+    # A closure proved by reduction number one samples none, so they are
+    # sampled here, for its certified reduction
     I = ideal_of(R, *gens)
     rep, runs = closure_and_quotient_engine_runs(monkeypatch, I, seed=seed)
     assert all(len(x.terms) == 3 for x in rep.certificate.elements)
-    assert runs == 0
-    for x, q in zip(rep.certificate.elements, rep.quotient_series):
+    quotients = rep.quotient_series
+    if "reduction-number-one" in rep.checks_passed:
+        quotients = importlib.import_module("rrclosure.closure")._quotient_series(
+            I, rep.certificate)
+        assert [q.numerator for q in quotients] == [q.numerator for q in rep.quotient_series]
+    assert not runs
+    for x, q in zip(rep.certificate.elements, quotients):
         assert q.samples == tuple((I.power(n + 1) + x).colength() for n in range(len(q.samples)))
 
 
@@ -595,7 +613,7 @@ def test_ex110_searched_still_takes_the_engine_where_the_bounds_stay_apart(monke
     rep, runs = closure_and_quotient_engine_runs(monkeypatch, I, seed=0)
     x, cert = rep.certificate.elements[0], rep.certificate
     assert len(x.terms) == 3
-    assert runs == 2  # one series for both elements, engine at n = 1 and 2
+    assert len(runs) == 2  # one series for both elements, engine at n = 1 and 2
     ideals = importlib.import_module("rrclosure.ideals")
     calls = []
 
@@ -783,28 +801,68 @@ def _assert_the_old_route_agrees(I, rep):
     assert cert.colength == cert.multiplicity == rep.multiplicity
 
 
-@pytest.mark.parametrize("gens", CORPUS_THREE, ids=["+".join(g) for g in CORPUS_THREE])
-def test_the_corpus_three_variable_closures_end_at_the_cube(monkeypatch, gens):
-    # no window, no quotient sampling, no chain colon and no stabilization check
+def _assert_the_windowed_search_agrees(I, rep):
+    # the certificate is the one the search makes for the windowed series
+    assert rep.certificate == find_superficial_sequence(
+        I, poincare_series(I).multiplicity, seed=rep.certificate.seed)
+
+
+def _forbid_sampling_and_colons(monkeypatch):
+    """No window, no quotient series, no chain colon and no power past I^3."""
     closure_module = importlib.import_module("rrclosure.closure")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a proved closure sampled past I^3 or took a colon")
+        raise AssertionError("a proved closure sampled a series or took a colon")
 
     for name in ("poincare_series", "poincare_series_quotient", "chain_term",
-                 "_monomial_chain_term", "find_superficial_sequence", "certify_sequence"):
+                 "_monomial_chain_term"):
         monkeypatch.setattr(closure_module, name, forbidden)
+    power = Ideal.power
+
+    def up_to_the_cube(self, n):
+        assert n <= 3, f"a proved closure built the power {n}"
+        return power(self, n)
+
+    monkeypatch.setattr(Ideal, "power", up_to_the_cube)
+
+
+def _recorded_certifications(monkeypatch):
+    """(target, passed) for every length test of a candidate reduction, the
+    caller's or the search's draws, in order."""
+    closure_module = importlib.import_module("rrclosure.closure")
+    reductions = importlib.import_module("rrclosure.reductions")
+    certify = reductions.certify_sequence
+    outcomes = []
+
+    def recorded(I, elements, e0, **kwargs):
+        try:
+            cert = certify(I, elements, e0, **kwargs)
+        except NotSuperficialError:
+            outcomes.append((e0, False))
+            raise
+        outcomes.append((e0, True))
+        return cert
+
+    monkeypatch.setattr(reductions, "certify_sequence", recorded)
+    monkeypatch.setattr(closure_module, "certify_sequence", recorded)
+    return outcomes
+
+
+@pytest.mark.parametrize("gens", CORPUS_THREE, ids=["+".join(g) for g in CORPUS_THREE])
+def test_the_corpus_three_variable_closures_end_at_the_cube(monkeypatch, gens):
+    _forbid_sampling_and_colons(monkeypatch)
     T = qq_ring("x", "y", "z")
     I = ideal_of(T, *gens)
     rep = closure(I, seed=0)
-    assert rep.checks_passed == ("reduction-number-one",)
-    assert set(rep.timings) == {"poincare", "reduction-number-one"}
+    assert rep.checks_passed == PROVED_CHECKS
+    assert set(rep.timings) == {"poincare", "reduction"}
     assert rep.series.samples == tuple(I.power(n + 1).colength() for n in range(3))
     assert all(q.samples == (I.colength(),) for q in rep.quotient_series)
     assert rep.certificate.attempts == 1
     assert rep.k_used == 1
     monkeypatch.undo()
     _assert_the_old_route_agrees(I, rep)
+    _assert_the_windowed_search_agrees(I, rep)
 
 
 @pytest.mark.parametrize("gens, numerator", [
@@ -819,18 +877,22 @@ def test_certified_mode_proves_reduction_number_one(gens, numerator):
         poincare_series(I, mode="certified")
     rep = closure(I, mode="certified", seed=0)
     assert rep.mode == rep.series.mode == "certified"
-    assert rep.checks_passed == ("reduction-number-one",)
+    assert rep.checks_passed == PROVED_CHECKS
     assert rep.series.numerator == numerator
     assert all(q.numerator == numerator and q.mode == "certified" for q in rep.quotient_series)
     assert rep.is_closed
 
 
-def test_a_given_reduction_is_tested_as_given():
+def test_a_given_reduction_is_tested_as_given(monkeypatch):
     T = qq_ring("x", "y", "z")
     I = ideal_of(T, "x^2", "x*y", "y^2", "z^2")
     xs = [T.parse(g) for g in ("x^2 + z^2", "y^2 - x*y", "z^2 + 3*x*y")]
+    outcomes = _recorded_certifications(monkeypatch)
     rep = closure(I, reduction=xs, seed=4)
-    assert rep.checks_passed == ("reduction-number-one",)
+    # h = (6, 26, 66): the target is h(1) - 3*h(0) = 8, tested once
+    assert outcomes == [(8, True)]
+    assert rep.checks_passed == PROVED_CHECKS
+    assert rep.certificate == certify_sequence(I, xs, 8, seed=4)
     assert rep.certificate.elements == tuple(xs)
     assert (rep.certificate.seed, rep.certificate.attempts) == (4, 0)
     # an element outside I is refused by the certification, as before
@@ -838,49 +900,85 @@ def test_a_given_reduction_is_tested_as_given():
         closure(I, reduction=[T.parse("x"), *xs[1:]])
 
 
-def _recorded_tests(monkeypatch):
-    """Every outcome of the reduction-number-one test that ``closure`` runs."""
-    closure_module = importlib.import_module("rrclosure.closure")
-    outcomes = []
-
-    def recorded(*args, original=closure_module._reduction_number_one):
-        outcomes.append(original(*args))
-        return outcomes[-1]
-
-    monkeypatch.setattr(closure_module, "_reduction_number_one", recorded)
-    return outcomes
-
-
 def test_a_first_draw_that_is_no_reduction_falls_through_to_the_search(monkeypatch):
-    # the shape check passes, the first vertex draw fails the test and the
-    # certification, and the second test runs on the certified second draw
-    outcomes = _recorded_tests(monkeypatch)
+    # the shape check passes, and the search against h(1) - 3*h(0) = 16
+    # refuses the first vertex draw and certifies the second, before any
+    # window
     T = qq_ring("x", "y", "z")
     I = ideal_of(T, "x^4", "y^3", "z^2", "x^2*y", "x*z")
+    assert [I.power(n + 1).colength() for n in range(3)] == [11, 49, 130]
+    outcomes = _recorded_certifications(monkeypatch)
+    _forbid_sampling_and_colons(monkeypatch)
     rep = closure(I, seed=0)
-    assert outcomes == [False, True]
+    assert outcomes == [(16, False), (16, True)]
     assert rep.certificate.attempts == 2
-    assert rep.checks_passed == (
-        "series-consistent", "reduction-colength-equals-e0", "reduction-number-one")
+    assert rep.checks_passed == PROVED_CHECKS
     assert "quotient-poincare" not in rep.timings
+    monkeypatch.undo()
     _assert_the_old_route_agrees(I, rep)
+    _assert_the_windowed_search_agrees(I, rep)
 
 
 @pytest.mark.parametrize("case", ["ex110", "phi-ex110", "x^3+y^3+z^3+x^2y+y^2z"])
-def test_the_shape_check_spares_the_test_where_reduction_number_one_fails(monkeypatch, case):
-    # ex110 is a staircase, which skips the shortcut; the other two fail the
-    # shape check, so no test basis is built
-    outcomes = _recorded_tests(monkeypatch)
+def test_the_shape_check_spares_the_search_where_reduction_number_one_fails(
+        monkeypatch, case):
+    # all three fail the shape check, so the only length tests are the
+    # round's, against the sampled e0
+    outcomes = _recorded_certifications(monkeypatch)
     if case == "ex110":
         I = ideal_of(R, *EX110)
     elif case == "phi-ex110":
         I = ideal_of(R, *(g.replace("x", "(x+y)") for g in EX110))
     else:
         I = ideal_of(qq_ring("x", "y", "z"), "x^3", "y^3", "z^3", "x^2*y", "y^2*z")
+    h = [I.power(n + 1).colength() for n in range(3)]
+    d = I.ring.dim
+    assert h[2] != (d + 1) * h[1] - d * (d + 1) // 2 * h[0]
     rep = closure(I, seed=0)
-    assert outcomes == []
+    assert outcomes and {target for target, _ in outcomes} == {rep.multiplicity}
     assert "reduction-number-one" not in rep.checks_passed
-    assert "reduction-number-one" not in rep.timings
+
+
+def test_the_staircase_guard_spares_the_search_where_e0_exceeds_the_target(monkeypatch):
+    # h = (12, 39, 81) has the shape of r <= 1, but h(1) - 2*h(0) = 15 lies
+    # below the Newton polygon's e0 = 16: r >= 2, and no draw could pass
+    I = ideal_of(R, "y^4", "x^2*y^3", "x^3*y", "x^4")
+    h = [I.power(n + 1).colength() for n in range(3)]
+    assert h == [12, 39, 81] and h[2] == 3 * h[1] - 3 * h[0]
+    outcomes = _recorded_certifications(monkeypatch)
+    rep = closure(I, seed=0)
+    assert outcomes == [(16, True)]
+    assert rep.multiplicity == 16
+    assert rep.series.numerator == (12, 3, 0, 1)
+    assert rep.is_closed
+    assert [str(g) for g in rep.closure_generators] == ["y^4", "x^3*y", "x^4", "x^2*y^3"]
+    assert "chain-stabilization" in rep.checks_passed
+    assert "reduction-number-one" not in rep.checks_passed
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+def test_a_shape_without_reduction_number_one_falls_through_after_every_draw(
+        monkeypatch, field):
+    # in three variables no guard applies: h = (17, 74, 194) has the shape,
+    # but h(1) - 3*h(0) = 23 lies below e0 = 24, so the search refuses all
+    # its draws and the round runs as before
+    from rrclosure import GF, PolyRing, QQ, reductions
+
+    T = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y", "z"))
+    I = ideal_of(T, "z^3", "y^2", "x*y*z", "x^3*z^2", "x^4")
+    assert [I.power(n + 1).colength() for n in range(3)] == [17, 74, 194]
+    outcomes = _recorded_certifications(monkeypatch)
+    rep = closure(I, seed=0)
+    assert outcomes == [(23, False)] * reductions.DEFAULT_MAX_ATTEMPTS + [(24, True)]
+    assert rep.series.numerator == (17, 6, 0, 1)
+    assert rep.is_closed
+    assert [str(g) for g in rep.closure_generators] == [
+        "y^2", "z^3", "x*y*z", "x^4", "x^3*z^2"]
+    assert rep.checks_passed[-1] == "chain-stabilization"
+    assert rep.certificate.attempts == 1
+    # certified mode's sampling bound is out of reach, as it was
+    with pytest.raises(BoundTooLargeError, match="needed 7312901 length samples"):
+        closure(I, mode="certified", seed=0)
 
 
 def test_random_three_variable_staircases_agree_with_the_full_pipeline():
@@ -914,6 +1012,33 @@ def test_phi_images_of_closed_staircases_agree_with_the_full_pipeline(field):
     assert proved == 4
 
 
+@pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
+def test_every_proved_staircase_and_phi_image_agrees_with_the_windowed_route(field):
+    # a property test: over random staircases and their images under
+    # x -> x+y, every report proved by reduction number one has the numbers
+    # and the certificate of the windowed route, and no other report says so
+    from rrclosure import GF, PolyRing, QQ
+    from util_algebra import random_instance_corpus
+
+    S = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y"))
+    proved = {"staircase": 0, "phi": 0}
+    for I in random_instance_corpus(seed=39, count=16, ring=R, max_pure=4, skew_prob=0.4):
+        exps = I.monomial_generators()
+        images = {"staircase": Ideal.from_exponents(S, exps),
+                  "phi": Ideal(S, [(S.var(0) + S.var(1)) ** a * S.var(1) ** b for a, b in exps])}
+        for kind, J in images.items():
+            rep = closure(J, seed=0)
+            if "reduction-number-one" in rep.checks_passed:
+                proved[kind] += 1
+                _assert_the_old_route_agrees(J, rep)
+                _assert_the_windowed_search_agrees(J, rep)
+            else:
+                assert {"chain-stabilization", "closure-equals-integral-closure"} & set(
+                    rep.checks_passed)
+    # x -> x+y keeps the reduction number, so the images are proved alike
+    assert proved["staircase"] == proved["phi"] > 0, proved
+
+
 # -- the integral closure: integrally closed staircases, and answers it proves --
 
 
@@ -927,44 +1052,34 @@ INTEGRALLY_CLOSED = [
     ("x^5", "x^4*y", "x^3*y^2", "x^2*y^3", "x*y^4", "y^5"),  # (x, y)^5
     ("x^3", "x*y", "y^3"),
     ("x^7", "y"),
-    SEED1_INTEGRALLY_CLOSED_SKEWS[0][0],
+    SEED1_PROVED_SKEWS[0][0],
 ]
 
 
 @pytest.mark.parametrize("gens", INTEGRALLY_CLOSED, ids=["+".join(g) for g in INTEGRALLY_CLOSED])
 @pytest.mark.parametrize("mode", ["heuristic", "certified"])
-def test_integrally_closed_staircases_end_before_any_power(monkeypatch, gens, mode):
-    # no power of I, no window, no quotient series and no colon, in either mode
-    closure_module = importlib.import_module("rrclosure.closure")
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an integrally closed staircase built a power or sampled")
-
-    for name in ("poincare_series", "poincare_series_quotient", "chain_term",
-                 "_monomial_chain_term"):
-        monkeypatch.setattr(closure_module, name, forbidden)
-    monkeypatch.setattr(Ideal, "power", forbidden)
+def test_integrally_closed_staircases_end_at_the_cube(monkeypatch, gens, mode):
+    # an integrally closed I has r <= 1 (Huneke; Ooishi), so the shortcut
+    # proves it, in either mode, with no power past I^3
+    _forbid_sampling_and_colons(monkeypatch)
     I = ideal_of(R, *gens)
     rep = closure(I, mode=mode, seed=0)
-    assert rep.checks_passed == (
-        "series-consistent", "e0-newton-polygon", "reduction-colength-equals-e0",
-        "quotient-0-consistent", "quotient-1-consistent", "integrally-closed",
-        "reduction-number-one")
-    assert set(rep.timings) == {"reduction"}
+    assert rep.checks_passed == PROVED_STAIRCASE_CHECKS
+    assert set(rep.timings) == {"poincare", "reduction"}
     assert rep.mode == rep.series.mode == mode
+    # every power of I is integrally closed (Zariski): h(n) is the Pick count
     assert rep.series.samples == tuple(_bar(I, n + 1) for n in range(3))
     assert all(q.samples == (I.colength(),) for q in rep.quotient_series)
     monkeypatch.undo()
     _assert_the_old_route_agrees(I, rep)
-    # the certificate is the one the search makes for the windowed series
-    assert rep.certificate == find_superficial_sequence(I, poincare_series(I).multiplicity, seed=0)
+    _assert_the_windowed_search_agrees(I, rep)
 
 
 def test_a_given_reduction_of_an_integrally_closed_staircase_is_certified_as_given():
     I = ideal_of(R, "x^2", "x*y", "y^2")
     xs = (R.parse("x^2 + y^2"), R.parse("x*y"))
     rep = closure(I, reduction=xs, seed=3)
-    assert "integrally-closed" in rep.checks_passed
+    assert rep.checks_passed == PROVED_STAIRCASE_CHECKS
     assert rep.certificate == certify_sequence(I, xs, 4, seed=3)
     with pytest.raises(NotSuperficialError):
         closure(I, reduction=(R.parse("x^2"), R.parse("x*y")))
@@ -973,14 +1088,18 @@ def test_a_given_reduction_of_an_integrally_closed_staircase_is_certified_as_giv
 def test_random_staircases_agree_with_the_integral_closure():
     from util_algebra import random_instance_corpus
 
-    labels = {"integrally-closed": 0, "closure-equals-integral-closure": 0}
+    labels = {"integrally-closed": 0, "reduction-number-one": 0,
+              "closure-equals-integral-closure": 0}
     for I in random_instance_corpus(seed=38, count=40, ring=R, max_pure=6, max_extra=3,
                                     skew_prob=0.4):
         rep = closure(I, seed=0)
         bar = _bar(I)
-        if "integrally-closed" in rep.checks_passed:
+        if I.colength() == bar:
+            # integrally closed, so r <= 1: always proved
             labels["integrally-closed"] += 1
-            assert I.colength() == bar
+            assert "reduction-number-one" in rep.checks_passed
+        if "reduction-number-one" in rep.checks_passed:
+            labels["reduction-number-one"] += 1
             _assert_the_old_route_agrees(I, rep)
         elif "closure-equals-integral-closure" in rep.checks_passed:
             labels["closure-equals-integral-closure"] += 1
@@ -994,6 +1113,7 @@ def test_random_staircases_agree_with_the_integral_closure():
             assert rep.closure_ideal.colength() > bar
             assert "chain-stabilization" in rep.checks_passed
     assert all(labels.values()), labels
+    assert labels["reduction-number-one"] > labels["integrally-closed"], labels
 
 
 @pytest.mark.parametrize("case", ["ex110", "ex33", "ex14", "ex14-squared"])
@@ -1010,7 +1130,8 @@ def test_the_paper_examples_keep_the_stabilization_check(case):
     assert I.colength() > bar
     assert rep.closure_ideal.colength() > bar
     assert "chain-stabilization" in rep.checks_passed
-    assert not {"integrally-closed", "closure-equals-integral-closure"} & set(rep.checks_passed)
+    assert not {"reduction-number-one", "closure-equals-integral-closure"} & set(
+        rep.checks_passed)
 
 
 def test_skew44_closure_is_proved_by_its_integral_closure():
@@ -1022,38 +1143,36 @@ def test_skew44_closure_is_proved_by_its_integral_closure():
         assert "closure-equals-integral-closure" in rep.checks_passed
         assert "chain-stabilization" not in rep.checks_passed
         assert "stabilization-check" not in rep.timings
-    # its square is integrally closed (Zariski): colength 36 both ways
+    # its square is integrally closed (Zariski): colength 36 both ways, so
+    # r <= 1 and the shortcut proves it
     square = closure_power(I, 2, seed=0)
-    assert "integrally-closed" in square.checks_passed
+    assert square.checks_passed == PROVED_STAIRCASE_CHECKS
     assert square.input_ideal.colength() == _bar(square.input_ideal) == 36
+    _assert_the_old_route_agrees(square.input_ideal, square)
 
 
 @pytest.mark.parametrize("field", ["QQ", "GF(32003)"])
-def test_certified_mode_tests_later_draws_before_sampling(monkeypatch, field):
-    # the first draw is no reduction; heuristic mode proves r <= 1 on the
-    # search's second draw, certified mode on the second draw itself
+def test_both_modes_certify_later_draws_before_sampling(monkeypatch, field):
+    # the first draw is no reduction; both modes certify the second against
+    # h(1) - 3*h(0) before any window, and report the same
     from rrclosure import GF, PolyRing, QQ
 
     T = PolyRing(QQ if field == "QQ" else GF(32003), ("x", "y", "z"))
     I = ideal_of(T, "x^4", "y^3", "z^2", "x^2*y", "x*z")
+    outcomes = _recorded_certifications(monkeypatch)
+    _forbid_sampling_and_colons(monkeypatch)
     heuristic = closure(I, seed=0)
-    outcomes = _recorded_tests(monkeypatch)
-    closure_module = importlib.import_module("rrclosure.closure")
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("certified mode sampled a series")
-
-    monkeypatch.setattr(closure_module, "poincare_series", forbidden)
     certified = closure(I, mode="certified", seed=0)
-    assert outcomes == [False, True]
-    assert certified.checks_passed == ("reduction-number-one",)
-    assert certified.mode == "certified"
+    assert outcomes == [(16, False), (16, True)] * 2
     assert certified.certificate == heuristic.certificate
-    for field_name in ("postulation_joint", "k_used", "closure_generators", "is_closed"):
-        assert getattr(certified, field_name) == getattr(heuristic, field_name)
-    assert certified.series.numerator == heuristic.series.numerator
-    assert ([q.numerator for q in certified.quotient_series]
-            == [q.numerator for q in heuristic.quotient_series])
+    assert certified.certificate.attempts == 2
+    assert certified.mode == "certified"
+    assert certified.checks_passed == heuristic.checks_passed == PROVED_CHECKS
+    for name in ("postulation_joint", "k_used", "closure_generators", "is_closed"):
+        assert getattr(certified, name) == getattr(heuristic, name)
+    assert certified.series == heuristic.series._replace(mode="certified")
+    assert certified.quotient_series == tuple(
+        q._replace(mode="certified") for q in heuristic.quotient_series)
 
 
 def test_a_non_monomial_closure_finds_its_minimal_generators_once(monkeypatch):
@@ -1070,6 +1189,6 @@ def test_a_non_monomial_closure_finds_its_minimal_generators_once(monkeypatch):
     monkeypatch.setattr(ideals, "_engine_groebner", counted)
     rep = closure(I, seed=0)
     assert rep.is_closed
-    assert len(runs) == 7
+    assert len(runs) == 6
     assert I.minimal_generators() is rep.closure_generators
-    assert len(runs) == 7
+    assert len(runs) == 6

@@ -23,6 +23,7 @@ from rrclosure import (
     poincare_series_quotient,
     regularity_bound,
 )
+from rrclosure import hilbert
 from rrclosure.errors import CertifiedBoundViolation
 from rrclosure.hilbert import HEURISTIC, _quotient_bounds, _series_from_lengths
 from util_algebra import brute_colength, ideal_of, qq_ring, random_instance_corpus
@@ -138,10 +139,11 @@ def test_series_internal_checks():
 
 
 @pytest.mark.parametrize("D", range(5))
-def test_the_difference_transform_inverts_the_binomial_sum(D):
+def test_the_difference_transform_inverts_the_binomial_sum(monkeypatch, D):
     # h(n) = sum_{i <= n} a_i C(n - i + D, D) has generating series
     # f(X)/(1-X)^(D+1); the (D+1)-fold difference transform must give f back,
     # and the Hilbert polynomial must agree with h exactly from pn on
+    monkeypatch.setattr(hilbert, "DEFAULT_MAX_SAMPLES", 64)
     rng = random.Random(D)
     for _ in range(60):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
@@ -151,7 +153,7 @@ def test_the_difference_transform_inverts_the_binomial_sum(D):
             return sum(c * comb(n - i + D, D) for i, c in enumerate(a) if i <= n)
 
         # a window longer than any inner run of zero coefficients
-        data = _series_from_lengths(h, D + 1, D, HEURISTIC, len(a) + 1, 64)
+        data = _series_from_lengths(h, D + 1, D, HEURISTIC, len(a) + 1)
         assert data.numerator == tuple(a)
         pn = data.postulation
         for n in range(max(pn, 0), len(data.samples)):
@@ -179,15 +181,16 @@ def test_postulation_of_monomial_complete_intersections(a, b):
     assert closure(I, reduction=xs).postulation_joint <= a + b - 2
 
 
-def test_certified_mode_small():
+def test_certified_mode_small(monkeypatch):
     m2 = ideal_of(R, "x^2", "x*y", "y^2")
     heuristic = poincare_series(m2)
     certified = poincare_series(m2, mode="certified")
     assert certified.numerator == heuristic.numerator
     # e0 = 4, bound = 4*3 = 12, so sampling runs to 12 + 1 + 2 + 1 = 16
     assert len(certified.samples) >= 16
+    monkeypatch.setattr(hilbert, "DEFAULT_MAX_SAMPLES", 100)
     with pytest.raises(BoundTooLargeError):
-        poincare_series(ex110(), mode="certified", max_samples=100)
+        poincare_series(ex110(), mode="certified")
 
 
 def test_regularity_bound_values():
@@ -234,7 +237,7 @@ def test_quotient_series_stop_exactly_on_the_paper_reduction():
         assert certified.exact
 
 
-def test_quotient_series_fall_back_when_the_certificate_is_no_reduction():
+def test_quotient_series_fall_back_when_the_certificate_is_no_reduction(monkeypatch):
     # (x^2, y^3) is no reduction of m^2: its length 6 exceeds e(m^2) = 4, and
     # the first differences stay at 3, 4, 4, ...; the window, or in certified
     # mode the regularity bound, must end the sampling; the cap of 50 makes a
@@ -242,12 +245,13 @@ def test_quotient_series_fall_back_when_the_certificate_is_no_reduction():
     m2 = ideal_of(R, "x^2", "x*y", "y^2")
     x = R.parse("x^2")
     cert = ReductionCertificate((x, R.parse("y^3")), 6, 6, None, 0)
-    heuristic = poincare_series_quotient(m2, x, reduction=cert, max_samples=50)
+    monkeypatch.setattr(hilbert, "DEFAULT_MAX_SAMPLES", 50)
+    heuristic = poincare_series_quotient(m2, x, reduction=cert)
     assert heuristic.numerator == (3, 1)
     assert not heuristic.exact
     assert heuristic.samples == poincare_series_quotient(m2, x).samples
     assert len(heuristic.samples) == 2 + heuristic.window_used
-    certified = poincare_series_quotient(m2, x, mode="certified", reduction=cert, max_samples=50)
+    certified = poincare_series_quotient(m2, x, mode="certified", reduction=cert)
     assert certified.numerator == (3, 1)
     assert not certified.exact
     # e0 estimate 4: regularity bound 4*3 = 12, target 12 + 1 + 1 + 1

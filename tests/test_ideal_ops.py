@@ -20,6 +20,7 @@ from rrclosure import (
     RRClosureError,
     ZeroPolynomialError,
     exact_divide,
+    ideals,
     reductions,
 )
 from rrclosure.ideals import groebner_basis
@@ -510,13 +511,14 @@ def test_colength_at_origin():
         I.colength_at_origin()
 
 
-def test_colength_at_origin_cap_stops_an_infinite_local_length():
+def test_colength_at_origin_cap_stops_an_infinite_local_length(monkeypatch):
     # (x + y) * m vanishes on the line x + y = 0 through the origin, so the
     # truncations rise for ever; with no expect the cap ends the scan
     J = ideal_of(R, "x^2 + x*y", "x*y + y^2")
+    monkeypatch.setattr(ideals, "DEFAULT_TRUNCATION_CAP", 6)
     for by in (ideal_of(R, "x", "y"), ideal_of(R, "x^2", "x*y", "y^2")):
-        with pytest.raises(RRClosureError, match="did not stabilize"):
-            J.colength_at_origin(cap=6, by=by)
+        with pytest.raises(RRClosureError, match="did not stabilize by the truncation power 6"):
+            J.colength_at_origin(by=by)
 
 
 def _searched_candidates(monkeypatch, I, e0, coeff_bound):
@@ -535,7 +537,8 @@ def _searched_candidates(monkeypatch, I, e0, coeff_bound):
 
     with monkeypatch.context() as patch:
         patch.setattr(reductions, "certify_sequence", recording)
-        cert = reductions.find_superficial_sequence(I, e0, seed=0, coeff_bound=coeff_bound)
+        patch.setattr(reductions, "DEFAULT_COEFF_BOUND", coeff_bound)
+        cert = reductions.find_superficial_sequence(I, e0, seed=0)
     # one more rejected candidate, with zeros away from the origin and a
     # finite local length above e0
     ring = I.ring

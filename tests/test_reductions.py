@@ -253,10 +253,11 @@ def test_find_determinism_and_seed_sensitivity():
     assert a.colength == c.colength == 45
 
 
-def test_find_failure_reports_genericity():
+def test_find_failure_reports_genericity(monkeypatch):
     I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
-    with pytest.raises(GenericityFailureError):
-        find_superficial_sequence(I, 44, seed=0, max_attempts=2)  # wrong e0 never certifies
+    monkeypatch.setattr(reductions, "DEFAULT_MAX_ATTEMPTS", 2)
+    with pytest.raises(GenericityFailureError, match="in 2 attempts"):
+        find_superficial_sequence(I, 44, seed=0)  # wrong e0 never certifies
 
 
 def test_superficial_identity_holds_for_generic_sequences():
@@ -348,8 +349,10 @@ def test_failed_vertex_candidate_redraws_from_the_vertex_pool(monkeypatch):
     assert Ideal(R, first).contains(R.parse("y^2*(x + 2*y)"))
     assert message.endswith("is at least 12, expected e0 = 11")
     assert ok is None and supports(second) <= {(0, 3), (1, 2), (4, 0)}
-    with pytest.raises(GenericityFailureError):
-        find_superficial_sequence(I, 11, seed=1, max_attempts=1)
+    with monkeypatch.context() as patched:
+        patched.setattr(reductions, "DEFAULT_MAX_ATTEMPTS", 1)
+        with pytest.raises(GenericityFailureError):
+            find_superficial_sequence(I, 11, seed=1)
     rep = closure(I, seed=1)
     assert rep.certificate.attempts == 2
     assert rep.is_closed
