@@ -231,12 +231,10 @@ def closure(
     mono = I.monomial_generators()
     d = I.ring.dim
     in_force = _sampling_window(mode, window, d)
-    newton_e0 = bar = None
+    newton_e0 = None
     if mono is not None and d == 2:
-        # e0 is proven by the Newton polygon, and checks the series; bar is
-        # the colength of the integral closure of I
+        # e0 is proven by the Newton polygon, and checks the series
         newton_e0 = _kernels.newton_polygon_e0(mono)
-        bar = _kernels.integral_closure_colength(mono, 1)
     timings: dict = {}  # phase -> seconds, summed over retry rounds
 
     def timed(phase: str, fn, *args, **kw):
@@ -341,7 +339,8 @@ def closure(
             return _monomial_chain_term(I, [t for s in supports for t in next(s)], j)
 
         result = timed("chain-colon", step, k)
-        if bar is not None and result.colength() == bar:
+        if newton_e0 is not None and (
+                result.colength() == _kernels.integral_closure_colength(mono, 1)):
             # result <= closure <= integral closure, of equal colength
             passed.append("closure-equals-integral-closure")
         elif mode == HEURISTIC:

@@ -13,11 +13,40 @@ test certifies them like any other.
 Lengths are taken at the origin.  In two variables the length of a
 candidate J = (f, g) is the intersection number I_0(f, g) of two plane
 curves, which Fulton's algorithm counts on f and g alone, with no Groebner
-basis (:func:`_intersection_number`).  In three or more variables the
-local length of a candidate is read off truncations by powers of I rather
-than of m: the candidate lies inside I, so the truncations stabilize
-within a few powers of I, where powers of m have to climb well past the
-generator degrees (Nakayama; Huneke-Swanson, ch. 8).
+basis (:func:`_intersection_number`).  For a monomial I whose candidate
+is a vertex-pool draw the Newton polygon proves the length instead, and
+Fulton does not run (:func:`_newton_proves`).  Let v_0..v_s be the
+vertices of NP(I) in x order, from y^b to x^a, and let f = sum a_i x^{v_i}
+and g = sum b_i x^{v_i} with every a_i, b_i nonzero and every edge minor
+D_i = a_i b_{i+1} - a_{i+1} b_i nonzero in the field.  Then
+lambda(R/J) = e(I) = 2 covol(NP(I)), in every characteristic
+(Kushnirenko 1976; Huneke-Swanson ch. 6, 10, 11):
+
+(a) J is m-primary: no height-one prime P through the origin holds both
+    f and g.  Modulo x, f is a_0 y^b, and modulo y it is a_s x^a, so a P
+    that holds x or y holds both and is m.  For any other P, (b) on a
+    valuation of R/P centered on the origin gives min(v(f), v(g)) finite,
+    where f, g in P give infinity.
+(b) Let v be a valuation with 0 < v(x), v(y) < infinity, and
+    mu = min_i w.v_i for w = (v(x), v(y)).  Then min(v(f), v(g)) = mu.  The
+    face of NP(I) where mu is attained is a vertex v_j, where one monomial
+    of f survives, or an edge from v_j to v_{j+1}, where
+    b_{j+1} f_face - a_{j+1} g_face = D_j x^{v_j} has value mu.
+(c) Every Rees valuation of J is centered on m, by (a), and takes the value
+    mu on J by (b), which is its value on every x^{v_i}.  So every x^{v_i}
+    lies in the integral closure of J, and J is a reduction of the ideal
+    I_V of the vertices, hence of I, which has I_V's integral closure.
+(d) A parameter ideal of a Cohen-Macaulay ring has length e(J), so
+    lambda(R/J) = e(J) = e(I) = 2 covol(NP(I)).
+
+Every other candidate, a degenerate draw (a zero minor) included, is
+counted by Fulton, so every refusal, and its message, is Fulton's.
+
+In three or more variables the local length of a candidate is read off
+truncations by powers of I rather than of m: the candidate lies inside I,
+so the truncations stabilize within a few powers of I, where powers of m
+have to climb well past the generator degrees (Nakayama; Huneke-Swanson,
+ch. 8).
 """
 
 from __future__ import annotations
@@ -59,8 +88,14 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
 
     The length that matters is the one at the origin (the ambient ring is the
     localization there).  In two variables it is the intersection number of
-    the two curves at the origin, which :func:`_intersection_number`
-    computes by Fulton's algorithm, stopping once it passes e0.  In more
+    the two curves at the origin.  For a monomial I, elements supported on
+    exactly the Newton vertices v_0..v_s, every coefficient nonzero, every
+    edge minor a_i b_{i+1} - a_{i+1} b_i nonzero in the field and e0 the
+    Newton polygon's, it is e0 by proof (module docstring: (a) J is
+    m-primary, (b) every valuation centered on the origin takes the same
+    value on J as on the vertices, (c) so J is a reduction of I, and
+    (d) lambda(R/J) = e(J) = e(I)).  Otherwise :func:`_intersection_number`
+    computes it by Fulton's algorithm, stopping once it passes e0.  In more
     variables, when the candidate ideal is supported only at the origin its
     plain colength already equals the local length; random candidates
     usually pick up extra zeros elsewhere, so the general path reads the
@@ -78,6 +113,9 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
         raise NotSuperficialError(
             f"need {I.ring.dim} elements (the ring dimension), got {len(elements)}"
         )
+    if I.ring.dim == 2 and _newton_proves(I, elements, e0):
+        # the elements are vertex generators' combinations, so they lie in I
+        return ReductionCertificate(elements, e0, e0, seed, attempts)
     for x in elements:
         if x.is_zero() or not I.contains(x):
             raise ElementNotInIdealError(f"{x} does not lie in the ideal")
@@ -99,6 +137,28 @@ def certify_sequence(I: Ideal, elements, e0: int, seed=None, attempts=0) -> Redu
             f"expected e0 = {e0}"
         )
     return ReductionCertificate(elements, length, e0, seed, attempts)
+
+
+def _newton_proves(I: Ideal, elements, e0: int) -> bool:
+    """Whether the Newton polygon proves that the two-variable ``elements``
+    generate an ideal of length ``e0`` at the origin (module docstring):
+    I is monomial, each element's support is exactly I's Newton vertices,
+    so every coefficient is nonzero, every edge minor is nonzero, and e0
+    is 2 covol(NP(I))."""
+    mono = I.monomial_generators()
+    if mono is None:
+        return False
+    vertices = _kernels.newton_vertices(mono)  # in x order
+    f, g = elements
+    if not f.terms.keys() == g.terms.keys() == set(vertices):
+        return False
+    a = [f.terms[v] for v in vertices]
+    b = [g.terms[v] for v in vertices]
+    p = I.ring.field.characteristic
+    minors = (a0 * b1 - a1 * b0 for a0, a1, b0, b1 in zip(a, a[1:], b, b[1:]))
+    if not all(m % p if p else m for m in minors):
+        return False
+    return e0 == _kernels.newton_polygon_e0(vertices)
 
 
 def _intersection_number(f: Polynomial, g: Polynomial, cap: int) -> int:
@@ -230,7 +290,8 @@ def candidate_sequences(I: Ideal, seed: int = 0):
         vertices = sorted(_kernels.newton_vertices(mono, seed), key=I.ring.order.key)
     gens = None
     rng = random.Random(seed)
-    p = I.ring.field.characteristic
+    field = I.ring.field
+    p = field.characteristic
     bound = DEFAULT_COEFF_BOUND
 
     def draw():
@@ -240,7 +301,9 @@ def candidate_sequences(I: Ideal, seed: int = 0):
 
     for attempt in count(1):
         if vertices is not None and (attempt == 1 or d == 2):
-            yield [I.ring.poly({v: draw() for v in vertices}) for _ in range(d)]
+            # the vertices are I's own exponents and every draw is nonzero, so
+            # the terms need no check: one dict, one coercion each
+            yield [Polynomial(I.ring, {v: field(draw()) for v in vertices}) for _ in range(d)]
         else:
             gens = gens or I.minimal_generators()
             yield [sum((g.scale(draw()) for g in gens), I.ring.zero) for _ in range(d)]

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import random
 import sys
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from rrclosure import (
     poincare_series_quotient,
     regularity_bound,
 )
-from util_algebra import ideal_of, qq_ring
+from util_algebra import ideal_of, minimal_set, qq_ring, random_monomial_mprimary
 
 R = qq_ring("x", "y")
 EX110 = ("x^10", "y^5", "x*y^4", "x^8*y")
@@ -808,8 +809,11 @@ def _assert_the_windowed_search_agrees(I, rep):
 
 
 def _forbid_sampling_and_colons(monkeypatch):
-    """No window, no quotient series, no chain colon and no power past I^3."""
+    """No window, no quotient series, no chain colon, no colength of the
+    integral closure (the answer check after the colon) and no power past
+    I^3."""
     closure_module = importlib.import_module("rrclosure.closure")
+    kernels = importlib.import_module("rrclosure._kernels")
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a proved closure sampled a series or took a colon")
@@ -817,6 +821,7 @@ def _forbid_sampling_and_colons(monkeypatch):
     for name in ("poincare_series", "poincare_series_quotient", "chain_term",
                  "_monomial_chain_term"):
         monkeypatch.setattr(closure_module, name, forbidden)
+    monkeypatch.setattr(kernels, "integral_closure_colength", forbidden)
     power = Ideal.power
 
     def up_to_the_cube(self, n):
@@ -1192,3 +1197,69 @@ def test_a_non_monomial_closure_finds_its_minimal_generators_once(monkeypatch):
     assert len(runs) == 6
     assert I.minimal_generators() is rep.closure_generators
     assert len(runs) == 6
+
+
+# -- the Newton polygon's length proof changes no report ----------------------
+
+
+def _newton_identity_corpus():
+    """(name, closure call) pairs: plain staircases (x^a, y^b) with up to two
+    inner corners and e0 <= 8, the skew ideals (x^a, x^{a-1}y, xy^{b-1}, y^b)
+    with 3 <= a, b <= 5 at seeds 0-2, the paper's examples, and random
+    staircases over GF(32003) and GF(7)."""
+    from rrclosure import GF, PolyRing, _kernels
+
+    plain = set()
+    for a, b in itertools.product(range(1, 6), repeat=2):
+        inner = [(i, j) for i in range(1, a) for j in range(1, b)]
+        for k in range(3):
+            for extra in itertools.combinations(inner, k):
+                plain.add(tuple(sorted(minimal_set({(a, 0), (0, b), *extra}))))
+    calls = [(f"plain {g}", lambda g=g: closure(Ideal.from_exponents(R, g), seed=0))
+             for g in sorted(plain) if _kernels.newton_polygon_e0(g) <= 8]
+    for a, b, seed in itertools.product(range(3, 6), range(3, 6), range(3)):
+        g = sorted(minimal_set({(a, 0), (a - 1, 1), (1, b - 1), (0, b)}))
+        calls.append((f"skew{a}{b} seed {seed}",
+                      lambda g=g, seed=seed: closure(Ideal.from_exponents(R, g), seed=seed)))
+    xs = (R.parse("y^5+x^10+x^8*y"), R.parse("x*y^4"))
+    calls += [
+        ("ex110", lambda: closure(ideal_of(R, *EX110), seed=0)),
+        ("ex110 paper reduction", lambda: closure(ideal_of(R, *EX110), reduction=xs)),
+        ("ex33", lambda: closure(ideal_of(R, *EX33), seed=0)),
+        ("ex14", lambda: closure(ideal_of(R, *EX14), seed=0)),
+        ("ex14^2", lambda: closure_power(ideal_of(R, *EX14), 2, seed=0)),
+    ]
+    rng = random.Random(4003)
+    for field in (GF(32003), GF(7)):
+        S = PolyRing(field, ("x", "y"))
+        for i in range(12):
+            g = random_monomial_mprimary(rng, max_pure=5, max_extra=2, skew_prob=0.4)
+            calls.append((f"{field} {g} seed {i}",
+                          lambda S=S, g=g, i=i: closure(Ideal.from_exponents(S, g), seed=i)))
+    return calls
+
+
+def _all_but_timings(rep):
+    return rep._replace(input_ideal=rep.input_ideal.minimal_generators(),
+                        closure_ideal=rep.closure_ideal.minimal_generators(), timings=None)
+
+
+def test_the_newton_length_proof_changes_no_report(monkeypatch):
+    # with the Newton polygon's proof patched out every length is Fulton's
+    # count; with it in, the reports agree in every field but the timings
+    reductions = importlib.import_module("rrclosure.reductions")
+    calls = _newton_identity_corpus()
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "_newton_proves", lambda *args: False)
+        counted = [_all_but_timings(call()) for _, call in calls]
+    proved = []
+    newton_proves = reductions._newton_proves
+
+    def recorded(*args):
+        proved.append(newton_proves(*args))
+        return proved[-1]
+
+    monkeypatch.setattr(reductions, "_newton_proves", recorded)
+    for (name, call), want in zip(calls, counted):
+        assert _all_but_timings(call()) == want, name
+    assert sum(proved) >= len(calls) - 10

@@ -18,7 +18,13 @@ from rrclosure import (
     poincare_series,
 )
 from rrclosure import ideals, reductions
-from util_algebra import ideal_of, qq_ring, random_polynomial
+from util_algebra import (
+    brute_newton_vertices,
+    ideal_of,
+    qq_ring,
+    random_polynomial,
+    random_staircase,
+)
 
 R = qq_ring("x", "y")
 
@@ -409,3 +415,135 @@ def test_the_search_certifies_the_candidate_draws_in_order(field, gens, seed, at
     assert cert.attempts == attempts
     draws = list(itertools.islice(reductions.candidate_sequences(I, seed), attempts))
     assert cert.elements == tuple(draws[-1])
+
+
+# -- the Newton polygon's proof of a vertex-supported pair's length ----------
+
+NEWTON_FIELDS = [QQ, GF(32003), GF(7), GF(3)]
+NEWTON_IDS = ["QQ", "GF(32003)", "GF(7)", "GF(3)"]
+
+
+def _staircases(seed, count):
+    """Random two-variable staircases with their Newton vertices in x order
+    and their e0, from the test's own hull."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        gens = random_staircase(rng, 2, max_pure=6, max_extra=3)
+        vertices = sorted(brute_newton_vertices(gens))
+        e0 = sum((x1 - x0) * (y0 + y1) for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]))
+        out.append((gens, vertices, e0))
+    return rng, out
+
+
+def _edge_minors(S, vertices, f, g):
+    F = S.field
+    a = [f.terms.get(v, F.zero) for v in vertices]
+    b = [g.terms.get(v, F.zero) for v in vertices]
+    return [F.add(F.mul(a[i], b[i + 1]), F.neg(F.mul(a[i + 1], b[i])))
+            for i in range(len(vertices) - 1)]
+
+
+def _vertex_pair(rng, S, vertices, degenerate):
+    """Two elements on exactly the vertices with nonzero coefficients; with
+    ``degenerate``, the minor of one edge is forced to zero."""
+    F = S.field
+    p = F.characteristic
+
+    def coeff():
+        return F(rng.randrange(1, p) if p else rng.choice((-1, 1)) * rng.randint(1, 9))
+
+    a = [coeff() for _ in vertices]
+    b = [coeff() for _ in vertices]
+    if degenerate:
+        i = rng.randrange(len(vertices) - 1)
+        b[i + 1] = F.mul(F.mul(a[i + 1], b[i]), F.inv(a[i]))  # a_i b_{i+1} = a_{i+1} b_i
+    return S.poly(dict(zip(vertices, a))), S.poly(dict(zip(vertices, b)))
+
+
+def _outcome(I, pair, e0):
+    try:
+        cert = certify_sequence(I, pair, e0, seed=5, attempts=3)
+    except NotSuperficialError as exc:
+        return str(exc)
+    return cert
+
+
+@pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
+def test_the_newton_route_passes_exactly_when_fulton_counts_e0(monkeypatch, field):
+    # nonzero edge minors prove the length e0 (Kushnirenko), and a zero
+    # minor makes it larger: Fulton's count agrees on every pair, and the
+    # certificate or refusal is the one Fulton alone gives
+    S = PolyRing(field, ("x", "y"))
+    rng, staircases = _staircases(4001, 100)
+    seen = {True: 0, False: 0}
+    for gens, vertices, e0 in staircases:
+        I = Ideal.from_exponents(S, gens)
+        for k in range(6):
+            pair = _vertex_pair(rng, S, vertices, degenerate=k % 2 == 1)
+            proved = reductions._newton_proves(I, pair, e0)
+            assert proved == all(_edge_minors(S, vertices, *pair))
+            assert proved == (reductions._intersection_number(*pair, e0) == e0)
+            seen[proved] += 1
+            for target in (e0 - 1, e0, e0 + 1):
+                routed = _outcome(I, pair, target)
+                with monkeypatch.context() as patch:
+                    patch.setattr(reductions, "_newton_proves", lambda *args: False)
+                    assert _outcome(I, pair, target) == routed
+    assert seen[True] >= 100 and seen[False] >= 300
+
+
+@pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
+def test_non_degenerate_draws_certify_without_fulton(monkeypatch, field):
+    def forbidden(*args):
+        raise AssertionError("Fulton's count ran on a non-degenerate vertex draw")
+
+    monkeypatch.setattr(reductions, "_intersection_number", forbidden)
+    S = PolyRing(field, ("x", "y"))
+    _, staircases = _staircases(4002, 30)
+    certified = 0
+    for seed, (gens, vertices, e0) in enumerate(staircases):
+        I = Ideal.from_exponents(S, gens)
+        for draw in itertools.islice(reductions.candidate_sequences(I, seed), 3):
+            if all(_edge_minors(S, vertices, *draw)):
+                cert = certify_sequence(I, draw, e0)
+                assert cert.colength == cert.multiplicity == e0
+                certified += 1
+    assert certified >= 30
+
+
+def _counted_fulton(monkeypatch):
+    counted = []
+    fulton = reductions._intersection_number
+
+    def spy(f, g, cap):
+        counted.append(cap)
+        return fulton(f, g, cap)
+
+    monkeypatch.setattr(reductions, "_intersection_number", spy)
+    return counted
+
+
+def test_a_degenerate_draw_reaches_fulton_and_keeps_its_refusal(monkeypatch):
+    # the first draw of (y^3, xy^2, x^3y, x^4) at seed 1 has a zero minor on
+    # its first edge
+    I = ideal_of(R, "y^3", "x*y^2", "x^3*y", "x^4")
+    first = next(reductions.candidate_sequences(I, 1))
+    assert _edge_minors(R, [(0, 3), (1, 2), (4, 0)], *first)[0] == 0
+    counted = _counted_fulton(monkeypatch)
+    with pytest.raises(NotSuperficialError, match=r"is at least 12, expected e0 = 11$"):
+        certify_sequence(I, first, 11)
+    assert counted == [11]
+
+
+def test_the_papers_reduction_is_no_vertex_pair_and_reaches_fulton(monkeypatch):
+    # y^5 + x^10 + x^8y carries x^8y, which is no vertex of ex110's polygon
+    I = ideal_of(R, "x^10", "y^5", "x*y^4", "x^8*y")
+    xs = (R.parse("y^5+x^10+x^8*y"), R.parse("x*y^4"))
+    counted = _counted_fulton(monkeypatch)
+    assert certify_sequence(I, xs, 45).colength == 45
+    with pytest.raises(NotSuperficialError, match=r"is at least 45, expected e0 = 44$"):
+        certify_sequence(I, xs, 44)
+    with pytest.raises(NotSuperficialError, match=r"is 45, expected e0 = 46$"):
+        certify_sequence(I, xs, 46)
+    assert counted == [45, 44, 46]
